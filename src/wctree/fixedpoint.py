@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from . import spaces
 from .errors import ConfigurationError, ContractViolation
 from .sets import SetModel
 from .spaces import SpaceModel, Vector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Element = Hashable
 
@@ -201,6 +202,8 @@ class NonexpMapHandle:
 
 
 def _shift_arr(arr: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.empty(arr.size + 1)
     out[0] = 0.0
     out[1:] = arr
@@ -208,6 +211,8 @@ def _shift_arr(arr: np.ndarray) -> np.ndarray:
 
 
 def _constant_handle(point: Vector) -> NonexpMapHandle:
+    import numpy as np
+
     top = max((p for p, _ in point.entries), default=-1)
     dense = np.zeros(top + 1)
     for p, c in point.entries:
@@ -270,6 +275,8 @@ def verify_nonexpansive(
 
 
 def _float_norm(space: SpaceModel, arr: np.ndarray) -> float:
+    import numpy as np
+
     if space.kind == "c0":
         return float(np.max(np.abs(arr))) if arr.size else 0.0
     p = float(space.p)
@@ -317,6 +324,8 @@ def km_iterate(
     `shadow_steps` iterations; the shadow must agree with the float path and,
     if a domain model is given, stay inside it under exact membership.
     """
+    import numpy as np
+
     weight = Fraction(weight)
     if not 0 < weight < 1:
         raise ConfigurationError("averaging weight must lie strictly in (0, 1)", "/weight")

@@ -15,8 +15,13 @@ from math import isqrt
 Matrix = list[list[Fraction]]
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction; one that already is a Fraction is shared, not copied."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _as_fraction_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[as_fraction(x) for x in row] for row in rows]
 
 
 def row_reduce(rows: Matrix) -> tuple[Matrix, list[int]]:
@@ -30,12 +35,19 @@ def row_reduce(rows: Matrix) -> tuple[Matrix, list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        # Only the columns where the pivot row is nonzero can change; skipping
+        # the rest leaves every entry exactly as a dense update would.
+        prow = m[r]
+        inv = prow[c]
+        if inv != 1:
+            prow = [x / inv for x in prow]
+            m[r] = prow
+        nonzero = [j for j, x in enumerate(prow) if x]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                for j in nonzero:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -69,20 +81,17 @@ def nullspace(rows) -> list[list[Fraction]]:
 
 
 def solve(rows, rhs) -> list[Fraction] | None:
-    """One exact solution of A x = b (free unknowns set to 0), or None."""
+    """The exact solution of A x = b, or None when there is none or more than one."""
     mat = _as_fraction_matrix(rows)
-    b = [Fraction(x) for x in rhs]
+    b = [as_fraction(x) for x in rhs]
     if not mat:
         return [] if all(x == 0 for x in b) else None
     ncols = len(mat[0])
     aug = [row + [bv] for row, bv in zip(mat, b)]
     red, pivots = row_reduce(aug)
-    if ncols in pivots:  # pivot in the rhs column: inconsistent
+    if pivots != list(range(ncols)):  # a free unknown, or inconsistent
         return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
+    return [red[r][ncols] for r in range(ncols)]
 
 
 def mat_vec(rows, x) -> list[Fraction]:
@@ -102,7 +111,7 @@ def psd_check(sym: Matrix) -> tuple[bool, list[Fraction] | None]:
     yields the witness in original coordinates.
     """
     n = len(sym)
-    m = [[Fraction(x) for x in row] for row in sym]
+    m = _as_fraction_matrix(sym)
     # basis[i] expresses the current i-th coordinate in original coordinates
     basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     done = [False] * n

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import as_fraction
+
 
 @dataclass
 class LpResult:
@@ -76,15 +78,15 @@ def _run_simplex(tableau, basis, ncols) -> str:
 def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:
     """min (or max) c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq, x >= 0."""
     n = len(c)
-    cost = [Fraction(v) for v in c]
+    cost = [as_fraction(v) for v in c]
     if maximize:
         cost = [-v for v in cost]
 
     rows: list[tuple[list[Fraction], bool, Fraction]] = []
     for row, b in zip(a_ub, b_ub):
-        rows.append(([Fraction(v) for v in row], True, Fraction(b)))
+        rows.append(([as_fraction(v) for v in row], True, as_fraction(b)))
     for row, b in zip(a_eq, b_eq):
-        rows.append(([Fraction(v) for v in row], False, Fraction(b)))
+        rows.append(([as_fraction(v) for v in row], False, as_fraction(b)))
     m = len(rows)
     nslack = sum(1 for _, has_slack, _ in rows if has_slack)
     total = n + nslack

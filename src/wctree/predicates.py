@@ -10,8 +10,8 @@ Both predicates reduce to optimization over finitely many rational vectors:
 
 For l1 and the sup norm both problems are polyhedral and solved exactly with
 rational linear programming (minimum + matching dual certificate); for l2
-they are quadratic and solved exactly through Gram matrices (support
-enumeration for the minimum, PSD tests for the constant).  Remaining
+they are quadratic and solved exactly through Gram matrices (Wolfe's
+min-norm-point method for the minimum, PSD tests for the constant).  Remaining
 exponents run in bracket mode: certified lower bounds come from exactly
 solvable comparison norms, upper bounds from exact evaluation at rational
 candidate points, and verdicts degrade to "inconclusive" when the enclosure
@@ -32,7 +32,6 @@ from . import linalg, lp, spaces
 from .errors import BudgetExceeded, ConfigurationError, ContractViolation
 from .spaces import Functional, SpaceModel, Vector
 
-QP_SUPPORT_CAP = 12
 POLYHEDRAL_BUDGET = 250_000
 MARGIN_GRID_BITS = 12  # basis constants are bracketed on the 2^-12 grid
 
@@ -229,101 +228,68 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
-    """Exact l2 minimum by support enumeration on the Gram matrix.
+    """Exact l2 minimum by Wolfe's min-norm-point method on the Gram matrix.
 
-    For each candidate support the equality-constrained stationarity system
-    is solved in rationals; the multiplier lambda is unique per consistent
-    support and the value there is lambda/2, so the global minimum is the
-    least value over supports admitting a nonnegative solution.
+    P. Wolfe, "Finding the nearest point in a polytope", Math. Programming 11
+    (1976), in rationals.  The corral S is an affinely independent set of
+    vectors whose affine hull holds the current point z = sum w_i x_i.  A
+    major cycle adds the vector j least paired with z, and stops once
+    <x_j, z> >= ||z||^2 for every j, which is the optimality condition that
+    _dual_certificate_l2 checks again.  A minor cycle moves z to the affine
+    minimum of the corral, from the system [Q_S 1; 1^T 0], stepping back to
+    the hull and dropping points whose weight reaches 0 when that minimum
+    leaves it.  ||z||^2 strictly falls with every major cycle, so no corral
+    recurs and the method ends; ties go to the lowest index throughout.
     """
     m = len(vs)
-    if m > QP_SUPPORT_CAP:
-        raise BudgetExceeded(
-            f"quadratic support enumeration capped at {QP_SUPPORT_CAP} vectors, got {m}"
-        )
     q = _gram(vs)
+    start = min(range(m), key=lambda i: q[i][i])
+    corral = [start]
+    w = {start: Fraction(1)}
     best_sq: Fraction | None = None
-    best_weights: tuple[Fraction, ...] | None = None
-    for mask in range(1, 1 << m):
-        support = [i for i in range(m) if mask >> i & 1]
-        s = len(support)
-        # stationarity 2 Q_S a = lambda * 1 and the simplex equality
-        system = [
-            [2 * q[support[i]][support[j]] for j in range(s)] + [Fraction(-1)]
-            for i in range(s)
-        ]
-        system.append([Fraction(1)] * s + [Fraction(0)])
-        rhs = [Fraction(0)] * s + [Fraction(1)]
-        sol = linalg.solve(system, rhs)
-        if sol is None:
-            continue
-        lam = sol[s]
-        if best_sq is not None and lam / 2 >= best_sq:
-            continue
-        a = _nonneg_solution(system, sol[:s] + [lam])
-        if a is None:
-            continue
-        val = lam / 2
-        if val < 0:
-            raise ContractViolation("negative squared norm from stationarity system")
-        weights = [Fraction(0)] * m
-        for idx, i in enumerate(support):
-            weights[i] = a[idx]
-        best_sq, best_weights = val, tuple(weights)
-    if best_sq is None or best_weights is None:
-        raise ContractViolation("no support admitted a simplex stationary point")
-    combo = spaces.combine(best_weights, vs)
+    while True:
+        qw = [sum(q[i][k] * w[k] for k in corral) for i in range(m)]
+        sq = sum(w[k] * qw[k] for k in corral)
+        if best_sq is not None and sq >= best_sq:
+            raise ContractViolation("a major cycle of Wolfe's method did not lower the norm")
+        best_sq = sq
+        j = min(range(m), key=qw.__getitem__)
+        if qw[j] >= sq:
+            break
+        if j in corral:
+            raise ContractViolation(f"Wolfe's method chose vector {j} already in the corral")
+        corral.append(j)
+        w[j] = Fraction(0)
+        while True:
+            s = len(corral)
+            system = [[q[a][b] for b in corral] + [Fraction(1)] for a in corral]
+            system.append([Fraction(1)] * s + [Fraction(0)])
+            sol = linalg.solve(system, [Fraction(0)] * s + [Fraction(1)])
+            if sol is None:
+                raise ContractViolation("Wolfe's corral is affinely dependent")
+            v = dict(zip(corral, sol))
+            if all(v[k] > 0 for k in corral):
+                w = v
+                break
+            theta = min(w[k] / (w[k] - v[k]) for k in corral if v[k] <= 0)
+            w = {k: (1 - theta) * w[k] + theta * v[k] for k in corral}
+            corral = [k for k in corral if w[k] > 0]
+    weights = tuple(w.get(i, Fraction(0)) for i in range(m))
+    combo = spaces.combine(weights, vs)
     nv = spaces.norm(space, combo)
-    assert nv.exact_sq == best_sq
+    if nv.exact_sq != best_sq:
+        raise ContractViolation(
+            f"Gram value {best_sq} disagrees with the witness norm {nv.exact_sq}"
+        )
     lo = linalg.sqrt_lower(best_sq, spaces.BRACKET_BITS)
     hi = linalg.sqrt_upper(best_sq, spaces.BRACKET_BITS)
-    cert = _dual_certificate_l2(space, vs, best_weights, best_sq)
-    witness = SimplexWitness(best_weights, combo, nv)
+    cert = _dual_certificate_l2(space, vs, weights, best_sq)
+    witness = SimplexWitness(weights, combo, nv)
     root = _exact_sqrt(best_sq)
     return SimplexMinResult(
         lo, hi, witness, "exact-qp",
         exact=root, exact_sq=best_sq, certificate=cert,
     )
-
-
-def _nonneg_solution(system: linalg.Matrix, particular: list[Fraction]) -> list[Fraction] | None:
-    """A nonnegative point of the stationarity solution set, if one exists.
-
-    The last variable (the multiplier) is unconstrained; only the support
-    weights must be nonnegative.
-    """
-    s = len(particular) - 1
-    a0 = particular[:s]
-    kernel = linalg.nullspace(system)
-    if not kernel:
-        return a0 if all(c >= 0 for c in a0) else None
-    if all(c >= 0 for c in a0):
-        return a0
-    # search a0 + span(kernel) for a nonnegative point: LP feasibility with
-    # free coefficients split into positive and negative parts
-    k = len(kernel)
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for comp in range(s):
-        row = []
-        for vec in kernel:
-            row.append(-vec[comp])
-        for vec in kernel:
-            row.append(vec[comp])
-        a_ub.append(row)
-        b_ub.append(a0[comp])
-    res = lp.solve_lp([Fraction(0)] * (2 * k), a_ub, b_ub)
-    if res.status != "optimal":
-        return None
-    coeffs = [res.x[i] - res.x[k + i] for i in range(k)]
-    out = list(a0)
-    for ci, vec in zip(coeffs, kernel):
-        if ci:
-            for comp in range(s):
-                out[comp] += ci * vec[comp]
-    if any(c < 0 for c in out):
-        raise ContractViolation("feasibility LP returned an infeasible point")
-    return out
 
 
 def _dual_certificate_l2(
@@ -386,7 +352,7 @@ def _simplex_min_bracket(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMi
     sup_min = simplex_min_norm(spaces.C0, vs)
     assert sup_min.exact is not None
     candidates.append(sup_min.exact)
-    if p < 2 and m <= QP_SUPPORT_CAP:
+    if p < 2:
         l2_min = simplex_min_norm(spaces.L2, vs)
         candidates.append(l2_min.lo)
     d = len(_coordinate_rows(vs))

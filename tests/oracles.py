@@ -63,6 +63,67 @@ def grid_simplex_min(space, vectors, steps: int = 64) -> float:
     return float(float_norm(space.kind, space.p, combos).min())
 
 
+def dense_rref(rows):
+    """Reduced row-echelon form and pivot columns by textbook Gauss-Jordan.
+
+    Every entry of a row that is eliminated is updated, zeros included.
+    """
+    m = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r][c]
+        m[r] = [x / top for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def brute_l2_simplex_min(vectors):
+    """Least squared l2 norm over the convex hull of sparse rational vectors.
+
+    Tries every support S.  Where the system G_S a = lam 1, sum(a) = 1 (G the
+    Gram matrix) is nonsingular and its solution is nonnegative, a . G_S a =
+    lam is a candidate.  Some minimizer has an affinely independent support
+    (Caratheodory), where the system is nonsingular and lam is the minimum.
+    Returns the least lam and the entries of its combination.
+    """
+    dicts = [dict(v.entries) for v in vectors]
+    m = len(dicts)
+    gram = [[sum((c * dicts[j].get(p, Fraction(0)) for p, c in dicts[i].items()),
+                 Fraction(0)) for j in range(m)] for i in range(m)]
+    best = None
+    for size in range(1, m + 1):
+        for support in combinations(range(m), size):
+            rows = [[gram[i][j] for j in support] + [Fraction(-1), Fraction(0)]
+                    for i in support]
+            rows.append([Fraction(1)] * size + [Fraction(0), Fraction(1)])
+            red, pivots = dense_rref(rows)
+            if pivots != list(range(size + 1)):  # singular
+                continue
+            sol = [row[-1] for row in red]
+            if any(a < 0 for a in sol[:size]):
+                continue
+            if best is None or sol[size] < best[0]:
+                best = (sol[size], dict(zip(support, sol[:size])))
+    value, weights = best
+    combo: dict[int, Fraction] = {}
+    for i, a in weights.items():
+        for p, c in dicts[i].items():
+            combo[p] = combo.get(p, Fraction(0)) + a * c
+    return value, tuple((p, c) for p, c in sorted(combo.items()) if c != 0)
+
+
 def sampled_basis_constant(space, vectors, rng: np.random.Generator,
                            trials: int = 400) -> float:
     """Lower bound on the basis constant by random and sign-pattern probing."""

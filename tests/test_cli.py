@@ -1,9 +1,14 @@
 """CLI envelope, exit codes, reproducibility, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wctree
 from wctree.cli import main
 
 
@@ -137,3 +142,14 @@ def test_saturation_mode(capsys):
                    "--point", "0:1", "--saturate", "--start", "3:1/2")
     sat = env["payload"]["saturation"]
     assert sat["closed"] and sat["points"] == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Only fixed-point uses numpy, so importing the CLI must not load it."""
+    src = str(Path(wctree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, wctree.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import dense_rref
 from wctree.linalg import (dot, int_nthroot_floor, mat_vec, nthroot_brackets,
-                           nullspace, psd_check, rank, solve, sqrt_lower,
-                           sqrt_upper)
+                           nullspace, psd_check, rank, row_reduce, solve,
+                           sqrt_lower, sqrt_upper)
 
 
 def random_matrix(rng, rows, cols, den=6):
@@ -26,6 +27,16 @@ def test_rank_matches_numpy():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         mat = random_matrix(rng, rows, cols)
         assert rank(mat) == np.linalg.matrix_rank(to_np(mat), tol=1e-9)
+
+
+def test_row_reduce_matches_dense_elimination():
+    """Skipping zero columns and unit pivots must leave every entry as it was."""
+    rng = random.Random(17)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        mat = [[Fraction(rng.choice([0, 0, 1, -1, rng.randint(-8, 8)]), rng.randint(1, 4))
+                for _ in range(cols)] for _ in range(rows)]
+        assert row_reduce(mat) == dense_rref(mat)
 
 
 def test_nullspace_vectors_annihilate():
@@ -46,6 +57,8 @@ def test_solve_consistent_and_inconsistent():
     assert x == [Fraction(1), Fraction(2)]
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert solve(singular, [Fraction(1), Fraction(3)]) is None
+    # consistent but not unique
+    assert solve(singular, [Fraction(1), Fraction(2)]) is None
 
 
 def test_psd_check_matches_eigenvalues():

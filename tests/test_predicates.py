@@ -7,14 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import grid_simplex_min, sampled_basis_constant
+from oracles import brute_l2_simplex_min, grid_simplex_min, sampled_basis_constant
 from wctree import predicates
 from wctree.errors import ContractViolation
 from wctree.predicates import (MARGIN_GRID_BITS, basis_constant_estimate,
                                dual_certificate_search, is_M_schauder,
                                is_eps_dominating, l1_basis_lower_bound,
                                mazur_combination, simplex_min_norm)
-from wctree.spaces import C0, L1, L2, Vector, conjugate_norm, lp_space, norm, pairing
+from wctree.spaces import (C0, L1, L2, Vector, combine, conjugate_norm, lp_space, norm,
+                           pairing)
 
 F = Fraction
 E = Vector.unit
@@ -36,7 +37,7 @@ def test_min_of_unit_vectors_l1_is_one():
 
 
 def test_min_of_orthonormal_l2_is_inverse_sqrt_m():
-    for m in range(1, 6):
+    for m in (1, 2, 3, 4, 5, 16, 24):
         res = simplex_min_norm(L2, units(m))
         assert res.exact_sq == F(1, m)
         assert res.method in ("exact-qp", "exact-structural")
@@ -93,6 +94,97 @@ def test_grid_converges_to_exact_value_on_smooth_instance():
     grid = grid_simplex_min(L2, vs, steps=66)  # grid contains (1/3, 1/3, 1/3)
     assert abs(grid - math.sqrt(1.0 / 3.0)) < 1e-12
     assert abs(grid**2 - float(res.exact_sq)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# l2 simplex minimum against the brute-force support oracle
+
+
+def _random_l2_node(rng, m):
+    """Random small vectors, with zero, repeated and affinely dependent ones mixed in."""
+    vs = []
+    for _ in range(m):
+        roll = rng.random()
+        if vs and roll < 0.1:
+            vs.append(rng.choice(vs))
+        elif roll < 0.15:
+            vs.append(Vector.zero())
+        elif len(vs) >= 2 and roll < 0.3:
+            a, b = rng.sample(vs, 2)
+            t = F(rng.randint(-2, 3), rng.randint(1, 3))
+            vs.append(combine([1 - t, t], [a, b]))
+        else:
+            vs.append(Vector.from_pairs(
+                (p, F(rng.randint(-4, 4), rng.randint(1, 3)))
+                for p in rng.sample(range(4), rng.randint(1, 3))))
+    return vs
+
+
+def _assert_certified_l2_minimum(res, vs):
+    w = res.witness
+    assert all(a >= 0 for a in w.weights) and sum(w.weights) == 1
+    assert combine(w.weights, vs) == w.combo
+    assert norm(L2, w.combo).exact_sq == res.exact_sq
+    if res.certificate is not None:
+        for v in vs:
+            assert pairing(res.certificate.functional, v) >= res.certificate.lower_bound
+
+
+def test_l2_minimum_matches_brute_force_oracle():
+    rng = random.Random(4096)
+    for _ in range(300):
+        vs = _random_l2_node(rng, rng.randint(1, 8))
+        res = simplex_min_norm(L2, vs)
+        value_sq, combo = brute_l2_simplex_min(vs)
+        assert res.method == "exact-qp"
+        assert res.exact_sq == value_sq
+        assert res.witness.combo.entries == combo
+        _assert_certified_l2_minimum(res, vs)
+
+
+@pytest.mark.parametrize("vs, weights", [
+    ([E(0), E(0)], (1, 0)),
+    ([E(0), E(0), E(1)], (F(1, 2), 0, F(1, 2))),
+    ([E(1), E(0), E(0)], (F(1, 2), F(1, 2), 0)),
+    ([Vector.zero(), E(0), Vector.zero()], (1, 0, 0)),
+])
+def test_l2_minimum_breaks_ties_toward_lower_indices(vs, weights):
+    """Repeated and zero vectors leave the weights open; the lowest index wins."""
+    assert predicates._simplex_min_qp(L2, tuple(vs)).witness.weights == weights
+
+
+def test_l2_minimum_of_sixteen_random_vectors_is_certified():
+    rng = random.Random(16)
+    # a positive first coordinate keeps the hull away from 0, so a certificate exists
+    vs = [Vector.from_pairs([(0, F(rng.randint(1, 4), rng.randint(1, 3)))] +
+                            [(p, F(rng.randint(-4, 4), rng.randint(1, 3))) for p in range(1, 6)])
+          for _ in range(16)]
+    res = simplex_min_norm(L2, vs)
+    assert res.certificate is not None
+    _assert_certified_l2_minimum(res, vs)
+    # optimality of the minimum point itself: <z, x_n> >= ||z||^2 for every n
+    z = dict(res.witness.combo.entries)
+    for v in vs:
+        assert sum(c * z.get(p, 0) for p, c in v.entries) >= res.exact_sq
+
+
+@pytest.mark.parametrize("corrupt", ["diagonal", "off-diagonal"])
+def test_qp_minimum_refuses_a_wrong_answer(monkeypatch, corrupt):
+    """The Gram value must equal the witness norm; a wrong Gram matrix is refused."""
+    gram = predicates._gram
+
+    def perturbed(vs):
+        q = gram(vs)
+        if corrupt == "diagonal":
+            q[0][0] -= F(1, 2)
+        else:
+            q[0][1] += F(1, 2)
+            q[1][0] += F(1, 2)
+        return q
+
+    monkeypatch.setattr(predicates, "_gram", perturbed)
+    with pytest.raises(ContractViolation):
+        predicates._simplex_min_qp(L2, tuple(units(3)))
 
 
 # ---------------------------------------------------------------------------
