@@ -30,8 +30,8 @@ from .predicates import (DualCertificate, PrefixWitness, SchauderReport,
 from .trees import (BranchCertificate, ExplicitFiniteTree, NodeEvaluation,
                     SearchBudget, SearchStats, StackedTree, SubtreeView,
                     WcTree, WfVerdict, bounded_wf_search, branch_search,
-                    children, encode_characteristic, finite_rank, rank_within,
-                    scale_section, subtree_at, validate_certificate)
+                    encode_characteristic, expand, finite_rank, levels,
+                    rank_within, validate_certificate, walk)
 from .fixedpoint import (AscentResult, FinitePoset, KmResult, MAP_REGISTRY,
                          NonexpMapHandle, SaturationResult, build_map,
                          invariant_set_saturate, km_iterate,
@@ -52,19 +52,19 @@ __all__ = [
     "SimplexMinResult", "SimplexWitness", "SpaceModel", "StackedTree",
     "SubtreeView", "UnsupportedModelError", "Vector", "Verdict3", "WcTree",
     "WfVerdict", "basis_constant_estimate", "bounded_wf_search",
-    "branch_search", "build_map", "build_set", "children", "combine",
+    "branch_search", "build_map", "build_set", "combine",
     "conjugate_norm", "convexity_probe", "dense_index", "dense_point",
     "dense_space", "distance_estimate", "dual_certificate_search",
-    "encode_characteristic", "explicit_list", "finite_rank", "hilbert_cube",
-    "hit_test", "invariant_set_saturate", "is_M_schauder", "is_eps_dominating",
-    "km_iterate", "l1_basis_lower_bound", "lp_space", "maximal_via_uniformization",
-    "mazur_combination", "norm", "norm_cmp", "pair", "pairing", "rank_within",
-    "rational_decode", "rational_encode", "scale_section", "seq_decode",
-    "seq_encode", "set_from_json", "simplex_min_norm", "subtree_at",
-    "summing_hull", "summing_vector", "sup_space", "support_decode",
+    "encode_characteristic", "expand", "explicit_list", "finite_rank",
+    "hilbert_cube", "hit_test", "invariant_set_saturate", "is_M_schauder",
+    "is_eps_dominating", "km_iterate", "l1_basis_lower_bound", "levels",
+    "lp_space", "maximal_via_uniformization", "mazur_combination", "norm",
+    "norm_cmp", "pair", "pairing", "rank_within", "rational_decode",
+    "rational_encode", "seq_decode", "seq_encode", "set_from_json",
+    "simplex_min_norm", "summing_hull", "summing_vector", "sup_space", "support_decode",
     "support_encode", "uniformize_least", "uniformize_relation", "unit_ball",
     "unit_ball_model",
     "unit_vector_family", "unit_vector_hull", "unpair",
-    "validate_certificate", "verify_nonexpansive", "zermelo_iterate",
+    "validate_certificate", "verify_nonexpansive", "walk", "zermelo_iterate",
     "__version__",
 ]

@@ -1,4 +1,7 @@
-"""Command-line front end: every analysis emits one JSON report envelope.
+"""Command-line front end: parse arguments, call the library, render reports.
+
+The analyses themselves live in the library; this module only turns
+arguments into library objects and results into one JSON report envelope.
 
 Envelope layout: schema tag, package version, the resolved configuration and
 its sha256 hash (timing excluded, so identical configurations hash
@@ -10,6 +13,7 @@ malformed-input errors, 1 for semantic configuration or model failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -160,27 +164,20 @@ def schauder_json(rep: SchauderReport | None) -> dict | None:
     }
 
 
-def stats_json(st: trees.SearchStats) -> dict:
-    return {
-        "evaluated": st.evaluated,
-        "holds": st.holds,
-        "fails": st.fails,
-        "inconclusive": st.inconclusive,
-        "exhausted": st.exhausted,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _tree_from_args(args) -> tuple[trees.WcTree, sets.SetModel]:
-    space = parse_space(args.space)
-    model = parse_set(args.set, space)
-    tol = Fraction(args.tol) if getattr(args, "tol", None) else Fraction(0)
-    tree = trees.WcTree(model, _fraction(args.eps, "--eps"),
-                        _fraction(args.bigm, "--bigm"), tol)
-    return tree, model
+def _tol(args) -> Fraction:
+    return _fraction(args.tol or "0", "--tol")
+
+
+def _tree_from_args(args) -> trees.WcTree | trees.StackedTree:
+    model = parse_set(args.set, parse_space(args.space))
+    if getattr(args, "stacked", False):
+        return trees.StackedTree(model, _tol(args))
+    return trees.WcTree(model, _fraction(args.eps, "--eps"),
+                        _fraction(args.bigm, "--bigm"), _tol(args))
 
 
 def cmd_predicate(args) -> dict:
@@ -190,8 +187,7 @@ def cmd_predicate(args) -> dict:
     vs = [model.selector(i) for i in node]
     eps = _fraction(args.eps, "--eps")
     big_m = _fraction(args.bigm, "--bigm")
-    tol = Fraction(args.tol) if args.tol else Fraction(0)
-    dom = predicates.is_eps_dominating(space, vs, eps, tol)
+    dom = predicates.is_eps_dominating(space, vs, eps, _tol(args))
     sch = None
     if not any(v.is_zero for v in vs):
         sch = predicates.is_M_schauder(space, vs, big_m, rng_seed=args.seed)
@@ -204,20 +200,20 @@ def cmd_predicate(args) -> dict:
 
 
 def cmd_wf_scan(args) -> dict:
-    tree, _ = _tree_from_args(args)
+    tree = _tree_from_args(args)
     budget = trees.SearchBudget(args.node_budget)
     verdict = trees.bounded_wf_search(tree, args.depth, args.index_bound, budget)
     return {
         "kind": verdict.kind,
         "branch": None if verdict.branch is None else list(verdict.branch),
         "detail": verdict.detail,
-        "stats": stats_json(verdict.stats),
+        "stats": dataclasses.asdict(verdict.stats),
         "tree": tree.params(),
     }
 
 
 def cmd_branch_hunt(args) -> dict:
-    tree, _ = _tree_from_args(args)
+    tree = _tree_from_args(args)
     budget = trees.SearchBudget(args.node_budget)
     cert = trees.branch_search(tree, args.depth, args.index_bound,
                                args.beam_width, budget)
@@ -239,40 +235,13 @@ def cmd_branch_hunt(args) -> dict:
 
 
 def cmd_analyze_tree(args) -> dict:
-    space = parse_space(args.space)
-    model = parse_set(args.set, space)
-    tol = Fraction(args.tol) if args.tol else Fraction(0)
-    if args.stacked:
-        tree = trees.StackedTree(model, tol)
-    else:
-        tree = trees.WcTree(model, _fraction(args.eps, "--eps"),
-                            _fraction(args.bigm, "--bigm"), tol)
+    tree = _tree_from_args(args)
     budget = trees.SearchBudget(args.node_budget)
-    levels = []
-    frontier: list[tuple[int, ...]] = [()]
-    exhausted = False
-    for d in range(1, args.depth + 1):
-        counts = {"holds": 0, "fails": 0, "inconclusive": 0}
-        nxt: list[tuple[int, ...]] = []
-        for node in frontier:
-            for i in range(args.index_bound):
-                if not budget.charge():
-                    exhausted = True
-                    break
-                ev = tree.member(node + (i,))
-                counts[ev.verdict.kind] += 1
-                if not ev.verdict.fails:
-                    nxt.append(node + (i,))
-            if exhausted:
-                break
-        levels.append({"depth": d, **counts})
-        frontier = nxt
-        if exhausted or not frontier:
-            break
+    levels = trees.levels(tree, args.depth, args.index_bound, budget)
     payload: dict = {
         "tree": tree.params(),
-        "levels": levels,
-        "budget_exhausted": exhausted,
+        "levels": [{"depth": d, **counts} for d, counts in enumerate(levels, 1)],
+        "budget_exhausted": budget.exhausted,
     }
     if not args.stacked:
         rank, complete = trees.rank_within(
@@ -361,7 +330,7 @@ _DOT_COLORS = {"holds": "#2e7d32", "fails": "#c62828", "inconclusive": "#ef6c00"
 
 
 def cmd_export_dot(args) -> dict:
-    tree, _ = _tree_from_args(args)
+    tree = _tree_from_args(args)
     budget = trees.SearchBudget(args.node_budget)
     lines = [
         "digraph wctree {",
@@ -370,34 +339,21 @@ def cmd_export_dot(args) -> dict:
         '  "" [label="()", fillcolor="#eceff1"];',
     ]
     edges: list[str] = []
-    exhausted = False
 
     def name(node: tuple[int, ...]) -> str:
         return ".".join(str(i) for i in node)
 
-    def walk(node: tuple[int, ...], depth_left: int):
-        nonlocal exhausted
-        if depth_left == 0 or exhausted:
-            return
-        for i in range(args.index_bound):
-            if not budget.charge():
-                exhausted = True
-                return
-            child = node + (i,)
-            ev = tree.member(child)
-            color = _DOT_COLORS[ev.verdict.kind]
-            margin = ev.verdict.margin
-            label = name(child)
-            if margin is not None and not math.isinf(margin):
-                label += f"\\nmargin {margin:.4g}"
-            lines.append(f'  "{name(child)}" [label="{label}", fillcolor="{color}"];')
-            edges.append(f'  "{name(node)}" -> "{name(child)}";')
-            if not ev.verdict.fails:
-                walk(child, depth_left - 1)
-
-    walk((), args.depth)
+    for node, ev in trees.walk(tree, args.depth, args.index_bound, budget,
+                               lambda ev: not ev.verdict.fails):
+        color = _DOT_COLORS[ev.verdict.kind]
+        margin = ev.verdict.margin
+        label = name(node)
+        if margin is not None and not math.isinf(margin):
+            label += f"\\nmargin {margin:.4g}"
+        lines.append(f'  "{name(node)}" [label="{label}", fillcolor="{color}"];')
+        edges.append(f'  "{name(node[:-1])}" -> "{name(node)}";')
     dot = "\n".join(lines + edges + ["}"])
-    payload = {"dot": dot, "nodes": len(edges), "budget_exhausted": exhausted}
+    payload = {"dot": dot, "nodes": len(edges), "budget_exhausted": budget.exhausted}
     if args.out_dot:
         with open(args.out_dot, "w", encoding="utf-8") as fh:
             fh.write(dot + "\n")

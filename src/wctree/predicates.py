@@ -458,9 +458,13 @@ def is_eps_dominating(
 
     Exact paths decide non-strictly with zero tolerance; on the bracket path
     `tol` widens the band that certifies success, and enclosures straddling
-    eps come back inconclusive.
+    eps come back inconclusive.  A negative `tol` would certify minima below
+    eps, so it is refused.
     """
     eps = Fraction(eps)
+    tol = Fraction(tol)
+    if tol < 0:
+        raise ConfigurationError("tol must be nonnegative", "/tol")
     vs = tuple(vectors)
     if not vs:
         return Verdict3(HOLDS, margin=None, detail="empty sequence dominates vacuously")
@@ -484,7 +488,6 @@ def is_eps_dominating(
                             detail=f"certified minimum via {res.method}")
         return Verdict3(FAILS, fmargin, emargin, res.witness,
                         detail=f"minimizing combination via {res.method}")
-    tol = Fraction(tol)
     if res.lo >= eps + tol:
         return Verdict3(HOLDS, float(res.lo - eps), None, res.certificate,
                         detail="comparison-norm lower bound clears eps plus tol")

@@ -113,10 +113,6 @@ class SetModel:
             return None
         return self._membership(v)
 
-    @property
-    def cache_key(self) -> tuple:
-        return (self.kind, self.space.kind, str(self.space.p), self.ident)
-
     def to_json(self) -> dict:
         return {
             "id": self.ident,

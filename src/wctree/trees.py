@@ -1,4 +1,4 @@
-"""Node-indexed trees over a set model, and bounded searches on them.
+"""Node-indexed trees over a set model, and bounded traversals of them.
 
 A node is a finite tuple of selector indices.  The weak-compactness tree for
 a family F at parameters (eps, M) contains a node exactly when the selected
@@ -10,6 +10,13 @@ searches are careful about which claims an unknown node can block:
 * a well-foundedness claim needs *every* not-certainly-failing path to die
   before the target depth;
 * a branch certificate needs every node on the path to hold outright.
+
+Every bounded traversal rests on `expand`, which evaluates a node's children
+below the index bound at one `SearchBudget` unit each and stops at the first
+refused charge (`budget.exhausted` then says the traversal was cut).  The
+depth-first `walk` serves `bounded_wf_search`, `rank_within` and the DOT
+export; `branch_search` and `levels` expand breadth-first instead, since
+under a budget cut the two orders evaluate different nodes.
 
 The stacked tree interleaves every parameter scale: its section at first
 index n is the (1/(n+1), n+1)-tree of the same family, so one tree carries
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import enumeration, predicates
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolation
 from .predicates import FAILS, HOLDS, INCONCLUSIVE, SchauderReport, Verdict3
 from .sets import SetModel
 from .spaces import Vector
@@ -42,7 +49,8 @@ def _combine(domination: Verdict3, schauder: SchauderReport | None) -> Verdict3:
     if domination.fails:
         return Verdict3(FAILS, domination.margin, domination.exact_margin,
                         domination.witness, "domination: " + domination.detail)
-    assert schauder is not None
+    if schauder is None:
+        raise ContractViolation("a node that passes domination needs a prefix-bound report")
     sv = schauder.verdict
     if sv.fails:
         return Verdict3(FAILS, sv.margin, sv.exact_margin, sv.witness,
@@ -136,11 +144,6 @@ class StackedTree:
         return {"stacked": True}
 
 
-def scale_section(family: SetModel, n: int, tol: Fraction = Fraction(0)) -> WcTree:
-    """Section of the stacked tree at first index n."""
-    return StackedTree(family, tol).section(n)
-
-
 class ExplicitFiniteTree:
     """A finite tree given as an explicit prefix-closed set of nodes."""
 
@@ -177,18 +180,8 @@ class SubtreeView:
         return {"root": list(self.root)}
 
 
-def subtree_at(tree, node: tuple[int, ...]) -> SubtreeView:
-    return SubtreeView(tree, node)
-
-
-def children(tree, node: tuple[int, ...], index_bound: int):
-    """Evaluate all one-step extensions of a node below the index bound."""
-    node = tuple(node)
-    return [(i, tree.member(node + (i,))) for i in range(index_bound)]
-
-
 # ---------------------------------------------------------------------------
-# bounded searches
+# the traversal core
 
 
 @dataclass
@@ -199,6 +192,76 @@ class SearchBudget:
     def charge(self) -> bool:
         self.spent += 1
         return self.spent <= self.max_nodes
+
+    @property
+    def exhausted(self) -> bool:
+        """True once a charge has been refused."""
+        return self.spent > self.max_nodes
+
+
+def _check_bounds(depth: int, index_bound: int) -> None:
+    if depth < 1:
+        raise ConfigurationError("depth must be at least 1", "/depth")
+    if index_bound < 1:
+        raise ConfigurationError("index bound must be at least 1", "/index-bound")
+
+
+def expand(tree, node: tuple[int, ...], index_bound: int, budget: SearchBudget):
+    """Yield (child, evaluation) for node + (i,), i < index_bound, in order.
+
+    Each child costs one budget unit, charged just before it is evaluated;
+    the first refused charge ends the expansion.
+    """
+    for i in range(index_bound):
+        if not budget.charge():
+            return
+        child = node + (i,)
+        yield child, tree.member(child)
+
+
+def walk(tree, depth: int, index_bound: int, budget: SearchBudget, descend):
+    """Depth-first pre-order over `expand`, down to `depth`.
+
+    Every evaluated (node, evaluation) is yielded before its children; a
+    node is expanded when `descend(evaluation)` is true.
+    """
+    _check_bounds(depth, index_bound)
+
+    def visit(node):
+        for child, ev in expand(tree, node, index_bound, budget):
+            yield child, ev
+            if len(child) < depth and descend(ev):
+                yield from visit(child)
+
+    return visit(())
+
+
+def levels(tree, depth: int, index_bound: int,
+           budget: SearchBudget) -> list[dict[str, int]]:
+    """Verdict counts per depth, breadth-first through not-failing nodes.
+
+    Stops after a level that the budget cuts or that leaves nothing to expand.
+    """
+    _check_bounds(depth, index_bound)
+    counts_by_depth = []
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(depth):
+        counts = {HOLDS: 0, FAILS: 0, INCONCLUSIVE: 0}
+        nxt = []
+        for node in frontier:
+            for child, ev in expand(tree, node, index_bound, budget):
+                counts[ev.verdict.kind] += 1
+                if not ev.verdict.fails:
+                    nxt.append(child)
+        counts_by_depth.append(counts)
+        if budget.exhausted or not nxt:
+            break
+        frontier = nxt
+    return counts_by_depth
+
+
+# ---------------------------------------------------------------------------
+# bounded searches
 
 
 @dataclass(frozen=True)
@@ -241,56 +304,40 @@ def bounded_wf_search(
     """Exhaustive depth-first scan of the tree under the given bounds.
 
     Children are tried in ascending index order, so the branch returned on
-    success is the lexicographically least certified branch.
+    success is the lexicographically least certified branch.  A node below
+    an inconclusive node is tainted: reaching the target depth through it
+    certifies nothing.
     """
-    if depth < 1:
-        raise ConfigurationError("depth must be at least 1", "/depth")
-    if index_bound < 1:
-        raise ConfigurationError("index bound must be at least 1", "/index-bound")
     budget = budget or SearchBudget()
     counts = {HOLDS: 0, FAILS: 0, INCONCLUSIVE: 0}
-    state = {"unknown_at_depth": None, "exhausted": False}
-
-    def stats() -> SearchStats:
-        return SearchStats(sum(counts.values()), counts[HOLDS], counts[FAILS],
-                           counts[INCONCLUSIVE], state["exhausted"])
-
-    def dfs(node: tuple[int, ...], tainted: bool) -> tuple[int, ...] | None:
+    tainted: set[tuple[int, ...]] = set()
+    branch = unknown_at_depth = None
+    for node, ev in walk(tree, depth, index_bound, budget,
+                         lambda ev: not ev.verdict.fails):
+        counts[ev.verdict.kind] += 1
+        if ev.verdict.fails:
+            continue
+        if ev.verdict.inconclusive or node[:-1] in tainted:
+            tainted.add(node)
         if len(node) == depth:
-            if not tainted:
-                return node
-            if state["unknown_at_depth"] is None:
-                state["unknown_at_depth"] = node
-            return None
-        for i in range(index_bound):
-            if not budget.charge():
-                state["exhausted"] = True
-                return None
-            child = node + (i,)
-            ev = tree.member(child)
-            counts[ev.verdict.kind] += 1
-            if ev.verdict.fails:
-                continue
-            found = dfs(child, tainted or ev.verdict.inconclusive)
-            if found is not None:
-                return found
-            if state["exhausted"]:
-                return None
-        return None
-
-    branch = dfs((), False)
+            if node not in tainted:
+                branch = node
+                break
+            if unknown_at_depth is None:
+                unknown_at_depth = node
+    stats = SearchStats(sum(counts.values()), counts[HOLDS], counts[FAILS],
+                        counts[INCONCLUSIVE], budget.exhausted)
     if branch is not None:
-        return WfVerdict(BRANCH_FOUND, depth, index_bound, branch, stats(),
+        return WfVerdict(BRANCH_FOUND, depth, index_bound, branch, stats,
                          "lexicographically least certified branch")
-    if state["exhausted"]:
-        return WfVerdict(INCONCLUSIVE, depth, index_bound, None, stats(),
+    if budget.exhausted:
+        return WfVerdict(INCONCLUSIVE, depth, index_bound, None, stats,
                          "node budget exhausted before the scan completed")
-    if state["unknown_at_depth"] is not None:
+    if unknown_at_depth is not None:
         return WfVerdict(
-            INCONCLUSIVE, depth, index_bound, None, stats(),
-            f"an undecided path reaches depth {depth}: "
-            f"{list(state['unknown_at_depth'])}")
-    return WfVerdict(WELL_FOUNDED, depth, index_bound, None, stats(),
+            INCONCLUSIVE, depth, index_bound, None, stats,
+            f"an undecided path reaches depth {depth}: {list(unknown_at_depth)}")
+    return WfVerdict(WELL_FOUNDED, depth, index_bound, None, stats,
                      "every candidate path dies before the target depth")
 
 
@@ -341,8 +388,7 @@ def branch_search(
     returned branch is reproducible.  Returns None when the beam dies or the
     budget runs out before the target depth.
     """
-    if depth < 1:
-        raise ConfigurationError("depth must be at least 1", "/depth")
+    _check_bounds(depth, index_bound)
     if beam_width < 1:
         raise ConfigurationError("beam width must be at least 1", "/beam-width")
     budget = budget or SearchBudget()
@@ -350,17 +396,15 @@ def branch_search(
     for _ in range(depth):
         extensions: list[tuple[float, tuple[int, ...], float]] = []
         for node, node_margin in beam:
-            for i in range(index_bound):
-                if not budget.charge():
-                    return None
-                child = node + (i,)
-                ev = tree.member(child)
+            for child, ev in expand(tree, node, index_bound, budget):
                 if not ev.verdict.holds:
                     continue
                 margin = ev.verdict.margin
                 child_margin = min(node_margin,
                                    margin if margin is not None else math.inf)
                 extensions.append((-child_margin, child, child_margin))
+            if budget.exhausted:
+                return None
         if not extensions:
             return None
         extensions.sort(key=lambda t: (t[0], t[1]))
@@ -403,29 +447,19 @@ def rank_within(tree, depth: int, index_bound: int,
 
     Returns (rank, complete): `complete` is False when an undecided node or
     the budget cap means deeper certified structure may have been missed.
+    The rank is the length of the longest all-holds path from the root.
     """
     budget = budget or SearchBudget()
-    complete = True
-
-    def rec(node: tuple[int, ...], remaining: int) -> int:
-        nonlocal complete
-        if remaining == 0:
-            return 0
-        best = 0
-        for i in range(index_bound):
-            if not budget.charge():
-                complete = False
-                return best
-            ev = tree.member(node + (i,))
-            if ev.verdict.holds:
-                best = max(best, 1 + rec(node + (i,), remaining - 1))
-            elif ev.verdict.inconclusive:
-                complete = False
-        return best
-
-    rank = rec((), depth)
-    if rank >= depth:
-        complete = False  # the cap itself may be hiding taller structure
+    rank, complete = 0, True
+    for node, ev in walk(tree, depth, index_bound, budget,
+                         lambda ev: ev.verdict.holds):
+        if ev.verdict.holds:
+            rank = max(rank, len(node))
+        elif ev.verdict.inconclusive:
+            complete = False
+    # a cut scan, or a rank at the cap itself, may be hiding taller structure
+    if budget.exhausted or rank >= depth:
+        complete = False
     return rank, complete
 
 

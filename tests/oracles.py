@@ -192,3 +192,171 @@ def brute_tree_rank(nodes: set, node=()) -> int:
     if not kids:
         return 0
     return 1 + max(brute_tree_rank(nodes, k) for k in kids)
+
+
+# ---------------------------------------------------------------------------
+# Reference tree traversals: five separate loops, each charging the budget and
+# tallying verdicts by hand.  They take any tree with `member(node)` returning
+# an object with `.verdict`, and a budget with `charge()`.
+
+
+class RefBudget:
+    def __init__(self, max_nodes: int):
+        self.max_nodes = max_nodes
+        self.spent = 0
+
+    def charge(self) -> bool:
+        self.spent += 1
+        return self.spent <= self.max_nodes
+
+
+def ref_wf_search(tree, depth, index_bound, budget):
+    """(kind, branch, (evaluated, holds, fails, inconclusive, exhausted), detail)."""
+    counts = {"holds": 0, "fails": 0, "inconclusive": 0}
+    state = {"unknown_at_depth": None, "exhausted": False}
+
+    def dfs(node, tainted):
+        if len(node) == depth:
+            if not tainted:
+                return node
+            if state["unknown_at_depth"] is None:
+                state["unknown_at_depth"] = node
+            return None
+        for i in range(index_bound):
+            if not budget.charge():
+                state["exhausted"] = True
+                return None
+            child = node + (i,)
+            ev = tree.member(child)
+            counts[ev.verdict.kind] += 1
+            if ev.verdict.fails:
+                continue
+            found = dfs(child, tainted or ev.verdict.inconclusive)
+            if found is not None:
+                return found
+            if state["exhausted"]:
+                return None
+        return None
+
+    branch = dfs((), False)
+    stats = (sum(counts.values()), counts["holds"], counts["fails"],
+             counts["inconclusive"], state["exhausted"])
+    if branch is not None:
+        return "branch-found", branch, stats, "lexicographically least certified branch"
+    if state["exhausted"]:
+        return ("inconclusive", None, stats,
+                "node budget exhausted before the scan completed")
+    if state["unknown_at_depth"] is not None:
+        return ("inconclusive", None, stats,
+                f"an undecided path reaches depth {depth}: "
+                f"{list(state['unknown_at_depth'])}")
+    return ("well-founded-within", None, stats,
+            "every candidate path dies before the target depth")
+
+
+def ref_branch_search(tree, depth, index_bound, beam_width, budget):
+    """(branch, ((node, kind, margin), ...), min_margin), or None."""
+    beam = [((), math.inf)]
+    for _ in range(depth):
+        extensions = []
+        for node, node_margin in beam:
+            for i in range(index_bound):
+                if not budget.charge():
+                    return None
+                child = node + (i,)
+                ev = tree.member(child)
+                if not ev.verdict.holds:
+                    continue
+                margin = ev.verdict.margin
+                child_margin = min(node_margin,
+                                   margin if margin is not None else math.inf)
+                extensions.append((-child_margin, child, child_margin))
+        if not extensions:
+            return None
+        extensions.sort(key=lambda t: (t[0], t[1]))
+        beam = [(node, margin) for _, node, margin in extensions[:beam_width]]
+    branch = min(node for node, _ in beam)
+    records = []
+    worst = None
+    for k in range(1, depth + 1):
+        ev = tree.member(branch[:k])
+        m = ev.verdict.margin
+        records.append((branch[:k], ev.verdict.kind, m))
+        if m is not None:
+            worst = m if worst is None else min(worst, m)
+    return branch, tuple(records), worst
+
+
+def ref_rank_within(tree, depth, index_bound, budget):
+    """(rank, complete) of the certified-holds region under the bounds."""
+    complete = True
+
+    def rec(node, remaining):
+        nonlocal complete
+        if remaining == 0:
+            return 0
+        best = 0
+        for i in range(index_bound):
+            if not budget.charge():
+                complete = False
+                return best
+            ev = tree.member(node + (i,))
+            if ev.verdict.holds:
+                best = max(best, 1 + rec(node + (i,), remaining - 1))
+            elif ev.verdict.inconclusive:
+                complete = False
+        return best
+
+    rank = rec((), depth)
+    if rank >= depth:
+        complete = False
+    return rank, complete
+
+
+def ref_levels(tree, depth, index_bound, budget):
+    """(per-depth verdict counts, exhausted), breadth-first."""
+    levels = []
+    frontier = [()]
+    exhausted = False
+    for d in range(1, depth + 1):
+        counts = {"holds": 0, "fails": 0, "inconclusive": 0}
+        nxt = []
+        for node in frontier:
+            for i in range(index_bound):
+                if not budget.charge():
+                    exhausted = True
+                    break
+                ev = tree.member(node + (i,))
+                counts[ev.verdict.kind] += 1
+                if not ev.verdict.fails:
+                    nxt.append(node + (i,))
+            if exhausted:
+                break
+        levels.append({"depth": d, **counts})
+        frontier = nxt
+        if exhausted or not frontier:
+            break
+    return levels, exhausted
+
+
+def ref_dot_walk(tree, depth, index_bound, budget):
+    """([(node, kind), ...] in visiting order, exhausted), depth-first."""
+    visited = []
+    exhausted = False
+
+    def walk(node, depth_left):
+        nonlocal exhausted
+        if depth_left == 0 or exhausted:
+            return
+        for i in range(index_bound):
+            if not budget.charge():
+                exhausted = True
+                return
+            child = node + (i,)
+            ev = tree.member(child)
+            visited.append((child, ev.verdict.kind))
+            if not ev.verdict.fails:
+                walk(child, depth_left - 1)
+
+    walk((), depth)
+    return visited, exhausted

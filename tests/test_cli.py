@@ -123,6 +123,28 @@ def test_semantic_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_tol_is_parsed_once_and_must_be_nonnegative(capsys):
+    for command in (["predicate", "--node", "0,1"],
+                    ["wf-scan", "--depth", "2", "--index-bound", "4"],
+                    ["analyze-tree", "--stacked", "--depth", "2", "--index-bound", "4"]):
+        assert main([*command, "--space", "l1", "--set", "unit-vector-hull",
+                     "--tol", "abc"]) == 2
+    # a negative band certified a zero vector here, and the scan then crashed
+    assert main(["wf-scan", "--space", "lp:3", "--set", "hilbert-cube", "--eps", "1/3",
+                 "--bigm", "2", "--depth", "3", "--index-bound", "8", "--tol", "-1"]) == 1
+    assert "/tol" in capsys.readouterr().err
+
+
+def test_traversal_bounds_below_one_exit_1(capsys):
+    model = ["--space", "l1", "--set", "unit-vector-hull", "--eps", "1", "--bigm", "1"]
+    assert main(["analyze-tree", *model, "--depth", "0"]) == 1
+    assert "/depth" in capsys.readouterr().err
+    assert main(["export-dot", *model, "--depth", "-1", "--index-bound", "0"]) == 1
+    assert "/depth" in capsys.readouterr().err
+    assert main(["branch-hunt", *model, "--depth", "2", "--index-bound", "0"]) == 1
+    assert "/index-bound" in capsys.readouterr().err
+
+
 def test_cover_syntax_error_exits_2(capsys):
     assert main(["poset-demo", "--elements", "a,b", "--covers", "a-b"]) == 2
     capsys.readouterr()

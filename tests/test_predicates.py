@@ -9,7 +9,7 @@ import pytest
 
 from oracles import brute_l2_simplex_min, grid_simplex_min, sampled_basis_constant
 from wctree import predicates
-from wctree.errors import ContractViolation
+from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (MARGIN_GRID_BITS, basis_constant_estimate,
                                dual_certificate_search, is_M_schauder,
                                is_eps_dominating, l1_basis_lower_bound,
@@ -268,6 +268,17 @@ def test_domination_boundary_is_non_strict():
     # unit vectors in l1: minimum is exactly 1, so eps = 1 holds with margin 0
     v = is_eps_dominating(L1, units(3), F(1))
     assert v.holds and v.margin == 0.0 and v.exact_margin == 0
+
+
+@pytest.mark.parametrize("space, vectors", [
+    (lp_space(3), [Vector.zero()]),  # a negative band would certify the zero vector
+    (L1, units(3)),
+    (L2, []),
+])
+def test_domination_refuses_a_negative_tolerance(space, vectors):
+    with pytest.raises(ConfigurationError) as info:
+        is_eps_dominating(space, vectors, F(1, 3), F(-1))
+    assert info.value.pointer == "/tol"
 
 
 def test_domination_failure_produces_witness():

@@ -5,16 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_tree_rank
+from oracles import (RefBudget, brute_tree_rank, ref_branch_search,
+                     ref_dot_walk, ref_levels, ref_rank_within, ref_wf_search)
 from wctree.enumeration import seq_decode
-from wctree.errors import ConfigurationError
+from wctree.errors import ConfigurationError, ContractViolation
+from wctree.predicates import FAILS, HOLDS, INCONCLUSIVE, Verdict3
 from wctree.sets import hilbert_cube, unit_vector_family, unit_vector_hull
 from wctree.spaces import L1, L2, Vector
 from wctree.trees import (BRANCH_FOUND, WELL_FOUNDED, ExplicitFiniteTree,
-                          SearchBudget, StackedTree, WcTree, bounded_wf_search,
-                          branch_search, children, encode_characteristic,
-                          finite_rank, rank_within, scale_section, subtree_at,
-                          validate_certificate)
+                          NodeEvaluation, SearchBudget, StackedTree,
+                          SubtreeView, WcTree, _combine, bounded_wf_search,
+                          branch_search, encode_characteristic, expand,
+                          finite_rank, levels, rank_within,
+                          validate_certificate, walk)
 
 F = Fraction
 
@@ -78,7 +81,7 @@ def test_stacked_tree_sections_delegate():
         for node in [(0,), (0, 1), (0, 1, 2), (2, 4)]:
             assert stacked.member((n,) + node).verdict.kind == \
                 section.member(node).verdict.kind
-    assert scale_section(fam, 3).eps == F(1, 4)
+    assert StackedTree(fam).section(3).eps == F(1, 4)
 
 
 def test_wf_search_verdict_and_counts():
@@ -121,10 +124,28 @@ def test_branch_search_returns_none_when_tree_dies():
     assert branch_search(tree, 1, 32) is None
 
 
-def test_children_evaluates_extensions():
+def test_expand_evaluates_extensions():
     tree = family_tree()
-    kids = children(tree, (0,), 4)
-    assert [i for i, ev in kids if ev.verdict.holds] == [1, 2, 3]  # (0,0) repeats
+    kids = list(expand(tree, (0,), 4, SearchBudget()))
+    assert [c for c, ev in kids if ev.verdict.holds] == [(0, 1), (0, 2), (0, 3)]  # (0,0) repeats
+
+
+def test_expand_stops_at_first_refused_charge():
+    tree = family_tree()
+    budget = SearchBudget(2)
+    assert [c for c, _ in expand(tree, (0,), 4, budget)] == [(0, 0), (0, 1)]
+    assert budget.spent == 3 and budget.exhausted
+    budget = SearchBudget(4)
+    assert len(list(expand(tree, (0,), 4, budget))) == 4
+    assert budget.spent == 4 and not budget.exhausted
+    with pytest.raises(AttributeError):
+        budget.exhausted = True  # derived from spent, never set by hand
+
+
+def test_combine_needs_a_schauder_report_under_python_O():
+    holding = Verdict3(HOLDS, 0.5, F(1, 2), None, "certified")
+    with pytest.raises(ContractViolation):
+        _combine(holding, None)
 
 
 def test_explicit_tree_requires_prefix_closure():
@@ -162,7 +183,7 @@ def test_rank_within_on_live_tree():
 
 def test_subtree_view_shifts_root():
     tree = family_tree()
-    sub = subtree_at(tree, (0,))
+    sub = SubtreeView(tree, (0,))
     assert sub.member((1,)).verdict.kind == tree.member((0, 1)).verdict.kind
 
 
@@ -174,3 +195,114 @@ def test_characteristic_bits_follow_canonical_coding():
         node = seq_decode(i)
         want = "1" if tree.member(node).verdict.holds else "0"
         assert ch == want
+
+
+TRAVERSALS = {
+    "bounded_wf_search": lambda tree, d, ib: bounded_wf_search(tree, d, ib),
+    "branch_search": lambda tree, d, ib: branch_search(tree, d, ib),
+    "rank_within": lambda tree, d, ib: rank_within(tree, d, ib),
+    "levels": lambda tree, d, ib: levels(tree, d, ib, SearchBudget()),
+    "walk": lambda tree, d, ib: walk(tree, d, ib, SearchBudget(), bool),
+}
+
+
+@pytest.mark.parametrize("traversal", sorted(TRAVERSALS))
+@pytest.mark.parametrize("depth, index_bound, pointer", [
+    (0, 4, "/depth"), (-1, 0, "/depth"), (3, 0, "/index-bound"), (1, -2, "/index-bound"),
+])
+def test_traversals_reject_bounds_below_one(traversal, depth, index_bound, pointer):
+    tree = ExplicitFiniteTree([(0,), (1,)])
+    with pytest.raises(ConfigurationError) as info:
+        TRAVERSALS[traversal](tree, depth, index_bound)
+    assert info.value.pointer == pointer
+
+
+class TableTree:
+    """A three-valued tree whose verdicts come from a seeded hash of each node.
+
+    Holding and failing nodes carry a margin from a small set, so the beam
+    meets ties; every `member` call is logged in order.
+    """
+
+    def __init__(self, seed: int, weights: tuple[float, float, float]):
+        self.seed = seed
+        self.weights = weights
+        self.calls: list[tuple[int, ...]] = []
+
+    def member(self, node):
+        node = tuple(node)
+        self.calls.append(node)
+        rng = random.Random(f"{self.seed}:{node}")
+        kind = rng.choices((HOLDS, FAILS, INCONCLUSIVE), self.weights)[0]
+        margin = None if kind == INCONCLUSIVE else rng.choice((None, 0.0, 0.25, 1.0))
+        return NodeEvaluation(Verdict3(kind, margin))
+
+
+def test_traversal_core_matches_reference_loops():
+    """On seeded random table trees, every traversal evaluates the same nodes
+    in the same order as its reference loop and reaches the same result."""
+    seen = set()
+    for case in range(200):
+        rng = random.Random(case)
+        weights = (rng.uniform(0.3, 0.9), rng.uniform(0.1, 0.5),
+                   rng.choice((0.0, 0.1, 0.3)))
+        depth, index_bound = rng.randint(1, 4), rng.randint(1, 5)
+        max_nodes = rng.choice((rng.randint(1, 60), 10**6))
+        beam_width = rng.randint(1, 4)
+
+        def run(traversal, reference):
+            new_tree, ref_tree = TableTree(case, weights), TableTree(case, weights)
+            budget, ref_budget = SearchBudget(max_nodes), RefBudget(max_nodes)
+            got = traversal(new_tree, budget)
+            want = reference(ref_tree, ref_budget)
+            assert new_tree.calls == ref_tree.calls, (case, traversal)
+            assert budget.exhausted == (ref_budget.spent > ref_budget.max_nodes)
+            seen.add(("exhausted", budget.exhausted))
+            return got, want
+
+        verdict, want = run(
+            lambda t, b: bounded_wf_search(t, depth, index_bound, b),
+            lambda t, b: ref_wf_search(t, depth, index_bound, b))
+        st = verdict.stats
+        assert (verdict.kind, verdict.branch,
+                (st.evaluated, st.holds, st.fails, st.inconclusive, st.exhausted),
+                verdict.detail) == want, case
+        seen.add(("wf", verdict.kind))
+        seen.add(("inconclusive", st.inconclusive > 0))
+
+        cert, want = run(
+            lambda t, b: branch_search(t, depth, index_bound, beam_width, b),
+            lambda t, b: ref_branch_search(t, depth, index_bound, beam_width, b))
+        if want is None:
+            assert cert is None, case
+        else:
+            prefixes = tuple((p.node, p.kind, p.margin) for p in cert.prefixes)
+            assert (cert.branch, prefixes, cert.min_margin) == want, case
+        seen.add(("beam", cert is not None))
+
+        got, want = run(lambda t, b: rank_within(t, depth, index_bound, b),
+                        lambda t, b: ref_rank_within(t, depth, index_bound, b))
+        assert got == want, case
+        seen.add(("rank complete", got[1]))
+
+        def levels_and_flag(t, b):
+            counts = levels(t, depth, index_bound, b)
+            return [{"depth": d, **c} for d, c in enumerate(counts, 1)], b.exhausted
+
+        got, want = run(levels_and_flag,
+                        lambda t, b: ref_levels(t, depth, index_bound, b))
+        assert got == want, case
+
+        def walk_and_flag(t, b):
+            order = [(node, ev.verdict.kind) for node, ev in
+                     walk(t, depth, index_bound, b, lambda ev: not ev.verdict.fails)]
+            return order, b.exhausted
+
+        got, want = run(walk_and_flag,
+                        lambda t, b: ref_dot_walk(t, depth, index_bound, b))
+        assert got == want, case
+    # the cases reach every outcome the comparison is meant to cover
+    assert seen >= {("exhausted", True), ("exhausted", False),
+                    ("wf", BRANCH_FOUND), ("wf", WELL_FOUNDED), ("wf", INCONCLUSIVE),
+                    ("inconclusive", True), ("beam", True), ("beam", False),
+                    ("rank complete", True), ("rank complete", False)}
