@@ -238,16 +238,17 @@ def cmd_analyze_tree(args) -> dict:
     tree = _tree_from_args(args)
     budget = trees.SearchBudget(args.node_budget)
     levels = trees.levels(tree, args.depth, args.index_bound, budget)
+    rank = None
+    if not args.stacked:
+        rank = trees.rank_within(tree, args.depth, args.index_bound, budget)
+    bits, open_idx = trees.encode_characteristic(tree, args.char_count, budget)
     payload: dict = {
         "tree": tree.params(),
         "levels": [{"depth": d, **counts} for d, counts in enumerate(levels, 1)],
         "budget_exhausted": budget.exhausted,
     }
-    if not args.stacked:
-        rank, complete = trees.rank_within(
-            tree, args.depth, args.index_bound, trees.SearchBudget(args.node_budget))
-        payload["rank_within_bounds"] = {"value": rank, "complete": complete}
-    bits, open_idx = trees.encode_characteristic(tree, args.char_count)
+    if rank is not None:
+        payload["rank_within_bounds"] = {"value": rank[0], "complete": rank[1]}
     payload["characteristic"] = {"bits": bits, "open": open_idx}
     return payload
 

@@ -21,6 +21,7 @@ success.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -103,33 +104,45 @@ class SimplexMinResult:
         return (float(self.lo) + float(self.hi)) / 2
 
 
-_SIMPLEX_MEMO: dict[tuple, SimplexMinResult] = {}
+def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...],
+                     memo: dict | None = None) -> SimplexMinResult:
+    """Certified minimum of ||sum a_n x_n|| over the probability simplex.
 
-
-def _memo_key(space: SpaceModel, vectors: tuple[Vector, ...]) -> tuple:
-    # the simplex minimum is invariant under reordering the vectors
-    return (space.kind, str(space.p), tuple(sorted(v.entries for v in vectors)))
-
-
-def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...]) -> SimplexMinResult:
-    """Certified minimum of ||sum a_n x_n|| over the probability simplex."""
+    `memo` is a dict that the caller owns and passes to every call it wants
+    to share results; a `WcTree` keeps one for its lifetime.  The minimum
+    does not depend on the order of the vectors, so the memo solves the
+    first order it sees, and a later call with the same vectors in another
+    order gets that result with the witness weights put in its own order.
+    Without a memo every call is a plain solve.
+    """
     vs = tuple(vectors)
     if not vs:
         raise ValueError("simplex minimum needs at least one vector")
-    key = _memo_key(space, vs)
-    hit = _SIMPLEX_MEMO.get(key)
-    if hit is not None:
-        return hit
+    if memo is not None:
+        key = (space.kind, space.p, tuple(sorted(v.entries for v in vs)))
+        if key in memo:
+            solved, res = memo[key]
+            return res if solved == vs else _reordered(res, solved, vs)
     if space.exactness == "rational":
         res = _simplex_min_polyhedral(space, vs)
     elif space.exactness == "square":
         res = _simplex_min_qp(space, vs)
     else:
         res = _simplex_min_bracket(space, vs)
-    if len(_SIMPLEX_MEMO) > 50_000:
-        _SIMPLEX_MEMO.clear()
-    _SIMPLEX_MEMO[key] = res
+    if memo is not None:
+        memo[key] = (vs, res)
     return res
+
+
+def _reordered(res: SimplexMinResult, solved: tuple[Vector, ...],
+               vs: tuple[Vector, ...]) -> SimplexMinResult:
+    """`res`, solved for `solved`, with its weights moved to the order of vs."""
+    pool: dict[Vector, list[Fraction]] = {}
+    for v, w in zip(solved, res.witness.weights):
+        pool.setdefault(v, []).append(w)
+    weights = tuple(pool[v].pop() for v in vs)
+    return dataclasses.replace(
+        res, witness=dataclasses.replace(res.witness, weights=weights))
 
 
 def _coordinate_rows(vectors: tuple[Vector, ...]) -> list[int]:
@@ -453,13 +466,14 @@ def is_eps_dominating(
     vectors: list[Vector] | tuple[Vector, ...],
     eps: Fraction,
     tol: Fraction = Fraction(0),
+    memo: dict | None = None,
 ) -> Verdict3:
     """Does every simplex combination of the vectors have norm >= eps?
 
     Exact paths decide non-strictly with zero tolerance; on the bracket path
     `tol` widens the band that certifies success, and enclosures straddling
     eps come back inconclusive.  A negative `tol` would certify minima below
-    eps, so it is refused.
+    eps, so it is refused.  `memo` is handed to `simplex_min_norm`.
     """
     eps = Fraction(eps)
     tol = Fraction(tol)
@@ -468,7 +482,7 @@ def is_eps_dominating(
     vs = tuple(vectors)
     if not vs:
         return Verdict3(HOLDS, margin=None, detail="empty sequence dominates vacuously")
-    res = simplex_min_norm(space, vs)
+    res = simplex_min_norm(space, vs, memo)
     if res.method != "bracket":
         exact_known = res.exact if res.exact is not None else None
         if res.exact_sq is not None:
@@ -587,9 +601,9 @@ def _schauder_analyze(
 
     rows = _coordinate_rows(vs)
     mat = _matrix(vs, rows)
-    if linalg.rank([r[:] for r in mat]) < m:
-        kernel = linalg.nullspace([r[:] for r in mat])[0]
-        witness = _first_live_prefix(space, vs, kernel)
+    kernel = linalg.nullspace(mat)  # non-empty exactly when the rank is below m
+    if kernel:
+        witness = _first_live_prefix(space, vs, kernel[0])
         verdict = Verdict3(FAILS, math.inf, None, witness,
                            detail="linearly dependent: a cancelling combination "
                                   "has a nonzero prefix")
@@ -731,11 +745,11 @@ def _schauder_polyhedral(
     if sup:
         for rows_idx in itertools.combinations(range(r), m):
             sub = [mat[j] for j in rows_idx]
-            if linalg.rank([row[:] for row in sub]) < m:
+            if linalg.rank(sub) < m:
                 continue
             for signs in itertools.product((1, -1), repeat=m - 1):
                 rhs = [Fraction(1)] + [Fraction(s) for s in signs]
-                a = linalg.solve([row[:] for row in sub], rhs)
+                a = linalg.solve(sub, rhs)
                 if a is None:
                     continue
                 img = linalg.mat_vec(mat, a)
@@ -744,7 +758,7 @@ def _schauder_polyhedral(
     else:
         for rows_idx in itertools.combinations(range(r), m - 1):
             sub = [mat[j] for j in rows_idx]
-            ker = linalg.nullspace([row[:] for row in sub])
+            ker = linalg.nullspace(sub)
             if len(ker) != 1:
                 continue
             z = ker[0]

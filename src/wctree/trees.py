@@ -18,9 +18,14 @@ depth-first `walk` serves `bounded_wf_search`, `rank_within` and the DOT
 export; `branch_search` and `levels` expand breadth-first instead, since
 under a budget cut the two orders evaluate different nodes.
 
+Membership depends on the selected vectors alone, so a tree memoizes its
+evaluations by them.  It also owns the order-invariant simplex-minimum memo
+that the domination test draws on, so all a command has computed lives
+exactly as long as its tree; no state outlives it.
+
 The stacked tree interleaves every parameter scale: its section at first
 index n is the (1/(n+1), n+1)-tree of the same family, so one tree carries
-the whole parameter sweep.
+the whole parameter sweep, and its sections share one simplex memo.
 """
 
 from __future__ import annotations
@@ -68,10 +73,16 @@ def _combine(domination: Verdict3, schauder: SchauderReport | None) -> Verdict3:
 
 
 class WcTree:
-    """Tree of finite selector-index tuples passing both node predicates."""
+    """Tree of finite selector-index tuples passing both node predicates.
+
+    Evaluations are memoized by the selected vectors in order, so nodes that
+    select the same vectors share one; `simplex_memo` is the simplex-minimum
+    memo handed to every domination test, shared by permuted nodes (and by
+    the sections of a `StackedTree`).  Both live as long as the tree.
+    """
 
     def __init__(self, family: SetModel, eps: Fraction, big_m: Fraction,
-                 tol: Fraction = Fraction(0)):
+                 tol: Fraction = Fraction(0), simplex_memo: dict | None = None):
         eps, big_m = Fraction(eps), Fraction(big_m)
         if not 0 < eps <= 1:
             raise ConfigurationError("eps must satisfy 0 < eps <= 1", "/eps")
@@ -81,27 +92,28 @@ class WcTree:
         self.eps = eps
         self.big_m = big_m
         self.tol = Fraction(tol)
-        self._cache: dict[tuple[int, ...], NodeEvaluation] = {}
+        self._cache: dict[tuple[Vector, ...], NodeEvaluation] = {}
+        self.simplex_memo = {} if simplex_memo is None else simplex_memo
 
     def vectors(self, node: tuple[int, ...]) -> tuple[Vector, ...]:
         return tuple(self.family.selector(i) for i in node)
 
     def member(self, node: tuple[int, ...]) -> NodeEvaluation:
-        node = tuple(node)
-        hit = self._cache.get(node)
+        vs = self.vectors(node)
+        hit = self._cache.get(vs)
         if hit is not None:
             return hit
-        if not node:
+        if not vs:
             ev = NodeEvaluation(Verdict3(HOLDS, None, None, None, "root"))
         else:
-            vs = self.vectors(node)
-            dom = predicates.is_eps_dominating(self.family.space, vs, self.eps, self.tol)
+            dom = predicates.is_eps_dominating(self.family.space, vs, self.eps, self.tol,
+                                               self.simplex_memo)
             if dom.fails:
                 ev = NodeEvaluation(_combine(dom, None), dom, None)
             else:
                 sch = predicates.is_M_schauder(self.family.space, vs, self.big_m)
                 ev = NodeEvaluation(_combine(dom, sch), dom, sch)
-        self._cache[node] = ev
+        self._cache[vs] = ev
         return ev
 
     def params(self) -> dict:
@@ -117,20 +129,23 @@ class StackedTree:
     A node (n, u_1, ..., u_k) belongs exactly when (u_1, ..., u_k) belongs to
     the section tree with eps = 1/(n+1) and M = n+1; the empty node always
     belongs.  Well-foundedness of every section is therefore equivalent to
-    well-foundedness of this single tree.
+    well-foundedness of this single tree.  Every section shares one
+    simplex memo, since the simplex minimum does not depend on eps or M.
     """
 
     def __init__(self, family: SetModel, tol: Fraction = Fraction(0)):
         self.family = family
         self.tol = Fraction(tol)
         self._sections: dict[int, WcTree] = {}
+        self.simplex_memo: dict = {}
 
     def section(self, n: int) -> WcTree:
         if n < 0:
             raise ValueError("section indices are naturals")
         tree = self._sections.get(n)
         if tree is None:
-            tree = WcTree(self.family, Fraction(1, n + 1), Fraction(n + 1), self.tol)
+            tree = WcTree(self.family, Fraction(1, n + 1), Fraction(n + 1), self.tol,
+                          self.simplex_memo)
             self._sections[n] = tree
         return tree
 
@@ -463,23 +478,23 @@ def rank_within(tree, depth: int, index_bound: int,
     return rank, complete
 
 
-def encode_characteristic(tree, count: int) -> tuple[str, list[int]]:
+def encode_characteristic(tree, count: int,
+                          budget: SearchBudget | None = None) -> tuple[str, list[int]]:
     """Characteristic bits of the first `count` nodes in canonical order.
 
     Node c is the tuple decoded from c by the universal sequence code; the
     bit is 1 for certified members, 0 for certified non-members, and the
-    returned side list carries the indices whose membership stayed open.
+    returned side list carries the indices whose membership stayed open,
+    undecided or never evaluated because the budget refused its charge.
     """
     bits = []
     open_indices: list[int] = []
     for c in range(count):
         node = tuple(enumeration.seq_decode(c))
-        ev = tree.member(node)
-        if ev.verdict.holds:
-            bits.append("1")
-        elif ev.verdict.fails:
-            bits.append("0")
-        else:
+        ev = tree.member(node) if budget is None or budget.charge() else None
+        if ev is None or ev.verdict.inconclusive:
             bits.append("0")
             open_indices.append(c)
+        else:
+            bits.append("1" if ev.verdict.holds else "0")
     return "".join(bits), open_indices

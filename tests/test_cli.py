@@ -1,5 +1,6 @@
 """CLI envelope, exit codes, reproducibility, file outputs."""
 
+import copy
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import wctree
+from wctree import trees
 from wctree.cli import main
 
 
@@ -143,6 +145,65 @@ def test_traversal_bounds_below_one_exit_1(capsys):
     assert "/depth" in capsys.readouterr().err
     assert main(["branch-hunt", *model, "--depth", "2", "--index-bound", "0"]) == 1
     assert "/index-bound" in capsys.readouterr().err
+
+
+def test_analyze_tree_spends_one_node_budget(capsys, monkeypatch):
+    """Levels, rank and characteristic bits draw on the one --node-budget."""
+    evaluated = set()
+    member = trees.WcTree.member
+
+    def counting_member(tree, node):
+        if node:
+            evaluated.add(tuple(node))
+        return member(tree, node)
+
+    monkeypatch.setattr(trees.WcTree, "member", counting_member)
+    payload = run_json(capsys, "analyze-tree", "--space", "l2", "--set", "summing-hull",
+                       "--eps", "1/2", "--bigm", "3", "--depth", "3",
+                       "--index-bound", "12", "--node-budget", "50")["payload"]
+    assert len(evaluated) <= 50
+    assert payload["budget_exhausted"]
+    assert payload["rank_within_bounds"] == {"value": 0, "complete": False}
+    # the levels spent the whole budget, so every characteristic node stays open
+    assert payload["characteristic"]["open"] == list(range(32))
+
+
+# one command per benchmark workload, at the workload's seed-1 parameters
+BENCHMARK_COMMANDS = [
+    "branch-hunt --space l1 --set unit-vector-hull --eps 1/2 --bigm 1 --depth 8"
+    " --index-bound 32 --beam-width 4 --seed 1",
+    "branch-hunt --space l2 --set unit-vector-family --eps 13/50 --bigm 1 --depth 8"
+    " --index-bound 8 --beam-width 4 --seed 1",
+    "analyze-tree --space l2 --set summing-hull --eps 15/16 --bigm 3 --depth 3"
+    " --index-bound 12 --seed 1",
+    "wf-scan --space lp:3/2 --set unit-vector-family --eps 61/100 --bigm 2 --depth 5"
+    " --index-bound 5 --seed 1",
+]
+
+
+def _module_containers() -> dict:
+    """A copy of every module-level dict, list and set in the wctree package."""
+    return {
+        f"{name}.{attr}": copy.copy(value)
+        for name, module in list(sys.modules.items())
+        if name == "wctree" or name.startswith("wctree.")
+        for attr, value in vars(module).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_commands_leave_no_state_behind(capsys):
+    """Each command's work lives in its own tree: repeating the benchmark
+    commands in one process repeats their payloads and changes no module state."""
+    before = _module_containers()
+    runs = []
+    for _ in range(2):
+        envelopes = [run_json(capsys, *command.split()) for command in BENCHMARK_COMMANDS]
+        for env in envelopes:
+            del env["timing_ms"]
+        runs.append(envelopes)
+    assert runs[0] == runs[1]
+    assert _module_containers() == before
 
 
 def test_cover_syntax_error_exits_2(capsys):

@@ -57,10 +57,41 @@ def test_min_with_opposing_vectors_is_zero():
     assert norm(L1, res.witness.combo).exact == 0
 
 
-def test_memo_is_permutation_invariant():
-    a = simplex_min_norm(L2, [E(0), E(1), E(2)])
-    b = simplex_min_norm(L2, [E(2), E(0), E(1)])
-    assert a is b  # same cached decision
+@pytest.mark.parametrize("space, solver, a, b", [
+    (L1, "_simplex_min_polyhedral", E(0), E(0).scale(F(3)) + E(1)),
+    (lp_space(F(3, 2)), "_simplex_min_bracket", E(0), E(1).scale(F(2))),
+], ids=["l1", "lp3/2"])
+def test_memo_hit_returns_weights_in_callers_order(monkeypatch, space, solver, a, b):
+    real = getattr(predicates, solver)
+    solves = []
+    monkeypatch.setattr(predicates, solver,
+                        lambda sp, vs: solves.append(vs) or real(sp, vs))
+    memo: dict = {}
+    forward = simplex_min_norm(space, [a, b], memo=memo)
+    backward = simplex_min_norm(space, [b, a], memo=memo)
+    assert len(solves) == 1  # one memo, one solve for both orders
+    assert backward.witness.weights == forward.witness.weights[::-1]
+    assert forward.witness.weights != backward.witness.weights
+    for res, order in ((forward, [a, b]), (backward, [b, a])):
+        assert combine(res.witness.weights, order) == res.witness.combo
+    assert backward.witness.combo == forward.witness.combo
+    assert backward.witness.norm == forward.witness.norm
+    assert (backward.lo, backward.hi, backward.method, backward.certificate) == \
+        (forward.lo, forward.hi, forward.method, forward.certificate)
+    simplex_min_norm(space, [b, a])  # without a memo, a plain solve
+    assert len(solves) == 2
+
+
+def test_memo_weights_follow_repeated_vectors():
+    memo: dict = {}
+    vs = [E(0), E(1), E(0).scale(F(3)) + E(1), E(1)]
+    first = simplex_min_norm(L1, vs, memo=memo)
+    for order in ([E(1), E(0), E(1), E(0).scale(F(3)) + E(1)],
+                  [E(0).scale(F(3)) + E(1), E(1), E(1), E(0)]):
+        res = simplex_min_norm(L1, order, memo=memo)
+        assert combine(res.witness.weights, order) == first.witness.combo
+        assert sum(res.witness.weights) == 1
+    assert len(memo) == 1
 
 
 # ---------------------------------------------------------------------------

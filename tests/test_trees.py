@@ -9,9 +9,12 @@ from oracles import (RefBudget, brute_tree_rank, ref_branch_search,
                      ref_dot_walk, ref_levels, ref_rank_within, ref_wf_search)
 from wctree.enumeration import seq_decode
 from wctree.errors import ConfigurationError, ContractViolation
-from wctree.predicates import FAILS, HOLDS, INCONCLUSIVE, Verdict3
-from wctree.sets import hilbert_cube, unit_vector_family, unit_vector_hull
-from wctree.spaces import L1, L2, Vector
+from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, SimplexWitness,
+                               Verdict3, is_M_schauder, is_eps_dominating,
+                               simplex_min_norm)
+from wctree.sets import (explicit_list, hilbert_cube, summing_hull,
+                         unit_vector_family, unit_vector_hull)
+from wctree.spaces import L1, L2, Vector, combine, lp_space
 from wctree.trees import (BRANCH_FOUND, WELL_FOUNDED, ExplicitFiniteTree,
                           NodeEvaluation, SearchBudget, StackedTree,
                           SubtreeView, WcTree, _combine, bounded_wf_search,
@@ -195,6 +198,85 @@ def test_characteristic_bits_follow_canonical_coding():
         node = seq_decode(i)
         want = "1" if tree.member(node).verdict.holds else "0"
         assert ch == want
+
+
+def test_characteristic_charges_the_budget_and_leaves_refused_nodes_open():
+    tree = family_tree()
+    budget = SearchBudget(5)
+    bits, open_idx = encode_characteristic(tree, 8, budget)
+    assert budget.exhausted
+    assert open_idx == [5, 6, 7] and bits[5:] == "000"
+    assert bits[:5] == encode_characteristic(family_tree(), 5)[0]
+
+
+def test_evaluations_are_memoized_by_selected_vectors():
+    # indices 0 and 2 select the same vector, so their nodes share one evaluation
+    tree = WcTree(explicit_list(L2, [Vector.unit(0), Vector.unit(1), Vector.unit(0)]),
+                  F(1, 2), F(2))
+    assert tree.member((0, 1)) is tree.member((2, 1))
+    assert tree.member((1, 0)) is not tree.member((0, 1))
+    assert len(tree.simplex_memo) == 1  # (e0, e1) and (e1, e0) share one minimum
+
+
+def test_stacked_sections_share_one_simplex_memo():
+    stacked = StackedTree(unit_vector_family(L2))
+    for n in range(3):
+        stacked.member((n, 0, 1))
+        assert stacked.section(n).simplex_memo is stacked.simplex_memo
+    assert len(stacked.simplex_memo) == 1
+
+
+def _scan(tree, depth, index_bound):
+    return list(walk(tree, depth, index_bound, SearchBudget(),
+                     lambda ev: not ev.verdict.fails))
+
+
+def _section(tree, node):
+    """The WcTree that decides `node` of `tree`, and the node within it."""
+    if isinstance(tree, StackedTree):
+        return tree.section(node[0]), node[1:]
+    return tree, node
+
+
+def _same(cached: Verdict3, fresh: Verdict3) -> bool:
+    return (cached.kind, cached.margin, cached.exact_margin) == \
+        (fresh.kind, fresh.margin, fresh.exact_margin)
+
+
+@pytest.mark.parametrize("tree, depth, index_bound", [
+    (WcTree(unit_vector_hull(L1), F(1, 2), F(2)), 3, 8),
+    (WcTree(summing_hull(L2), F(1, 2), F(3)), 3, 6),
+    (WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2)), 4, 4),
+    (StackedTree(summing_hull(L2)), 4, 5),
+], ids=["l1-hull", "l2-summing-hull", "lp3/2-family", "stacked-l2-summing-hull"])
+def test_cached_evaluations_match_fresh_predicates(tree, depth, index_bound):
+    """Every node a scan evaluates through the tree's caches gets what a
+    fresh, memo-less evaluation of its vectors gets."""
+    permuted = 0
+    for node, ev in _scan(tree, depth, index_bound):
+        section, sub = _section(tree, node)
+        if not sub:
+            continue
+        space, vs = section.family.space, section.vectors(sub)
+        dom = is_eps_dominating(space, vs, section.eps, section.tol)
+        assert _same(ev.domination, dom), node
+        memo = section.simplex_memo
+        size = len(memo)
+        witness = simplex_min_norm(space, vs, memo=memo).witness
+        assert len(memo) == size  # the scan has solved this minimum already
+        assert combine(witness.weights, vs) == witness.combo, node
+        if isinstance(ev.domination.witness, SimplexWitness):
+            assert ev.domination.witness == witness
+        permuted += all(first != vs for first, _ in memo.values()
+                        if sorted(v.entries for v in first)
+                        == sorted(v.entries for v in vs))
+        if dom.fails:
+            assert ev.schauder is None
+        else:
+            sch = is_M_schauder(space, vs, section.big_m)
+            assert _same(ev.schauder.verdict, sch.verdict), node
+            assert ev.schauder.method == sch.method
+    assert permuted > 0  # the scan reuses minima solved in another order
 
 
 TRAVERSALS = {
