@@ -13,10 +13,10 @@ rational linear programming (minimum + matching dual certificate); for l2
 they are quadratic and solved exactly through Gram matrices (Wolfe's
 min-norm-point method for the minimum, PSD tests for the constant).  Remaining
 exponents run in bracket mode: certified lower bounds come from exactly
-solvable comparison norms, upper bounds from exact evaluation at rational
-candidate points, and verdicts degrade to "inconclusive" when the enclosure
-straddles the threshold.  A sampled probe can certify failure but never
-success.
+solvable comparison norms, upper bounds (computed only when the lower bound
+does not decide) from exact evaluation at rational candidate points, and
+verdicts degrade to "inconclusive" when the enclosure straddles the
+threshold.  A sampled probe can certify failure but never success.
 """
 
 from __future__ import annotations
@@ -113,25 +113,39 @@ def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ..
     does not depend on the order of the vectors, so the memo solves the
     first order it sees, and a later call with the same vectors in another
     order gets that result with the witness weights put in its own order.
+    A bracket minimum whose upper end `is_eps_dominating` has not needed yet
+    sits in the memo as its lower end alone; the first call here computes
+    the upper end, for the order first seen, and fills that entry.
     Without a memo every call is a plain solve.
     """
     vs = tuple(vectors)
     if not vs:
         raise ValueError("simplex minimum needs at least one vector")
-    if memo is not None:
-        key = (space.kind, space.p, tuple(sorted(v.entries for v in vs)))
-        if key in memo:
-            solved, res = memo[key]
-            return res if solved == vs else _reordered(res, solved, vs)
-    if space.exactness == "rational":
-        res = _simplex_min_polyhedral(space, vs)
-    elif space.exactness == "square":
-        res = _simplex_min_qp(space, vs)
-    else:
-        res = _simplex_min_bracket(space, vs)
-    if memo is not None:
+    if memo is None:
+        return _simplex_min_solve(space, vs)
+    key = _memo_key(space, vs)
+    entry = memo.get(key)
+    if entry is None:
+        res = _simplex_min_solve(space, vs)
         memo[key] = (vs, res)
-    return res
+        return res
+    solved, res = entry
+    if isinstance(res, Fraction):  # the lower end of a bracket minimum alone
+        res = _simplex_min_bracket_upper(space, solved, res)
+        memo[key] = (solved, res)
+    return res if solved == vs else _reordered(res, solved, vs)
+
+
+def _memo_key(space: SpaceModel, vs: tuple[Vector, ...]) -> tuple:
+    return (space.kind, space.p, tuple(sorted(v.entries for v in vs)))
+
+
+def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
+    if space.exactness == "rational":
+        return _simplex_min_polyhedral(space, vs)
+    if space.exactness == "square":
+        return _simplex_min_qp(space, vs)
+    return _simplex_min_bracket(space, vs)
 
 
 def _reordered(res: SimplexMinResult, solved: tuple[Vector, ...],
@@ -351,27 +365,37 @@ def _project_simplex(a: list[float]) -> list[float]:
 
 
 def _simplex_min_bracket(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
-    """Bracketed minimum for general exponents.
+    """Bracketed minimum for general exponents, both ends solved at once.
 
-    Lower bound: the exact minimum of a comparison norm that the p-norm
-    dominates (l2 when p < 2, sup always, and l1 scaled by the support-size
-    Holder factor).  Upper bound: exact norm bracket at the best rational
-    candidate found by projected subgradient descent.
+    The lower end comes from `_simplex_min_bracket_lower`, the upper end from
+    `_simplex_min_bracket_upper`.  `is_eps_dominating` computes the upper
+    end lazily instead: only when the lower end does not clear eps plus tol.
     """
-    m = len(vs)
+    return _simplex_min_bracket_upper(space, vs, _simplex_min_bracket_lower(space, vs))
+
+
+def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fraction:
+    """Certified lower end of a bracket minimum.
+
+    The largest exact minimum of a comparison norm that the p-norm
+    dominates: l2 when p < 2, sup always, and l1 scaled by the support-size
+    Holder factor.  Every vertex is a feasible point, so no vertex norm may
+    fall below it; that is checked here, where it costs m norm brackets.
+    """
     p = space.p
-    assert p is not None
-    candidates: list[Fraction] = []
+    if p is None:
+        raise ContractViolation("a bracket minimum needs a finite exponent")
     sup_min = simplex_min_norm(spaces.C0, vs)
-    assert sup_min.exact is not None
-    candidates.append(sup_min.exact)
+    if sup_min.exact is None:
+        raise ContractViolation("the sup-norm simplex minimum came back inexact")
+    candidates = [sup_min.exact]
     if p < 2:
-        l2_min = simplex_min_norm(spaces.L2, vs)
-        candidates.append(l2_min.lo)
+        candidates.append(simplex_min_norm(spaces.L2, vs).lo)
     d = len(_coordinate_rows(vs))
     if d:
         l1_min = simplex_min_norm(spaces.L1, vs)
-        assert l1_min.exact is not None
+        if l1_min.exact is None:
+            raise ContractViolation("the l1 simplex minimum came back inexact")
         a, b = p.numerator, p.denominator
         if a == b:
             holder_hi = Fraction(1)
@@ -379,10 +403,24 @@ def _simplex_min_bracket(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMi
             _, holder_hi = linalg.nthroot_brackets(Fraction(d ** (a - b)), a, 64)
         candidates.append(l1_min.exact / holder_hi)
     lo = max(candidates)
+    if any(spaces.norm(space, v).hi < lo for v in vs):
+        raise ContractViolation("bracket bounds crossed; comparison-norm reasoning is wrong")
+    return lo
 
+
+def _simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
+                               lo: Fraction) -> SimplexMinResult:
+    """The enclosure of a bracket minimum whose lower end is `lo`.
+
+    Upper end: the exact norm bracket at the best rational candidate that
+    projected subgradient descent finds (m + 1 starts, snapped to the 2^-12
+    grid), or at a vertex when one is tighter.  This float work is what the
+    lazy path of `is_eps_dominating` skips whenever `lo` alone decides.
+    """
+    m = len(vs)
     rows = _coordinate_rows(vs)
     cols = [[float(v.coeff(r)) for r in rows] for v in vs]
-    pf = float(p)
+    pf = float(space.p)
 
     def fval_grad(a: list[float]) -> tuple[float, list[float]]:
         z = [sum(a[n] * cols[n][j] for n in range(m)) for j in range(len(rows))]
@@ -412,7 +450,8 @@ def _simplex_min_bracket(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMi
         f, _ = fval_grad(cur)
         if f < best_f:
             best_f, best_pt = f, cur[:]
-    assert best_pt is not None
+    if best_pt is None:
+        raise ContractViolation("the descent found no point with a finite norm")
     grid = 1 << MARGIN_GRID_BITS
     snapped = [Fraction(max(0, round(w * grid)), grid) for w in best_pt]
     total = sum(snapped, Fraction(0))
@@ -473,7 +512,9 @@ def is_eps_dominating(
     Exact paths decide non-strictly with zero tolerance; on the bracket path
     `tol` widens the band that certifies success, and enclosures straddling
     eps come back inconclusive.  A negative `tol` would certify minima below
-    eps, so it is refused.  `memo` is handed to `simplex_min_norm`.
+    eps, so it is refused.  `memo` is handed to `simplex_min_norm`.  On the
+    bracket path the upper end of the enclosure is computed lazily, only when
+    the exact lower end does not clear eps plus tol.
     """
     eps = Fraction(eps)
     tol = Fraction(tol)
@@ -482,29 +523,48 @@ def is_eps_dominating(
     vs = tuple(vectors)
     if not vs:
         return Verdict3(HOLDS, margin=None, detail="empty sequence dominates vacuously")
+    if space.exactness == "bracket":
+        return _bracket_domination(space, vs, eps, tol, memo)
     res = simplex_min_norm(space, vs, memo)
-    if res.method != "bracket":
-        exact_known = res.exact if res.exact is not None else None
-        if res.exact_sq is not None:
-            held = res.exact_sq >= eps * eps
-        else:
-            assert res.exact is not None
-            held = res.exact >= eps
-        if exact_known is not None:
-            emargin: Fraction | None = exact_known - eps
-            fmargin = float(emargin)
-        else:
-            emargin = None
-            fmargin = (float(res.lo) + float(res.hi)) / 2 - float(eps)
-        if held:
-            return Verdict3(HOLDS, abs(fmargin) if emargin is None else fmargin,
-                            emargin, res.certificate,
-                            detail=f"certified minimum via {res.method}")
-        return Verdict3(FAILS, fmargin, emargin, res.witness,
-                        detail=f"minimizing combination via {res.method}")
-    if res.lo >= eps + tol:
-        return Verdict3(HOLDS, float(res.lo - eps), None, res.certificate,
+    if res.exact_sq is not None:
+        held = res.exact_sq >= eps * eps
+    elif res.exact is not None:
+        held = res.exact >= eps
+    else:
+        raise ContractViolation(f"{res.method} simplex minimum came back inexact")
+    if res.exact is not None:
+        emargin: Fraction | None = res.exact - eps
+        fmargin = float(emargin)
+    else:
+        emargin = None
+        fmargin = (float(res.lo) + float(res.hi)) / 2 - float(eps)
+    if held:
+        return Verdict3(HOLDS, abs(fmargin) if emargin is None else fmargin,
+                        emargin, res.certificate,
+                        detail=f"certified minimum via {res.method}")
+    return Verdict3(FAILS, fmargin, emargin, res.witness,
+                    detail=f"minimizing combination via {res.method}")
+
+
+def _bracket_domination(space: SpaceModel, vs: tuple[Vector, ...], eps: Fraction,
+                        tol: Fraction, memo: dict | None) -> Verdict3:
+    """Domination on the bracket path, with the upper end computed lazily.
+
+    The exact lower end decides `holds` by itself whenever it clears eps
+    plus tol; only otherwise is the upper end asked of `simplex_min_norm`,
+    which fills it into the memo entry that the lower end started.
+    """
+    if memo is None:
+        memo = {}  # this call's own, so the upper end reuses the lower end
+    key = _memo_key(space, vs)
+    if key not in memo:
+        memo[key] = (vs, _simplex_min_bracket_lower(space, vs))
+    known = memo[key][1]
+    lo = known if isinstance(known, Fraction) else known.lo
+    if lo >= eps + tol:
+        return Verdict3(HOLDS, float(lo - eps), None, None,
                         detail="comparison-norm lower bound clears eps plus tol")
+    res = simplex_min_norm(space, vs, memo)
     if res.hi < eps:
         return Verdict3(FAILS, float(res.hi - eps), None, res.witness,
                         detail="witness combination certified below eps")

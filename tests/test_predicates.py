@@ -1,7 +1,11 @@
 """Simplex minimum, duality, domination, and prefix-boundedness predicates."""
 
+import ast
+import inspect
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +14,15 @@ import pytest
 from oracles import brute_l2_simplex_min, grid_simplex_min, sampled_basis_constant
 from wctree import predicates
 from wctree.errors import ConfigurationError, ContractViolation
-from wctree.predicates import (MARGIN_GRID_BITS, basis_constant_estimate,
-                               dual_certificate_search, is_M_schauder,
-                               is_eps_dominating, l1_basis_lower_bound,
-                               mazur_combination, simplex_min_norm)
+from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
+                               basis_constant_estimate, dual_certificate_search,
+                               is_M_schauder, is_eps_dominating,
+                               l1_basis_lower_bound, mazur_combination,
+                               simplex_min_norm)
+from wctree.sets import hilbert_cube
 from wctree.spaces import (C0, L1, L2, Vector, combine, conjugate_norm, lp_space, norm,
                            pairing)
+from wctree.trees import WcTree
 
 F = Fraction
 E = Vector.unit
@@ -352,6 +359,125 @@ def test_domination_bracket_space_uses_tol_band():
     assert hopeless.fails
     knife_edge = is_eps_dominating(sp, vs, F(7937, 10000), F(1, 100))
     assert knife_edge.inconclusive
+
+
+# ---------------------------------------------------------------------------
+# bracket domination: the upper end on demand
+
+
+@pytest.fixture
+def upper_ends(monkeypatch):
+    """The vector tuples for which a bracket minimum's upper end is computed."""
+    calls = []
+    real = predicates._simplex_min_bracket_upper
+    monkeypatch.setattr(predicates, "_simplex_min_bracket_upper",
+                        lambda space, vs, lo: calls.append(vs) or real(space, vs, lo))
+    return calls
+
+
+def test_holding_bracket_node_computes_no_upper_end(upper_ends):
+    sp = lp_space(F(3, 2))
+    memo: dict = {}
+    assert is_eps_dominating(sp, [E(0), E(1)], F(7, 10), F(1, 100), memo).holds
+    assert is_eps_dominating(sp, [E(0), E(1)], F(7, 10), F(1, 100)).holds
+    assert upper_ends == []
+    (solved, lo), = memo.values()  # the entry holds the lower end alone
+    assert solved == (E(0), E(1)) and isinstance(lo, Fraction) and lo >= F(71, 100)
+
+
+def test_failing_bracket_node_computes_one_upper_end_for_all_orders(upper_ends):
+    # five distinct unit vectors in lp:3/2 have minimum 5^(-1/3) ~ 0.585 < 3/5
+    sp = lp_space(F(3, 2))
+    memo: dict = {}
+    combos = set()
+    for order in itertools.permutations(units(5)):
+        v = is_eps_dominating(sp, order, F(3, 5), memo=memo)
+        assert v.fails
+        assert combine(v.witness.weights, order) == v.witness.combo
+        combos.add(v.witness.combo)
+    assert len(upper_ends) == 1 and len(memo) == 1 and len(combos) == 1
+
+
+def test_inconclusive_hilbert_cube_node_computes_upper_end_on_demand(upper_ends):
+    sp = lp_space(3)
+    cube = hilbert_cube(sp)
+    # the one inconclusive node of the eps 1/3 scan: its prefix bound is
+    # undecided, while its minimum in [0.5, 0.5024] clears eps by the lower end
+    tree = WcTree(cube, F(1, 3), F(2))
+    ev = tree.member((3, 6))
+    assert ev.verdict.inconclusive and ev.domination.holds
+    assert upper_ends == []
+    # at eps inside the enclosure the domination itself straddles
+    vs = tree.vectors((3, 6))
+    for _ in range(3):
+        v = is_eps_dominating(sp, vs, F(501, 1000), memo=tree.simplex_memo)
+        assert v.inconclusive
+    assert upper_ends == [vs]
+    (_, res), = tree.simplex_memo.values()
+    assert res == simplex_min_norm(sp, vs)
+
+
+LAZY_SPACES = [lp_space(F(4, 3)), lp_space(F(3, 2)), lp_space(3)]
+
+
+def _enclosure_verdict(res, eps, tol):
+    """The domination verdict a full bracket enclosure gives."""
+    if res.lo >= eps + tol:
+        return HOLDS, float(res.lo - eps), None, None
+    if res.hi < eps:
+        return FAILS, float(res.hi - eps), None, res.witness
+    return INCONCLUSIVE, None, None, None
+
+
+def test_lazy_bracket_domination_matches_the_eager_enclosure():
+    """Verdicts and memo entries with the upper end on demand are what the
+    eager, memo-less enclosure gives, for eps below, inside and above it."""
+    rng = random.Random(1707)
+    kinds = Counter()
+    for trial in range(120):
+        space = LAZY_SPACES[trial % 3]
+        vs = [Vector.from_pairs([(p, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
+                                 for p in rng.sample(range(4), rng.randint(1, 3))])
+              for _ in range(rng.randint(1, 3))]
+        eager = simplex_min_norm(space, vs)
+        tol = F(rng.choice([0, 0, 1]), 1000)
+        nudge = F(rng.randint(1, 40), 1000)
+        for eps in (eager.lo - tol - nudge, (eager.lo + eager.hi) / 2, eager.hi + nudge):
+            if eps <= 0:
+                continue
+            lazy = is_eps_dominating(space, vs, eps, tol, {})
+            want = _enclosure_verdict(eager, eps, tol)
+            assert (lazy.kind, lazy.margin, lazy.exact_margin, lazy.witness) == want
+            kinds[lazy.kind] += 1
+        # start the memo entry with its lower end, then fill it from another order
+        memo: dict = {}
+        is_eps_dominating(space, vs, eager.lo - tol - nudge, tol, memo)
+        (_, lo), = memo.values()
+        assert lo == eager.lo
+        order = vs[::-1]
+        hit = simplex_min_norm(space, order, memo)
+        (solved, filled), = memo.values()
+        assert solved == tuple(vs) and filled == eager
+        assert (hit.lo, hit.hi, hit.method, hit.witness.norm) == \
+            (eager.lo, eager.hi, eager.method, eager.witness.norm)
+        assert combine(hit.witness.weights, order) == eager.witness.combo
+    assert sum(kinds.values()) >= 300
+    assert min(kinds[k] for k in (HOLDS, FAILS, INCONCLUSIVE)) >= 40, kinds
+
+
+def test_domination_path_raises_instead_of_asserting():
+    """`python -O` strips asserts, so the domination path must check its
+    contracts by raising `ContractViolation`."""
+    module = ast.parse(inspect.getsource(predicates))
+    functions = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+    path = {"simplex_min_norm", "_simplex_min_solve", "is_eps_dominating"}
+    path |= {name for name in functions if "bracket" in name}
+    assert {"_simplex_min_bracket", "_simplex_min_bracket_lower",
+            "_simplex_min_bracket_upper"} <= path <= set(functions)
+    for name in sorted(path):
+        lines = [node.lineno for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{name} asserts on lines {lines}"
 
 
 # ---------------------------------------------------------------------------

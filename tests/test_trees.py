@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (RefBudget, brute_tree_rank, ref_branch_search,
                      ref_dot_walk, ref_levels, ref_rank_within, ref_wf_search)
+from wctree import predicates
 from wctree.enumeration import seq_decode
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, SimplexWitness,
@@ -224,6 +225,26 @@ def test_stacked_sections_share_one_simplex_memo():
         stacked.member((n, 0, 1))
         assert stacked.section(n).simplex_memo is stacked.simplex_memo
     assert len(stacked.simplex_memo) == 1
+
+
+def test_stacked_sections_fill_a_shared_bracket_entry_once(monkeypatch):
+    """Section 1 (eps 1/2) decides five unit vectors of lp:3/2 from the lower
+    end of their minimum 5^(-1/3) ~ 0.585; section 0 (eps 1) needs the upper
+    end, and computes it once into the entry that section 1 started."""
+    upper_ends = []
+    real = predicates._simplex_min_bracket_upper
+    monkeypatch.setattr(predicates, "_simplex_min_bracket_upper",
+                        lambda space, vs, lo: upper_ends.append(vs) or real(space, vs, lo))
+    stacked = StackedTree(unit_vector_family(lp_space(F(3, 2))))
+    assert stacked.member((1, 0, 1, 2, 3, 4)).verdict.holds
+    assert upper_ends == []
+    (solved, lo), = stacked.simplex_memo.values()
+    assert isinstance(lo, Fraction)
+    for node in ((0, 0, 1, 2, 3, 4), (0, 4, 3, 2, 1, 0), (1, 4, 3, 2, 1, 0)):
+        assert stacked.member(node).verdict.kind == (FAILS if node[0] == 0 else HOLDS)
+    assert upper_ends == [solved]
+    (entry,) = stacked.simplex_memo.values()
+    assert entry[0] == solved and entry[1].lo == lo and entry[1].hi < 1
 
 
 def _scan(tree, depth, index_bound):
