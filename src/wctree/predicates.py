@@ -310,7 +310,7 @@ def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResu
         )
     lo = linalg.sqrt_lower(best_sq, spaces.BRACKET_BITS)
     hi = linalg.sqrt_upper(best_sq, spaces.BRACKET_BITS)
-    cert = _dual_certificate_l2(space, vs, weights, best_sq)
+    cert = _dual_certificate_l2(space, vs, combo, best_sq)
     witness = SimplexWitness(weights, combo, nv)
     root = _exact_sqrt(best_sq)
     return SimplexMinResult(
@@ -322,10 +322,10 @@ def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResu
 def _dual_certificate_l2(
     space: SpaceModel,
     vs: tuple[Vector, ...],
-    weights: tuple[Fraction, ...],
+    z: Vector,
     value_sq: Fraction,
 ) -> DualCertificate | None:
-    """Scale the optimal combination into a norm-<=1 functional.
+    """Scale the optimal combination z into a norm-<=1 functional.
 
     At the constrained minimum z, every <z, x_n> is at least ||z||^2, so
     g = z/||z|| certifies the minimum; the irrational scale is replaced by a
@@ -334,7 +334,6 @@ def _dual_certificate_l2(
     """
     if value_sq == 0:
         return None
-    z = spaces.combine(weights, vs)
     zd = dict(z.entries)
     for x in vs:
         inner = sum((c * zd.get(p, Fraction(0)) for p, c in x.entries), Fraction(0))
@@ -597,24 +596,6 @@ class SchauderReport:
     unbounded: bool = False
 
 
-def _first_live_prefix(
-    space: SpaceModel, vs: tuple[Vector, ...], kernel: list[Fraction]
-) -> PrefixWitness:
-    """First nonzero prefix of a cancelling combination (its full sum is 0)."""
-    combo = Vector.zero()
-    chosen = 0
-    for k in range(len(vs)):
-        combo = combo + vs[k].scale(kernel[k])
-        if not combo.is_zero:
-            chosen = k + 1
-            break
-    full = spaces.combine(kernel, vs)
-    return PrefixWitness(
-        chosen, tuple(kernel),
-        spaces.norm(space, combo), spaces.norm(space, full),
-    )
-
-
 def is_M_schauder(
     space: SpaceModel,
     vectors: list[Vector] | tuple[Vector, ...],
@@ -625,11 +606,7 @@ def is_M_schauder(
     big_m = Fraction(big_m)
     if big_m <= 0:
         raise ValueError("the prefix bound must be positive")
-    vs = tuple(vectors)
-    for v in vs:
-        if v.is_zero:
-            raise ValueError("prefix bounds are undefined for zero vectors")
-    return _schauder_analyze(space, vs, big_m, rng_seed)
+    return _schauder_analyze(space, tuple(vectors), big_m, rng_seed)
 
 
 def basis_constant_estimate(
@@ -638,11 +615,7 @@ def basis_constant_estimate(
     rng_seed: int = 0,
 ) -> SchauderReport:
     """Bracket the basis constant of the finite sequence (no threshold)."""
-    vs = tuple(vectors)
-    for v in vs:
-        if v.is_zero:
-            raise ValueError("the basis constant is undefined for zero vectors")
-    return _schauder_analyze(space, vs, None, rng_seed)
+    return _schauder_analyze(space, tuple(vectors), None, rng_seed)
 
 
 def _schauder_analyze(
@@ -651,6 +624,8 @@ def _schauder_analyze(
     big_m: Fraction | None,
     rng_seed: int,
 ) -> SchauderReport:
+    if any(v.is_zero for v in vs):
+        raise ValueError("prefix bounds are undefined for zero vectors")
     m = len(vs)
     if m == 0:
         verdict = Verdict3(HOLDS, None, None, detail="empty sequence")
@@ -660,22 +635,21 @@ def _schauder_analyze(
                                 detail="single vector, prefix equals whole")
 
     rows = _coordinate_rows(vs)
+    # the supports are pairwise disjoint exactly when their sizes add up to the
+    # size of their union, and such nonzero vectors need no elimination
+    if len(rows) == sum(len(v.support) for v in vs):
+        return _constant_report(Fraction(1), Fraction(1), big_m, "exact-structural",
+                                detail="disjoint supports: prefixes only drop terms")
     mat = _matrix(vs, rows)
     kernel = linalg.nullspace(mat)  # non-empty exactly when the rank is below m
     if kernel:
-        witness = _first_live_prefix(space, vs, kernel[0])
-        verdict = Verdict3(FAILS, math.inf, None, witness,
+        # the full sum cancels; the first nonzero coefficient opens a nonzero prefix
+        z = kernel[0]
+        k = 1 + next(i for i, c in enumerate(z) if c)
+        verdict = Verdict3(FAILS, math.inf, None, _prefix_witness(space, vs, z, k),
                            detail="linearly dependent: a cancelling combination "
                                   "has a nonzero prefix")
         return SchauderReport(verdict, "exact-structural", unbounded=True)
-
-    supports = [set(v.support) for v in vs]
-    disjoint = all(
-        not (supports[i] & supports[j]) for i in range(m) for j in range(i + 1, m)
-    )
-    if disjoint:
-        return _constant_report(Fraction(1), Fraction(1), big_m, "exact-structural",
-                                detail="disjoint supports: prefixes only drop terms")
 
     if space.exactness == "square":
         return _schauder_gram(vs, big_m)
@@ -686,22 +660,56 @@ def _schauder_analyze(
     return _schauder_sampled(space, vs, big_m, rng_seed)
 
 
+def _prefix_witness(space: SpaceModel, vs: tuple[Vector, ...],
+                    coeffs: list[Fraction], k: int) -> PrefixWitness:
+    """The first k terms of sum coeffs[n] x_n, set against the whole sum."""
+    prefix = spaces.combine(coeffs[:k], vs[:k])
+    full = spaces.combine(coeffs, vs)
+    return PrefixWitness(k, tuple(coeffs),
+                         spaces.norm(space, prefix), spaces.norm(space, full))
+
+
+def _prefix_ratio(
+    space: SpaceModel, vs: tuple[Vector, ...], patterns: list[list[Fraction]]
+) -> tuple[Fraction, PrefixWitness | None]:
+    """Largest certified ratio ||prefix||.lo / ||full||.hi over the patterns.
+
+    The ratio is at least 1, the bound every full-length prefix meets; the
+    witness is the first pattern and prefix reaching it, None when no
+    proper prefix beats 1.  Patterns whose full sum vanishes are skipped.
+    """
+    best = Fraction(1)
+    witness = None
+    for a in patterns:
+        nf = spaces.norm(space, spaces.combine(a, vs))
+        if nf.hi == 0:
+            continue
+        partial = Vector.zero()
+        for k in range(1, len(vs)):
+            partial = partial + vs[k - 1].scale(a[k - 1])
+            nk = spaces.norm(space, partial)
+            if nk.lo > best * nf.hi:
+                best = nk.lo / nf.hi
+                witness = PrefixWitness(k, tuple(a), nk, nf)
+    return best, witness
+
+
 def _constant_report(
     c_lo: Fraction,
     c_hi: Fraction,
     big_m: Fraction | None,
     method: str,
     detail: str = "",
-    witness: object | None = None,
+    witness: PrefixWitness | None = None,
 ) -> SchauderReport:
     if big_m is None:
         verdict = Verdict3(INCONCLUSIVE, None, None, None, detail or "estimate only")
         return SchauderReport(verdict, method, c_lo, c_hi)
-    if c_hi is not None and c_hi <= big_m:
+    if c_hi <= big_m:
         margin = big_m - c_hi
         verdict = Verdict3(HOLDS, float(margin), margin, witness, detail)
         return SchauderReport(verdict, method, c_lo, c_hi)
-    if c_lo is not None and c_lo > big_m:
+    if c_lo > big_m:
         margin = big_m - c_lo  # negative slack: how far past the bound
         verdict = Verdict3(FAILS, float(margin), margin, witness, detail)
         return SchauderReport(verdict, method, c_lo, c_hi)
@@ -721,9 +729,15 @@ def _prefix_gram_deficit(gram: linalg.Matrix, k: int, t_sq: Fraction) -> list[li
 
 
 def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderReport:
-    """Exact l2 decision: prefix bounds are PSD conditions on the Gram matrix."""
+    """Exact l2 decision: prefix bounds are PSD conditions on the Gram matrix.
+
+    Since G is PSD, t^2 G - G_k only gains the PSD matrix (t'^2 - t^2) G as
+    t grows to t', so the set of t where every condition holds is a ray: a
+    failure at M is a failure at every grid point up to M.
+    """
     m = len(vs)
     gram = _gram(vs)
+    grid = 1 << MARGIN_GRID_BITS
 
     def psd_all(t: Fraction) -> tuple[bool, int | None, list[Fraction] | None]:
         t_sq = t * t
@@ -736,19 +750,14 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderRe
     if big_m is not None:
         ok, bad_k, w = psd_all(big_m)
         if not ok:
-            assert bad_k is not None and w is not None
-            prefix = spaces.combine(w[:bad_k] + [Fraction(0)] * (m - bad_k), vs)
-            full = spaces.combine(w, vs)
-            witness = PrefixWitness(bad_k, tuple(w),
-                                    spaces.norm(spaces.L2, prefix),
-                                    spaces.norm(spaces.L2, full))
-            c_lo = _grid_constant_lower(psd_all, big_m)
-            verdict = Verdict3(FAILS, float(big_m - c_lo) if c_lo else None,
-                               big_m - c_lo if c_lo else None, witness,
+            units = int(big_m * grid)  # the grid floor of M fails as M does
+            c_lo = Fraction(units, grid) if units >= grid else None
+            margin = None if c_lo is None else big_m - c_lo
+            verdict = Verdict3(FAILS, None if margin is None else float(margin), margin,
+                               _prefix_witness(spaces.L2, vs, w, bad_k),
                                detail=f"prefix {bad_k} escapes the bound (PSD witness)")
             return SchauderReport(verdict, "exact-gram", constant_lo=c_lo)
 
-    grid = 1 << MARGIN_GRID_BITS
     # doubling phase: find a grid point where every prefix condition holds
     hi_units = grid  # t = 1
     while not psd_all(Fraction(hi_units, grid))[0]:
@@ -770,15 +779,6 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderRe
                             detail="constant bracketed on the dyadic grid")
 
 
-def _grid_constant_lower(psd_all, big_m: Fraction) -> Fraction | None:
-    """Largest grid point below big_m still violating some prefix condition."""
-    grid = 1 << MARGIN_GRID_BITS
-    units = int(big_m * grid)
-    if units < grid:
-        return None
-    return Fraction(units, grid) if not psd_all(Fraction(units, grid))[0] else None
-
-
 def _schauder_polyhedral(
     space: SpaceModel,
     vs: tuple[Vector, ...],
@@ -788,8 +788,10 @@ def _schauder_polyhedral(
     """Exact l1 / sup basis constant via extreme points of the unit ball.
 
     The constant is the maximum of prefix norms over {a : ||sum a_n x_n|| = 1},
-    a convex maximum attained at an extreme point.  Returns None when the
-    candidate count exceeds the enumeration budget.
+    a convex maximum attained at an extreme point.  Every candidate's full
+    combination has norm exactly 1, so the largest prefix ratio over them is
+    the constant itself.  Returns None when the candidate count exceeds the
+    enumeration budget.
     """
     m = len(vs)
     r = len(mat)
@@ -828,24 +830,7 @@ def _schauder_polyhedral(
                 continue
             candidates.append([zi / f for zi in z])
 
-    best: Fraction = Fraction(1)
-    best_a: list[Fraction] | None = None
-    best_k = m
-    for a in candidates:
-        partial = Vector.zero()
-        for k in range(1, m):
-            partial = partial + vs[k - 1].scale(a[k - 1])
-            nk = spaces.norm(space, partial).exact
-            assert nk is not None
-            if nk > best:
-                best, best_a, best_k = nk, a, k
-    c = best  # the full combination has norm exactly 1 for every candidate
-    witness = None
-    if best_a is not None:
-        prefix = spaces.combine(best_a[:best_k] + [Fraction(0)] * (m - best_k), vs)
-        full = spaces.combine(best_a, vs)
-        witness = PrefixWitness(best_k, tuple(best_a),
-                                spaces.norm(space, prefix), spaces.norm(space, full))
+    c, witness = _prefix_ratio(space, vs, candidates)
     return _constant_report(c, c, big_m, "exact-polyhedral", witness=witness)
 
 
@@ -865,21 +850,7 @@ def _schauder_sampled(
     grid = 1 << 8
     for _ in range(64):
         patterns.append([Fraction(round(rng.gauss(0, 1) * grid), grid) for _ in range(m)])
-    c_lo = Fraction(1)
-    witness: PrefixWitness | None = None
-    for a in patterns:
-        full = spaces.combine(a, vs)
-        nf = spaces.norm(space, full)
-        if nf.hi == 0:
-            continue
-        partial = Vector.zero()
-        for k in range(1, m):
-            partial = partial + vs[k - 1].scale(a[k - 1])
-            nk = spaces.norm(space, partial)
-            # certified ratio lower bound: ||prefix||_lo / ||full||_hi
-            if nk.lo > c_lo * nf.hi:
-                c_lo = nk.lo / nf.hi
-                witness = PrefixWitness(k, tuple(a), nk, nf)
+    c_lo, witness = _prefix_ratio(space, vs, patterns)
     if big_m is not None and c_lo > big_m:
         verdict = Verdict3(FAILS, float(big_m - c_lo), big_m - c_lo, witness,
                            detail="sampled coefficients certify a violating prefix")
@@ -925,5 +896,6 @@ def l1_basis_lower_bound(
         res = simplex_min_norm(space, flipped)
         if best is None or (res.hi, res.lo) < (best.hi, best.lo):
             best, best_signs = res, full_signs
-    assert best is not None
+    if best is None:
+        raise ContractViolation("no sign pattern was tried")
     return L1LowerBound(best.exact, best.lo, best.hi, best_signs, best.witness, best.method)

@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import enumeration, spaces
-from .errors import ConfigurationError, ModelIntegrityError, UnsupportedModelError
+from .errors import (ConfigurationError, ContractViolation, ModelIntegrityError,
+                     UnsupportedModelError)
 from .spaces import NormValue, SpaceModel, Vector
 
 
@@ -389,7 +390,8 @@ def distance_estimate(model: SetModel, target: Vector, depth: int = 256) -> Dist
             best, best_i, best_nv = key, i, nv
             if nv.hi == 0:
                 break
-    assert best_nv is not None
+    if best_nv is None:
+        raise ContractViolation("no selected point was measured")
     return DistanceEstimate(best_nv, best_i, model.selector(best_i))
 
 

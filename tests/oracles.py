@@ -1,18 +1,23 @@
 """Independent oracles the test suite checks the library against.
 
 Everything in this file is deliberately dumb: dense numpy grids, exhaustive
-scans, closed forms derived by hand.  None of it imports the library's
-decision logic, so agreement is evidence rather than tautology.
+scans, closed forms derived by hand, and reference copies of earlier code.
+None of it imports the library's decision logic (at most its exact linear
+algebra and norms), so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
+
+from wctree import linalg, spaces
+from wctree.spaces import Vector
 
 
 def densify(vectors) -> np.ndarray:
@@ -360,3 +365,192 @@ def ref_dot_walk(tree, depth, index_bound, budget):
 
     walk((), depth)
     return visited, exhausted
+
+
+# ---------------------------------------------------------------------------
+# Reference prefix-bound (Schauder) engine: the structural, exact-gram,
+# exact-polyhedral and sampled methods with their own witness and ratio loops,
+# including the grid sweep below M after an exact-gram failure.  It uses the
+# library's exact linear algebra and norms, none of its predicates, and
+# returns a plain tuple
+#   (kind, margin, exact_margin, detail, witness, method,
+#    constant_lo, constant_hi, unbounded)
+# whose witness is None or (prefix, coefficients, prefix_norm, full_norm).
+
+REF_POLYHEDRAL_BUDGET = 250_000
+REF_GRID = 1 << 12
+
+
+def ref_schauder_analyze(space, vectors, big_m, rng_seed):
+    vs = tuple(vectors)
+    m = len(vs)
+    if m == 0:
+        return ("holds", None, None, "empty sequence", None, "exact-structural",
+                Fraction(1), Fraction(1), False)
+    if m == 1:
+        return _ref_constant_report(Fraction(1), Fraction(1), big_m, "exact-structural",
+                                    "single vector, prefix equals whole")
+    rows = sorted({pos for v in vs for pos in v.support})
+    mat = [[v.coeff(r) for v in vs] for r in rows]
+    kernel = linalg.nullspace(mat)
+    if kernel:
+        return ("fails", math.inf, None,
+                "linearly dependent: a cancelling combination has a nonzero prefix",
+                _ref_first_live_prefix(space, vs, kernel[0]), "exact-structural",
+                None, None, True)
+    supports = [set(v.support) for v in vs]
+    if all(not (supports[i] & supports[j]) for i in range(m) for j in range(i + 1, m)):
+        return _ref_constant_report(Fraction(1), Fraction(1), big_m, "exact-structural",
+                                    "disjoint supports: prefixes only drop terms")
+    if space.exactness == "square":
+        return _ref_schauder_gram(vs, big_m)
+    if space.exactness == "rational":
+        report = _ref_schauder_polyhedral(space, vs, mat, big_m)
+        if report is not None:
+            return report
+    return _ref_schauder_sampled(space, vs, big_m, rng_seed)
+
+
+def _ref_first_live_prefix(space, vs, kernel):
+    combo = Vector.zero()
+    chosen = 0
+    for k in range(len(vs)):
+        combo = combo + vs[k].scale(kernel[k])
+        if not combo.is_zero:
+            chosen = k + 1
+            break
+    full = spaces.combine(kernel, vs)
+    return (chosen, tuple(kernel), spaces.norm(space, combo), spaces.norm(space, full))
+
+
+def _ref_constant_report(c_lo, c_hi, big_m, method, detail="", witness=None):
+    if big_m is None:
+        return ("inconclusive", None, None, detail or "estimate only", None, method,
+                c_lo, c_hi, False)
+    if c_hi <= big_m:
+        margin = big_m - c_hi
+        return ("holds", float(margin), margin, detail, witness, method, c_lo, c_hi, False)
+    if c_lo > big_m:
+        margin = big_m - c_lo
+        return ("fails", float(margin), margin, detail, witness, method, c_lo, c_hi, False)
+    return ("inconclusive", None, None, detail or "constant bracket straddles the bound",
+            witness, method, c_lo, c_hi, False)
+
+
+def _ref_schauder_gram(vs, big_m):
+    m = len(vs)
+    dicts = [dict(v.entries) for v in vs]
+    gram = [[sum((c * dicts[j].get(p, Fraction(0)) for p, c in dicts[i].items()),
+                 Fraction(0)) for j in range(m)] for i in range(m)]
+
+    def psd_all(t):
+        for k in range(1, m):
+            deficit = [[t * t * gram[i][j] - (gram[i][j] if i < k and j < k else 0)
+                        for j in range(m)] for i in range(m)]
+            ok, w = linalg.psd_check(deficit)
+            if not ok:
+                return False, k, w
+        return True, None, None
+
+    if big_m is not None:
+        ok, bad_k, w = psd_all(big_m)
+        if not ok:
+            prefix = spaces.combine(w[:bad_k] + [Fraction(0)] * (m - bad_k), vs)
+            witness = (bad_k, tuple(w), spaces.norm(spaces.L2, prefix),
+                       spaces.norm(spaces.L2, spaces.combine(w, vs)))
+            units = int(big_m * REF_GRID)
+            c_lo = None
+            if units >= REF_GRID and not psd_all(Fraction(units, REF_GRID))[0]:
+                c_lo = Fraction(units, REF_GRID)
+            return ("fails", float(big_m - c_lo) if c_lo else None,
+                    big_m - c_lo if c_lo else None,
+                    f"prefix {bad_k} escapes the bound (PSD witness)", witness,
+                    "exact-gram", c_lo, None, False)
+    hi_units = REF_GRID
+    while not psd_all(Fraction(hi_units, REF_GRID))[0]:
+        hi_units *= 2
+    lo_units = hi_units // 2 if hi_units > REF_GRID else REF_GRID
+    if hi_units == REF_GRID:
+        c_lo = c_hi = Fraction(1)
+    else:
+        while hi_units - lo_units > 1:
+            mid = (hi_units + lo_units) // 2
+            if psd_all(Fraction(mid, REF_GRID))[0]:
+                hi_units = mid
+            else:
+                lo_units = mid
+        c_lo, c_hi = Fraction(lo_units, REF_GRID), Fraction(hi_units, REF_GRID)
+    return _ref_constant_report(c_lo, c_hi, big_m, "exact-gram",
+                                "constant bracketed on the dyadic grid")
+
+
+def _ref_schauder_polyhedral(space, vs, mat, big_m):
+    m = len(vs)
+    r = len(mat)
+    sup = space.kind == "c0"
+    count = math.comb(r, m) * (1 << (m - 1)) if sup else math.comb(r, m - 1)
+    if count > REF_POLYHEDRAL_BUDGET:
+        return None
+    candidates = []
+    if sup:
+        for rows_idx in combinations(range(r), m):
+            sub = [mat[j] for j in rows_idx]
+            if linalg.rank(sub) < m:
+                continue
+            for signs in product((1, -1), repeat=m - 1):
+                a = linalg.solve(sub, [Fraction(1)] + [Fraction(s) for s in signs])
+                if a is not None and all(abs(t) <= 1 for t in linalg.mat_vec(mat, a)):
+                    candidates.append(a)
+    else:
+        for rows_idx in combinations(range(r), m - 1):
+            ker = linalg.nullspace([mat[j] for j in rows_idx])
+            if len(ker) != 1:
+                continue
+            f = sum((abs(t) for t in linalg.mat_vec(mat, ker[0])), Fraction(0))
+            if f != 0:
+                candidates.append([zi / f for zi in ker[0]])
+    best = Fraction(1)
+    best_a = None
+    best_k = m
+    for a in candidates:
+        partial = Vector.zero()
+        for k in range(1, m):
+            partial = partial + vs[k - 1].scale(a[k - 1])
+            nk = spaces.norm(space, partial).exact
+            if nk > best:
+                best, best_a, best_k = nk, a, k
+    witness = None
+    if best_a is not None:
+        prefix = spaces.combine(best_a[:best_k] + [Fraction(0)] * (m - best_k), vs)
+        witness = (best_k, tuple(best_a), spaces.norm(space, prefix),
+                   spaces.norm(space, spaces.combine(best_a, vs)))
+    return _ref_constant_report(best, best, big_m, "exact-polyhedral", witness=witness)
+
+
+def _ref_schauder_sampled(space, vs, big_m, rng_seed):
+    m = len(vs)
+    rng = random.Random(rng_seed)
+    patterns = []
+    if m <= 6:
+        patterns.extend([Fraction(s) for s in signs] for signs in product((1, -1), repeat=m))
+    for _ in range(64):
+        patterns.append([Fraction(round(rng.gauss(0, 1) * 256), 256) for _ in range(m)])
+    c_lo = Fraction(1)
+    witness = None
+    for a in patterns:
+        nf = spaces.norm(space, spaces.combine(a, vs))
+        if nf.hi == 0:
+            continue
+        partial = Vector.zero()
+        for k in range(1, m):
+            partial = partial + vs[k - 1].scale(a[k - 1])
+            nk = spaces.norm(space, partial)
+            if nk.lo > c_lo * nf.hi:
+                c_lo = nk.lo / nf.hi
+                witness = (k, tuple(a), nk, nf)
+    if big_m is not None and c_lo > big_m:
+        return ("fails", float(big_m - c_lo), big_m - c_lo,
+                "sampled coefficients certify a violating prefix", witness, "sampled",
+                c_lo, None, False)
+    return ("inconclusive", None, None, "sampling cannot certify prefix bounds, only refute",
+            witness, "sampled", c_lo, None, False)

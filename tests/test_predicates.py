@@ -1,17 +1,18 @@
 """Simplex minimum, duality, domination, and prefix-boundedness predicates."""
 
 import ast
-import inspect
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import brute_l2_simplex_min, grid_simplex_min, sampled_basis_constant
+from oracles import (brute_l2_simplex_min, grid_simplex_min, ref_schauder_analyze,
+                     sampled_basis_constant)
 from wctree import predicates
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
@@ -465,19 +466,15 @@ def test_lazy_bracket_domination_matches_the_eager_enclosure():
     assert min(kinds[k] for k in (HOLDS, FAILS, INCONCLUSIVE)) >= 40, kinds
 
 
-def test_domination_path_raises_instead_of_asserting():
-    """`python -O` strips asserts, so the domination path must check its
-    contracts by raising `ContractViolation`."""
-    module = ast.parse(inspect.getsource(predicates))
-    functions = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
-    path = {"simplex_min_norm", "_simplex_min_solve", "is_eps_dominating"}
-    path |= {name for name in functions if "bracket" in name}
-    assert {"_simplex_min_bracket", "_simplex_min_bracket_lower",
-            "_simplex_min_bracket_upper"} <= path <= set(functions)
-    for name in sorted(path):
-        lines = [node.lineno for node in ast.walk(functions[name])
+def test_no_module_asserts():
+    """`python -O` strips asserts, so every module of the library must check
+    its contracts by raising, `ContractViolation` for internal ones."""
+    modules = sorted(Path(predicates.__file__).parent.glob("*.py"))
+    assert {"predicates.py", "sets.py", "trees.py"} <= {m.name for m in modules}
+    for path in modules:
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Assert)]
-        assert not lines, f"{name} asserts on lines {lines}"
+        assert not lines, f"{path.name} asserts on lines {lines}"
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +550,75 @@ def test_schauder_input_validation():
         is_M_schauder(L2, [Vector.zero()], F(1))
     with pytest.raises(ValueError):
         is_M_schauder(L2, [E(0)], F(0))
+    with pytest.raises(ValueError):
+        basis_constant_estimate(L2, [E(0), Vector.zero()])
+
+
+def test_failing_gram_report_bounds_the_constant_by_the_grid_floor():
+    """A failure at M is a failure at every grid point up to M, so the
+    constant's lower end is the grid floor of M, and none when M is below 1."""
+    pair = [E(0), E(0) + E(1)]
+    rep = is_M_schauder(L2, pair, F(7, 5))
+    assert rep.method == "exact-gram" and rep.verdict.fails
+    assert rep.constant_lo == F(2867, 2048) and rep.constant_hi is None
+    assert rep.verdict.exact_margin == F(7, 5) - F(2867, 2048)
+    assert rep.verdict.margin == float(F(7, 5) - F(2867, 2048))
+    w = rep.verdict.witness
+    assert w.prefix_norm.lo > F(7, 5) * w.full_norm.hi
+    rep = is_M_schauder(L2, pair, F(1, 2))
+    assert rep.method == "exact-gram" and rep.verdict.fails
+    assert rep.constant_lo is None
+    assert rep.verdict.margin is None and rep.verdict.exact_margin is None
+
+
+# the lp:P nodes run the sampled probe, whose bracket norms cost the most
+SCHAUDER_SPACES = [L1, L2, C0] * 3 + [lp_space(F(3, 2)), lp_space(3)]
+SCHAUDER_BOUNDS = [None, F(1), F(3, 2), F(2), F(5, 2), F(7, 3)]
+
+
+def _schauder_tuple(rep):
+    """A `SchauderReport` in the plain-tuple form of `ref_schauder_analyze`."""
+    v, w = rep.verdict, rep.verdict.witness
+    witness = None if w is None else (w.prefix, w.coefficients, w.prefix_norm, w.full_norm)
+    return (v.kind, v.margin, v.exact_margin, v.detail, witness, rep.method,
+            rep.constant_lo, rep.constant_hi, rep.unbounded)
+
+
+def _schauder_node(rng, space):
+    """A few nonzero vectors on four coordinates, at times with a repeated or
+    scaled copy of an earlier one; at most three in lp:P."""
+    vs = []
+    for _ in range(rng.randint(1, 4 if space.exactness != "bracket" else 3)):
+        if vs and rng.random() < 0.15:
+            vs.append(rng.choice(vs).scale(F(rng.choice([1, -1, 2, -3]), rng.randint(1, 2))))
+            continue
+        support = rng.sample(range(4), rng.randint(1, 3))
+        vs.append(Vector.from_pairs([(p, F(rng.choice([-2, -1, 1, 1, 2, 3]), rng.randint(1, 2)))
+                                     for p in support]))
+    return vs
+
+
+def test_schauder_reports_match_the_reference_engine():
+    """Every report, witness included, equals the reference copy of the
+    four-method engine in `oracles`, for every method and verdict."""
+    rng = random.Random(1701)
+    seen = Counter()
+    for trial in range(1500):
+        space = SCHAUDER_SPACES[trial % len(SCHAUDER_SPACES)]
+        vs = _schauder_node(rng, space)
+        big_m = rng.choice(SCHAUDER_BOUNDS)
+        seed = rng.randint(0, 9)
+        if big_m is None:
+            rep = basis_constant_estimate(space, vs, rng_seed=seed)
+        else:
+            rep = is_M_schauder(space, vs, big_m, rng_seed=seed)
+        assert _schauder_tuple(rep) == ref_schauder_analyze(space, vs, big_m, seed), \
+            (space, vs, big_m, seed)
+        seen[rep.method, rep.verdict.kind] += 1
+    possible = set(itertools.product(
+        ("exact-structural", "exact-polyhedral", "exact-gram", "sampled"),
+        (HOLDS, FAILS, INCONCLUSIVE))) - {("sampled", HOLDS)}
+    assert set(seen) == possible, seen
 
 
 def test_schauder_single_vector_is_constant_one():
