@@ -36,8 +36,9 @@ def main():
     for rec in cert.prefixes:
         print(f"  prefix {list(rec.node)!s:<34} {rec.kind}  margin {rec.margin:+.4f}")
 
+    fresh = WcTree(unit_vector_hull(L1), eps=Fraction(1), big_m=Fraction(1))
     print("revalidating every prefix from scratch:",
-          validate_certificate(tree, cert))
+          validate_certificate(fresh, cert))
 
     # the selected points really are the unit vectors
     for depth, idx in enumerate(cert.branch):

@@ -229,7 +229,8 @@ def cmd_branch_hunt(args) -> dict:
             {"node": list(p.node), "kind": p.kind, "margin": p.margin}
             for p in cert.prefixes
         ],
-        "revalidated": trees.validate_certificate(tree, cert),
+        # a fresh tree re-decides every prefix with empty caches
+        "revalidated": trees.validate_certificate(_tree_from_args(args), cert),
         "tree": tree.params(),
     }
 

@@ -20,13 +20,33 @@ def as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _as_fraction_matrix(rows) -> Matrix:
-    return [[as_fraction(x) for x in row] for row in rows]
+def pivot(m: Matrix, r: int, c: int, rows) -> None:
+    """One exact elimination step: a unit pivot at m[r][c], column c cleared in `rows`.
+
+    Row r is divided by its entry in column c, unless that entry is already
+    1; then each listed row other than r loses its multiple of row r, and
+    rows not listed are left alone.  Only the columns where the pivot row is
+    nonzero can change, so skipping the rest leaves every entry exactly as a
+    dense update would.
+    """
+    prow = m[r]
+    inv = prow[c]
+    if inv != 1:
+        prow = [x / inv for x in prow]
+        m[r] = prow
+    targets = [m[i] for i in rows if i != r and m[i][c]]
+    if not targets:
+        return
+    nonzero = [j for j, x in enumerate(prow) if x]
+    for row in targets:
+        f = row[c]
+        for j in nonzero:
+            row[j] -= f * prow[j]
 
 
-def row_reduce(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and the pivot column indices."""
-    m = [row[:] for row in rows]
+def row_reduce(rows) -> tuple[Matrix, list[int]]:
+    """Reduced row-echelon form, as a fresh Fraction matrix, and the pivot columns."""
+    m = [[as_fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     r = 0
     ncols = len(m[0]) if m else 0
@@ -35,19 +55,7 @@ def row_reduce(rows: Matrix) -> tuple[Matrix, list[int]]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        # Only the columns where the pivot row is nonzero can change; skipping
-        # the rest leaves every entry exactly as a dense update would.
-        prow = m[r]
-        inv = prow[c]
-        if inv != 1:
-            prow = [x / inv for x in prow]
-            m[r] = prow
-        nonzero = [j for j, x in enumerate(prow) if x]
-        for i, row in enumerate(m):
-            f = row[c]
-            if i != r and f:
-                for j in nonzero:
-                    row[j] -= f * prow[j]
+        pivot(m, r, c, range(len(m)))
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -56,19 +64,15 @@ def row_reduce(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = row_reduce(_as_fraction_matrix(rows))
-    return len(pivots)
+    return len(row_reduce(rows)[1])
 
 
 def nullspace(rows) -> list[list[Fraction]]:
     """Basis of the kernel of the matrix (columns = unknowns)."""
-    mat = _as_fraction_matrix(rows)
-    if not mat:
+    if not rows:
         return []
-    ncols = len(mat[0])
-    red, pivots = row_reduce(mat)
+    ncols = len(rows[0])
+    red, pivots = row_reduce(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -82,13 +86,10 @@ def nullspace(rows) -> list[list[Fraction]]:
 
 def solve(rows, rhs) -> list[Fraction] | None:
     """The exact solution of A x = b, or None when there is none or more than one."""
-    mat = _as_fraction_matrix(rows)
-    b = [as_fraction(x) for x in rhs]
-    if not mat:
-        return [] if all(x == 0 for x in b) else None
-    ncols = len(mat[0])
-    aug = [row + [bv] for row, bv in zip(mat, b)]
-    red, pivots = row_reduce(aug)
+    if not rows:
+        return [] if all(x == 0 for x in rhs) else None
+    ncols = len(rows[0])
+    red, pivots = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
     if pivots != list(range(ncols)):  # a free unknown, or inconsistent
         return None
     return [red[r][ncols] for r in range(ncols)]
@@ -106,49 +107,35 @@ def psd_check(sym: Matrix) -> tuple[bool, list[Fraction] | None]:
     """Decide x^T S x >= 0 for all x, exactly.
 
     Returns (True, None) or (False, w) with an explicit rational witness
-    satisfying w^T S w < 0.  Symmetric congruence elimination: a negative
-    diagonal pivot, or a zero diagonal with a nonzero off-diagonal partner,
-    yields the witness in original coordinates.
+    satisfying w^T S w < 0.  Elimination with diagonal pivots on [S | I]: a
+    negative diagonal pivot, or a zero diagonal with a nonzero off-diagonal
+    partner, yields the witness, read off the right block in original
+    coordinates.
     """
     n = len(sym)
-    m = _as_fraction_matrix(sym)
-    # basis[i] expresses the current i-th coordinate in original coordinates
-    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    done = [False] * n
-    for _ in range(n):
-        idx = next((i for i in range(n) if not done[i] and m[i][i] != 0), None)
+    # This is symmetric congruence elimination.  For symmetric S, the
+    # congruence by a diagonal pivot changes the rows not yet pivoted exactly
+    # as plain row elimination does, since their pivot-column entries equal
+    # the pivot row's; rows already pivoted are never read again.  So row i
+    # of the right block is the current i-th coordinate in original ones.
+    m = [[as_fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(sym)]
+    live = list(range(n))
+    while live:
+        idx = next((i for i in live if m[i][i] != 0), None)
         if idx is None:
-            # all remaining diagonal entries are zero
-            for i in range(n):
-                if done[i]:
-                    continue
-                for j in range(n):
-                    if not done[j] and j != i and m[i][j] != 0:
-                        # [[0, c], [c, d]] block is indefinite for c != 0
-                        c, d = m[i][j], m[j][j]
-                        t = -(d + 1) / (2 * c)
-                        w = [t * a + b for a, b in zip(basis[i], basis[j])]
-                        return False, w
+            # every live diagonal entry is zero
+            for i in live:
+                for j in live:
+                    if j != i and m[i][j] != 0:
+                        # t e_i + e_j on the block [[0, c], [c, 0]] gives 2tc = -1
+                        t = -1 / (2 * m[i][j])
+                        return False, [t * a + b for a, b in zip(m[i][n:], m[j][n:])]
             return True, None
         if m[idx][idx] < 0:
-            return False, basis[idx][:]
-        pivv = m[idx][idx]
-        done[idx] = True
-        others = [j for j in range(n) if not done[j]]
-        coeffs = {j: m[j][idx] / pivv for j in others if m[j][idx] != 0}
-        for j, f in coeffs.items():
-            basis[j] = [a - f * b for a, b in zip(basis[j], basis[idx])]
-        # congruence update from a snapshot of the pivot row (matrix is symmetric)
-        pivrow = m[idx][:]
-        zero = Fraction(0)
-        for a in range(n):
-            fa = coeffs.get(a, zero)
-            rowa = m[a]
-            pa = pivrow[a]
-            for b in range(n):
-                fb = coeffs.get(b, zero)
-                if fa or fb:
-                    rowa[b] += -fa * pivrow[b] - fb * pa + fa * fb * pivv
+            return False, m[idx][n:]
+        live.remove(idx)
+        pivot(m, idx, idx, live)
     return True, None
 
 

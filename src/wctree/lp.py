@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import as_fraction
+from .linalg import as_fraction, pivot
 
 
 @dataclass
@@ -32,23 +32,6 @@ class LpResult:
     x: list[Fraction]
     value: Fraction | None
     duals: list[Fraction]
-
-
-def _pivot(tableau, basis, row, col):
-    # Only the columns where the pivot row is nonzero can change; skipping the
-    # rest leaves every entry exactly as a dense update would.
-    prow = tableau[row]
-    piv = prow[col]
-    if piv != 1:
-        prow = [v / piv for v in prow]
-        tableau[row] = prow
-    nonzero = [j for j, v in enumerate(prow) if v]
-    for r, trow in enumerate(tableau):
-        f = trow[col]
-        if r != row and f:
-            for j in nonzero:
-                trow[j] -= f * prow[j]
-    basis[row] = col
 
 
 def _run_simplex(tableau, basis, ncols) -> str:
@@ -72,7 +55,8 @@ def _run_simplex(tableau, basis, ncols) -> str:
                     best_ratio, best_row = ratio, i
         if best_row is None:
             return "unbounded"
-        _pivot(tableau, basis, best_row, col)
+        pivot(tableau, best_row, col, range(len(tableau)))
+        basis[best_row] = col
 
 
 def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:
@@ -125,14 +109,15 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:
             basis.append(slack_basic[i])
         tableau.append(row)
 
-    # phase 1: minimize the sum of artificials
+    # phase 1: minimize the sum of artificials, priced out against their
+    # rows, where each artificial's entry is already 1
     if art_rows:
         obj = [Fraction(0)] * width
         for i in art_rows:
             obj[art_col[i]] = Fraction(1)
-        for i in art_rows:
-            obj = [a - b for a, b in zip(obj, tableau[i])]
         tableau.append(obj)
+        for i in art_rows:
+            pivot(tableau, i, art_col[i], [m])
         status = _run_simplex(tableau, basis, width - 1)
         if status != "optimal" or tableau[-1][-1] != 0:
             return LpResult("infeasible", [], None, [])
@@ -145,21 +130,18 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:
                 if col is None:
                     drop.append(i)
                 else:
-                    _pivot(tableau, basis, i, col)
+                    pivot(tableau, i, col, range(len(tableau)))
+                    basis[i] = col
         for i in reversed(drop):
             tableau.pop(i)
             basis.pop(i)
 
-    # phase 2 on structural + slack columns
+    # phase 2 on structural + slack columns; the cost row is priced out
+    # against the basic columns, whose entries are already 1
     tableau = [row[:total] + [row[-1]] for row in tableau]
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(n):
-        obj[j] = cost[j]
+    tableau.append(cost + [Fraction(0)] * (total - n + 1))
     for i, bcol in enumerate(basis):
-        if bcol < total and obj[bcol] != 0:
-            f = obj[bcol]
-            obj = [a - f * b for a, b in zip(obj, tableau[i])]
-    tableau.append(obj)
+        pivot(tableau, i, bcol, [len(tableau) - 1])
     status = _run_simplex(tableau, basis, total)
     if status == "unbounded":
         return LpResult("unbounded", [], None, [])

@@ -805,15 +805,15 @@ def _schauder_polyhedral(
 
     candidates: list[list[Fraction]] = []
     if sup:
+        # one elimination per row subset solves it against every sign pattern
+        rhs = [[1, *signs] for signs in itertools.product((1, -1), repeat=m - 1)]
         for rows_idx in itertools.combinations(range(r), m):
-            sub = [mat[j] for j in rows_idx]
-            if linalg.rank(sub) < m:
+            aug = [mat[j] + [b[k] for b in rhs] for k, j in enumerate(rows_idx)]
+            red, pivots = linalg.row_reduce(aug)
+            if pivots != list(range(m)):  # the subset is singular
                 continue
-            for signs in itertools.product((1, -1), repeat=m - 1):
-                rhs = [Fraction(1)] + [Fraction(s) for s in signs]
-                a = linalg.solve(sub, rhs)
-                if a is None:
-                    continue
+            for col in range(m, m + len(rhs)):
+                a = [row[col] for row in red]
                 img = linalg.mat_vec(mat, a)
                 if all(abs(t) <= 1 for t in img):
                     candidates.append(a)

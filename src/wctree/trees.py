@@ -438,7 +438,11 @@ def branch_search(
 
 
 def validate_certificate(tree, cert: BranchCertificate) -> bool:
-    """Re-evaluate every prefix of a claimed branch; True iff all hold."""
+    """Re-evaluate every prefix of a claimed branch; True iff all hold.
+
+    The check is independent only on a tree that did not produce the claim:
+    the tree that found the branch answers every prefix from its cache.
+    """
     if len(cert.branch) != cert.depth:
         return False
     return all(
@@ -448,12 +452,11 @@ def validate_certificate(tree, cert: BranchCertificate) -> bool:
 
 
 def finite_rank(tree: ExplicitFiniteTree) -> int:
-    """Height of an explicit finite tree: leaves have rank 0."""
-    ranks: dict[tuple[int, ...], int] = {}
-    for node in sorted(tree.nodes, key=len, reverse=True):
-        kids = [r for n, r in ranks.items() if n[:-1] == node and len(n) == len(node) + 1]
-        ranks[node] = 1 + max(kids) if kids else 0
-    return ranks[()]
+    """Height of an explicit finite tree: leaves have rank 0.
+
+    The node set is prefix-closed, so the height is the longest node's length.
+    """
+    return max(len(node) for node in tree.nodes)
 
 
 def rank_within(tree, depth: int, index_bound: int,

@@ -94,6 +94,56 @@ def dense_rref(rows):
     return m, pivots
 
 
+def ref_psd_check(sym):
+    """The congruence PSD test that `linalg.psd_check` replaced.
+
+    Returns (ok, witness, how): (ok, witness) is what the library must
+    return, and `how` names the exit taken, "psd", "negative pivot" or "zero
+    diagonal".  Every step updates all n^2 entries by the three-term
+    congruence, and a separate basis matrix tracks the coordinates.
+    """
+    n = len(sym)
+    m = [[Fraction(x) for x in row] for row in sym]
+    # basis[i] expresses the current i-th coordinate in original coordinates
+    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    done = [False] * n
+    for _ in range(n):
+        idx = next((i for i in range(n) if not done[i] and m[i][i] != 0), None)
+        if idx is None:
+            # all remaining diagonal entries are zero
+            for i in range(n):
+                if done[i]:
+                    continue
+                for j in range(n):
+                    if not done[j] and j != i and m[i][j] != 0:
+                        # [[0, c], [c, d]] block is indefinite for c != 0
+                        c, d = m[i][j], m[j][j]
+                        t = -(d + 1) / (2 * c)
+                        w = [t * a + b for a, b in zip(basis[i], basis[j])]
+                        return False, w, "zero diagonal"
+            return True, None, "psd"
+        if m[idx][idx] < 0:
+            return False, basis[idx][:], "negative pivot"
+        pivv = m[idx][idx]
+        done[idx] = True
+        others = [j for j in range(n) if not done[j]]
+        coeffs = {j: m[j][idx] / pivv for j in others if m[j][idx] != 0}
+        for j, f in coeffs.items():
+            basis[j] = [a - f * b for a, b in zip(basis[j], basis[idx])]
+        # congruence update from a snapshot of the pivot row (matrix is symmetric)
+        pivrow = m[idx][:]
+        zero = Fraction(0)
+        for a in range(n):
+            fa = coeffs.get(a, zero)
+            rowa = m[a]
+            pa = pivrow[a]
+            for b in range(n):
+                fb = coeffs.get(b, zero)
+                if fa or fb:
+                    rowa[b] += -fa * pivrow[b] - fb * pa + fa * fb * pivv
+    return True, None, "psd"
+
+
 def brute_l2_simplex_min(vectors):
     """Least squared l2 norm over the convex hull of sparse rational vectors.
 

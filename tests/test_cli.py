@@ -87,6 +87,32 @@ def test_branch_hunt_reports_generator(capsys):
     assert payload["generator"] == ["affine", 4, 0]
 
 
+def test_branch_hunt_revalidates_on_a_fresh_tree(capsys, monkeypatch):
+    """Every prefix is decided again, not read back from the search's cache."""
+    from wctree import predicates
+    dominating = predicates.is_eps_dominating
+    validate = trees.validate_certificate
+    calls = []
+
+    def counting_dominating(*args, **kwargs):
+        calls.append(args)
+        return dominating(*args, **kwargs)
+
+    def counting_validate(tree, cert):
+        before = len(calls)
+        ok = validate(tree, cert)
+        calls.append(("revalidation decided", len(calls) - before))
+        return ok
+
+    monkeypatch.setattr(predicates, "is_eps_dominating", counting_dominating)
+    monkeypatch.setattr(trees, "validate_certificate", counting_validate)
+    env = run_json(capsys, "branch-hunt", "--space", "l1", "--set",
+                   "unit-vector-hull", "--eps", "1", "--bigm", "1",
+                   "--depth", "3", "--index-bound", "12")
+    assert env["payload"]["revalidated"] is True
+    assert calls[-1] == ("revalidation decided", 3)  # one per prefix
+
+
 def test_set_model_from_json_file(tmp_path, capsys):
     spec_file = tmp_path / "model.json"
     spec_file.write_text(json.dumps({

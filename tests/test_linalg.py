@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dense_rref
+from oracles import dense_rref, ref_psd_check
 from wctree.linalg import (dot, int_nthroot_floor, mat_vec, nthroot_brackets,
-                           nullspace, psd_check, rank, row_reduce, solve,
+                           nullspace, pivot, psd_check, rank, row_reduce, solve,
                            sqrt_lower, sqrt_upper)
 
 
@@ -37,6 +37,29 @@ def test_row_reduce_matches_dense_elimination():
         mat = [[Fraction(rng.choice([0, 0, 1, -1, rng.randint(-8, 8)]), rng.randint(1, 4))
                 for _ in range(cols)] for _ in range(rows)]
         assert row_reduce(mat) == dense_rref(mat)
+
+
+def test_pivot_is_one_dense_elimination_step_on_the_listed_rows():
+    rng = random.Random(19)
+    for _ in range(200):
+        rows, cols = rng.randint(2, 6), rng.randint(1, 7)
+        mat = [[Fraction(rng.choice([0, 0, 1, -1, rng.randint(-8, 8)]), rng.randint(1, 4))
+                for _ in range(cols)] for _ in range(rows)]
+        r, c = rng.randrange(rows), rng.randrange(cols)
+        if mat[r][c] == 0:
+            mat[r][c] = Fraction(rng.choice([1, -3, 5]), rng.randint(1, 4))
+        listed = sorted(rng.sample(range(rows), rng.randint(0, rows)))
+        before = [row[:] for row in mat]
+        pivot(mat, r, c, listed)
+        top = before[r]
+        assert mat[r] == [x / top[c] for x in top]
+        for i in range(rows):
+            if i != r and i in listed:
+                f = before[i][c] / top[c]
+                assert mat[i] == [a - f * b for a, b in zip(before[i], top)]
+                assert mat[i][c] == 0
+            elif i != r:
+                assert mat[i] == before[i]
 
 
 def test_nullspace_vectors_annihilate():
@@ -81,6 +104,44 @@ def test_psd_check_matches_eigenvalues():
             quad = sum(witness[i] * mat[i][j] * witness[j]
                        for i in range(n) for j in range(n))
             assert quad < 0
+
+
+def _symmetric_cases(rng):
+    """Seeded symmetric matrices of three kinds, n up to 6."""
+    kind = rng.randrange(3)
+    n = rng.randint(1, 6)
+    if kind == 0:  # Gram minus a shift: PSD or a negative pivot
+        b = random_matrix(rng, n, rng.randint(1, 6))
+        shift = Fraction(rng.randint(-2, 3), 4)
+        return [[sum((x * y for x, y in zip(b[i], b[j])), Fraction(0))
+                 - (shift if i == j else 0) for j in range(n)] for i in range(n)]
+    if kind == 1:  # sparse with zero diagonals: the zero-diagonal exit
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < (0.25 if i == j else 0.4):
+                    mat[i][j] = mat[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return mat
+    # singular: a Gram matrix of fewer vectors than its size, perhaps with a
+    # deficit on a leading block as in t^2 G - G_k
+    b = random_matrix(rng, n, rng.randint(1, max(1, n - 1)))
+    gram = [[sum((x * y for x, y in zip(b[i], b[j])), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+    k, t_sq = rng.randint(0, n), Fraction(rng.randint(1, 12), 4)
+    return [[t_sq * gram[i][j] - (gram[i][j] if i < k and j < k else 0)
+             for j in range(n)] for i in range(n)]
+
+
+def test_psd_check_matches_the_congruence_reference():
+    """Elimination on [S | I] returns exactly the old congruence's answer."""
+    rng = random.Random(29)
+    exits = {"psd": 0, "negative pivot": 0, "zero diagonal": 0}
+    for _ in range(5000):
+        mat = _symmetric_cases(rng)
+        ok, witness, how = ref_psd_check(mat)
+        assert psd_check(mat) == (ok, witness)
+        exits[how] += 1
+    assert all(count > 100 for count in exits.values()), exits
 
 
 def test_mat_vec_and_dot():
