@@ -367,15 +367,14 @@ def cmd_export_dot(args) -> dict:
 # argument plumbing
 
 
-def _add_model_args(sp, with_tree_params=True):
+def _add_model_args(sp):
     sp.add_argument("--space", required=True,
                     help="norm: l1, l2, c0/sup, or lp:P with rational P >= 1")
     sp.add_argument("--set", required=True,
                     help="set model kind, or @file.json for a serialized model")
-    if with_tree_params:
-        sp.add_argument("--eps", default="1/2",
-                        help="domination level, rational in (0, 1]")
-        sp.add_argument("--bigm", default="2", help="prefix bound M >= 1")
+    sp.add_argument("--eps", default="1/2",
+                    help="domination level, rational in (0, 1]")
+    sp.add_argument("--bigm", default="2", help="prefix bound M >= 1")
     sp.add_argument("--tol", default=None,
                     help="extra certification band for bracket-mode spaces")
 

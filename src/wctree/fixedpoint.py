@@ -345,16 +345,16 @@ def km_iterate(
 
     residuals = []
     monotone = True
-    prev = None
-    for n in range(steps):
+    for n in range(steps + 1):
         tx = handle.apply_arr(arr)
         if tx.size > arr.size:
             arr = np.pad(arr, (0, tx.size - arr.size))
         resid = _float_norm(space, arr - tx)
-        residuals.append(resid)
-        if prev is not None and resid > prev + 1e-9:
+        if residuals and resid > residuals[-1] + 1e-9:
             monotone = False
-        prev = resid
+        residuals.append(resid)
+        if n == steps:  # the last residual is that of the returned point itself
+            break
         arr = (1.0 - t) * arr + t * tx
 
         if n < run_shadow:
@@ -367,14 +367,6 @@ def km_iterate(
                 inside = domain.exact_contains(shadow)
                 if inside is False:
                     domain_ok = False
-    # close with the residual of the returned point itself
-    tx = handle.apply_arr(arr)
-    if tx.size > arr.size:
-        arr = np.pad(arr, (0, tx.size - arr.size))
-    resid = _float_norm(space, arr - tx)
-    residuals.append(resid)
-    if prev is not None and resid > prev + 1e-9:
-        monotone = False
     if shadow_dev > 1e-9 * max(1.0, float(np.max(np.abs(arr)))):
         raise ContractViolation(
             f"float path diverged from the exact shadow by {shadow_dev}")

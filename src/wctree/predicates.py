@@ -99,10 +99,6 @@ class SimplexMinResult:
     exact_sq: Fraction | None = None
     certificate: DualCertificate | None = None
 
-    @property
-    def value(self) -> float:
-        return (float(self.lo) + float(self.hi)) / 2
-
 
 def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...],
                      memo: dict | None = None) -> SimplexMinResult:
@@ -116,13 +112,13 @@ def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ..
     A bracket minimum whose upper end `is_eps_dominating` has not needed yet
     sits in the memo as its lower end alone; the first call here computes
     the upper end, for the order first seen, and fills that entry.
-    Without a memo every call is a plain solve.
+    Without a memo the call uses one of its own, so it is a plain solve.
     """
     vs = tuple(vectors)
     if not vs:
         raise ValueError("simplex minimum needs at least one vector")
     if memo is None:
-        return _simplex_min_solve(space, vs)
+        memo = {}
     key = _memo_key(space, vs)
     entry = memo.get(key)
     if entry is None:
@@ -145,7 +141,7 @@ def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinR
         return _simplex_min_polyhedral(space, vs)
     if space.exactness == "square":
         return _simplex_min_qp(space, vs)
-    return _simplex_min_bracket(space, vs)
+    return _simplex_min_bracket_upper(space, vs, _simplex_min_bracket_lower(space, vs))
 
 
 def _reordered(res: SimplexMinResult, solved: tuple[Vector, ...],
@@ -182,11 +178,6 @@ def _simplex_min_polyhedral(space: SpaceModel, vs: tuple[Vector, ...]) -> Simple
     m = len(vs)
     rows = _coordinate_rows(vs)
     r = len(rows)
-    if r == 0:  # every vector is zero
-        w = tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
-        zero = spaces.norm(space, Vector.zero())
-        witness = SimplexWitness(w, Vector.zero(), zero)
-        return SimplexMinResult(Fraction(0), Fraction(0), witness, "exact-lp", exact=Fraction(0))
     a_mat = _matrix(vs, rows)
     sup = space.kind == "c0"
 
@@ -237,11 +228,8 @@ def _gram(vs: tuple[Vector, ...]) -> list[list[Fraction]]:
     m = len(vs)
     g = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
-        di = dict(vs[i].entries)
         for j in range(i, m):
-            s = sum((c * di.get(p, Fraction(0)) for p, c in vs[j].entries), Fraction(0))
-            g[i][j] = s
-            g[j][i] = s
+            g[i][j] = g[j][i] = vs[i].dot(vs[j])
     return g
 
 
@@ -308,13 +296,11 @@ def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResu
         raise ContractViolation(
             f"Gram value {best_sq} disagrees with the witness norm {nv.exact_sq}"
         )
-    lo = linalg.sqrt_lower(best_sq, spaces.BRACKET_BITS)
-    hi = linalg.sqrt_upper(best_sq, spaces.BRACKET_BITS)
     cert = _dual_certificate_l2(space, vs, combo, best_sq)
     witness = SimplexWitness(weights, combo, nv)
     root = _exact_sqrt(best_sq)
     return SimplexMinResult(
-        lo, hi, witness, "exact-qp",
+        nv.lo, nv.hi, witness, "exact-qp",
         exact=root, exact_sq=best_sq, certificate=cert,
     )
 
@@ -334,10 +320,8 @@ def _dual_certificate_l2(
     """
     if value_sq == 0:
         return None
-    zd = dict(z.entries)
     for x in vs:
-        inner = sum((c * zd.get(p, Fraction(0)) for p, c in x.entries), Fraction(0))
-        if inner < value_sq:
+        if z.dot(x) < value_sq:
             raise ContractViolation("stationary point violates its own optimality system")
     scale = _exact_sqrt(1 / value_sq)
     if scale is None:
@@ -363,16 +347,6 @@ def _project_simplex(a: list[float]) -> list[float]:
     return [max(0.0, v - theta) for v in a]
 
 
-def _simplex_min_bracket(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
-    """Bracketed minimum for general exponents, both ends solved at once.
-
-    The lower end comes from `_simplex_min_bracket_lower`, the upper end from
-    `_simplex_min_bracket_upper`.  `is_eps_dominating` computes the upper
-    end lazily instead: only when the lower end does not clear eps plus tol.
-    """
-    return _simplex_min_bracket_upper(space, vs, _simplex_min_bracket_lower(space, vs))
-
-
 def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fraction:
     """Certified lower end of a bracket minimum.
 
@@ -396,10 +370,7 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fra
         if l1_min.exact is None:
             raise ContractViolation("the l1 simplex minimum came back inexact")
         a, b = p.numerator, p.denominator
-        if a == b:
-            holder_hi = Fraction(1)
-        else:
-            _, holder_hi = linalg.nthroot_brackets(Fraction(d ** (a - b)), a, 64)
+        _, holder_hi = linalg.nthroot_brackets(Fraction(d ** (a - b)), a, 64)
         candidates.append(l1_min.exact / holder_hi)
     lo = max(candidates)
     if any(spaces.norm(space, v).hi < lo for v in vs):
@@ -764,17 +735,14 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderRe
         hi_units *= 2
         if hi_units > grid << 40:
             raise ContractViolation("basis constant failed to bracket despite full rank")
-    lo_units = hi_units // 2 if hi_units > grid else grid
-    if hi_units == grid:
-        c_lo = c_hi = Fraction(1)  # PSD already at t=1 and constants are >= 1
-    else:
-        while hi_units - lo_units > 1:
-            mid = (hi_units + lo_units) // 2
-            if psd_all(Fraction(mid, grid))[0]:
-                hi_units = mid
-            else:
-                lo_units = mid
-        c_lo, c_hi = Fraction(lo_units, grid), Fraction(hi_units, grid)
+    lo_units = max(hi_units // 2, grid)  # constants are >= 1
+    while hi_units - lo_units > 1:
+        mid = (hi_units + lo_units) // 2
+        if psd_all(Fraction(mid, grid))[0]:
+            hi_units = mid
+        else:
+            lo_units = mid
+    c_lo, c_hi = Fraction(lo_units, grid), Fraction(hi_units, grid)
     return _constant_report(c_lo, c_hi, big_m, "exact-gram",
                             detail="constant bracketed on the dyadic grid")
 

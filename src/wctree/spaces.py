@@ -88,6 +88,11 @@ class Vector:
             return Vector()
         return Vector(tuple((p, factor * c) for p, c in self.entries))
 
+    def dot(self, other: "Vector") -> Fraction:
+        """Exact inner product over the common support."""
+        mine = dict(self.entries)
+        return sum((mine.get(p, Fraction(0)) * c for p, c in other.entries), Fraction(0))
+
     def shift(self, offset: int = 1) -> "Vector":
         """Move every coefficient `offset` positions to the right."""
         return Vector(tuple((p + offset, c) for p, c in self.entries))
@@ -168,7 +173,7 @@ class SpaceModel:
 
 def lp_space(p) -> SpaceModel:
     p = Fraction(p)
-    return SpaceModel(f"l{p}" if p.denominator == 1 else f"l{p}", "lp", p)
+    return SpaceModel(f"l{p}", "lp", p)
 
 
 def sup_space() -> SpaceModel:
@@ -279,16 +284,15 @@ def conjugate_norm(space: SpaceModel, v: Vector) -> NormValue:
 
 def pairing(f: "Functional", v: Vector) -> Fraction:
     """Exact duality pairing <f, v> over the common support."""
-    fv = dict(f.vec.entries)
-    return sum((fv.get(p, Fraction(0)) * c for p, c in v.entries), Fraction(0))
+    return f.vec.dot(v)
 
 
 @dataclass(frozen=True)
 class Functional:
     """A dual-space element in the conjugate-norm representation.
 
-    `bound` is the claimed dual norm bound; construction verifies it whenever
-    the conjugate norm has a certified path that can decide the comparison.
+    `bound` is the claimed dual norm bound; construction verifies it, and
+    refuses a bound that the certified conjugate norm cannot decide either way.
     """
 
     space: SpaceModel
@@ -299,9 +303,8 @@ class Functional:
         cmp = _dual_norm_cmp(self.space, self.vec, Fraction(self.bound))
         if cmp == 1:
             raise ConfigurationError("functional exceeds its claimed dual-norm bound")
-
-    def dual_norm(self) -> NormValue:
-        return conjugate_norm(self.space, self.vec)
+        if cmp is None:
+            raise ConfigurationError("the dual-norm bound cannot be decided")
 
     def __call__(self, v: Vector) -> Fraction:
         return pairing(self, v)

@@ -113,6 +113,52 @@ def test_branch_hunt_revalidates_on_a_fresh_tree(capsys, monkeypatch):
     assert calls[-1] == ("revalidation decided", 3)  # one per prefix
 
 
+def test_failing_witnesses_render_as_json(capsys):
+    """A failing node ships its witness: the minimizing simplex combination
+    for domination, the escaping prefix for the prefix bound."""
+    domination = run_json(capsys, "predicate", "--space", "l2", "--set", "unit-vector-family",
+                          "--node", "0,1,2,3,4", "--eps", "3/5",
+                          "--bigm", "2")["payload"]["domination"]
+    assert domination["kind"] == "fails"
+    assert domination["witness"] == {
+        "type": "simplex-combination",
+        "weights": ["1/5"] * 5,
+        "combo": [[i, "1/5"] for i in range(5)],
+        "norm": {"value": 0.4472135954999579, "error": 4.472135954999642e-16,
+                 "lo": "553623615982174094675317863/1237940039285380274899124224",
+                 "hi": "35431911422859142059220343233/79228162514264337593543950336",
+                 "exact": None},
+    }
+    schauder = run_json(capsys, "predicate", "--space", "l2", "--set", "summing-hull",
+                        "--node", "0,4", "--eps", "1/2", "--bigm", "1")["payload"]["schauder"]
+    assert schauder["method"] == "exact-gram"
+    assert schauder["verdict"]["kind"] == "fails"
+    assert schauder["verdict"]["witness"] == {
+        "type": "prefix-escape",
+        "prefix": 1,
+        "coefficients": ["1", "-1/2"],
+        "prefix_norm": {"value": 1.0, "error": 1e-15, "lo": "1", "hi": "1", "exact": None},
+        "full_norm": {"value": 0.7071067811865476, "error": 7.071067811865539e-16,
+                      "lo": "56022770974786139918731938227/79228162514264337593543950336",
+                      "hi": "14005692743696534979682984557/19807040628566084398385987584",
+                      "exact": None},
+    }
+
+
+def test_analyze_tree_stacked_end_to_end(capsys):
+    argv = ("analyze-tree", "--stacked", "--space", "l2", "--set", "summing-hull",
+            "--eps", "1/2", "--bigm", "3", "--depth", "2", "--index-bound", "4")
+    first = run_json(capsys, *argv)
+    payload = first["payload"]
+    assert payload["tree"] == {"stacked": True}
+    assert "rank_within_bounds" not in payload
+    assert [(level["depth"], level["holds"]) for level in payload["levels"]] == \
+        [(1, 4), (2, 16)]
+    second = run_json(capsys, *argv)
+    del first["timing_ms"], second["timing_ms"]
+    assert first == second
+
+
 def test_set_model_from_json_file(tmp_path, capsys):
     spec_file = tmp_path / "model.json"
     spec_file.write_text(json.dumps({

@@ -16,13 +16,13 @@ from oracles import (brute_l2_simplex_min, grid_simplex_min, ref_schauder_analyz
 from wctree import predicates
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
-                               basis_constant_estimate, dual_certificate_search,
+                               DualCertificate, basis_constant_estimate, dual_certificate_search,
                                is_M_schauder, is_eps_dominating,
                                l1_basis_lower_bound, mazur_combination,
                                simplex_min_norm)
 from wctree.sets import hilbert_cube
-from wctree.spaces import (C0, L1, L2, Vector, combine, conjugate_norm, lp_space, norm,
-                           pairing)
+from wctree.spaces import (C0, L1, L2, Functional, Vector, combine, conjugate_norm, lp_space,
+                           norm, pairing)
 from wctree.trees import WcTree
 
 F = Fraction
@@ -65,9 +65,18 @@ def test_min_with_opposing_vectors_is_zero():
     assert norm(L1, res.witness.combo).exact == 0
 
 
+@pytest.mark.parametrize("space", [L1, C0], ids=["l1", "sup"])
+def test_min_of_zero_vectors_is_certified_by_the_zero_functional(space):
+    """With no coordinate rows the LP still answers 0 at the first vertex."""
+    res = simplex_min_norm(space, [Vector.zero()] * 3)
+    assert (res.lo, res.hi, res.exact, res.method) == (0, 0, 0, "exact-lp")
+    assert res.witness.weights == (1, 0, 0)
+    assert res.certificate == DualCertificate(Functional(space, Vector.zero()), F(0), F(0))
+
+
 @pytest.mark.parametrize("space, solver, a, b", [
     (L1, "_simplex_min_polyhedral", E(0), E(0).scale(F(3)) + E(1)),
-    (lp_space(F(3, 2)), "_simplex_min_bracket", E(0), E(1).scale(F(2))),
+    (lp_space(F(3, 2)), "_simplex_min_bracket_lower", E(0), E(1).scale(F(2))),
 ], ids=["l1", "lp3/2"])
 def test_memo_hit_returns_weights_in_callers_order(monkeypatch, space, solver, a, b):
     real = getattr(predicates, solver)

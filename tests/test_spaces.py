@@ -123,6 +123,7 @@ def test_pairing_and_hoelder():
         v = Vector.from_pairs([(i, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
                                for i in rng.sample(range(8), rng.randint(1, 4))])
         val = sum(u.coeff(i) * v.coeff(i) for i in range(10))
+        assert u.dot(v) == v.dot(u) == val
         for space in (L1, L2, C0):
             bound = conjugate_norm(space, u).hi * norm(space, v).hi
             assert abs(val) <= bound + Fraction(1, 2**30)
@@ -139,6 +140,16 @@ def test_functional_validates_claimed_bound():
     Functional(C0, g, Fraction(1))
     with pytest.raises(ConfigurationError):
         Functional(C0, g, Fraction(99, 100))
+
+
+def test_functional_refuses_a_bound_it_cannot_decide():
+    """The dual of l3/2 is l3, whose bracket of ||e_0|| = 1 straddles the bound 1."""
+    space = lp_space(Fraction(3, 2))
+    with pytest.raises(ConfigurationError, match="cannot be decided"):
+        Functional(space, Vector.unit(0), Fraction(1))
+    Functional(space, Vector.unit(0).scale(Fraction(1, 2)), Fraction(1))
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        Functional(space, Vector.unit(0) + Vector.unit(1), Fraction(1))
 
 
 def test_dense_enumeration_bijection():
