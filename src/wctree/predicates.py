@@ -178,24 +178,31 @@ def _simplex_min_polyhedral(space: SpaceModel, vs: tuple[Vector, ...]) -> Simple
     m = len(vs)
     rows = _coordinate_rows(vs)
     r = len(rows)
-    a_mat = _matrix(vs, rows)
     sup = space.kind == "c0"
 
-    # primal: variables a_1..a_m, then t (one per row for l1, single for sup)
+    # primal: variables a_1..a_m, then t (one per row for l1, single for sup).
+    # The rows +-(A a)_j - t <= 0 of coordinate j are scaled by the lcm d_j of
+    # the denominators of (A a)_j, so the LP gets integers.  Positive scalings
+    # of rows leave Bland's pivots, x and the value alone; they divide the
+    # rows' duals by d_j, which the functional multiplies back.
     nt = 1 if sup else r
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for j in range(r):
-        tcol = m if sup else m + j
-        row_pos = [a_mat[j][n] for n in range(m)] + [Fraction(0)] * nt
-        row_pos[tcol] = Fraction(-1)
-        row_neg = [-a_mat[j][n] for n in range(m)] + [Fraction(0)] * nt
-        row_neg[tcol] = Fraction(-1)
-        a_ub.extend([row_pos, row_neg])
-        b_ub.extend([Fraction(0), Fraction(0)])
-    a_eq = [[Fraction(1)] * m + [Fraction(0)] * nt]
-    b_eq = [Fraction(1)]
-    cost = [Fraction(0)] * m + [Fraction(1)] * nt
+    coeffs = [[0] * m for _ in rows]
+    at = {pos: j for j, pos in enumerate(rows)}
+    for n, v in enumerate(vs):
+        for pos, c in v.entries:
+            coeffs[at[pos]][n] = c
+    a_ub: list[list[int]] = []
+    scales: list[int] = []
+    for j, row in enumerate(coeffs):
+        *nums, d = linalg.int_row(row)
+        t = [0] * nt
+        t[0 if sup else j] = -d
+        a_ub.extend([nums + t, [-v for v in nums] + t])
+        scales.append(d)
+    b_ub = [0] * (2 * r)
+    a_eq = [[1] * m + [0] * nt]
+    b_eq = [1]
+    cost = [0] * m + [1] * nt
     primal = lp.solve_lp(cost, a_ub, b_ub, a_eq, b_eq)
     if primal.status != "optimal":
         raise ContractViolation(f"simplex LP should be solvable, got {primal.status}")
@@ -209,7 +216,8 @@ def _simplex_min_polyhedral(space: SpaceModel, vs: tuple[Vector, ...]) -> Simple
         )
 
     y = primal.duals
-    g = Vector.from_pairs((rows[j], y[2 * j + 1] - y[2 * j]) for j in range(r))
+    g = Vector.from_pairs((rows[j], scales[j] * (y[2 * j + 1] - y[2 * j]))
+                          for j in range(r))
     try:
         functional = Functional(space, g, Fraction(1))
     except ConfigurationError as exc:
@@ -781,7 +789,7 @@ def _schauder_polyhedral(
             if pivots != list(range(m)):  # the subset is singular
                 continue
             for col in range(m, m + len(rhs)):
-                a = [row[col] for row in red]
+                a = linalg.column(red, col)
                 img = linalg.mat_vec(mat, a)
                 if all(abs(t) <= 1 for t in img):
                     candidates.append(a)

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 from wctree import linalg, spaces
+from wctree.linalg import Matrix
 from wctree.spaces import Vector
 
 
@@ -604,3 +606,181 @@ def _ref_schauder_sampled(space, vs, big_m, rng_seed):
                 c_lo, None, False)
     return ("inconclusive", None, None, "sampling cannot certify prefix bounds, only refute",
             witness, "sampled", c_lo, None, False)
+
+
+# The Fraction simplex that `lp.solve_lp` replaced, with its elimination step
+# and result record: the code as it stood before the tableau moved onto
+# integer rows, with only the names changed (ref_ and _ref_ prefixes).  The
+# LP tests record the pivot calls of both solvers and compare them.
+
+def _ref_as_fraction(x) -> Fraction:
+    """x as a Fraction; one that already is a Fraction is shared, not copied."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def ref_pivot(m: Matrix, r: int, c: int, rows) -> None:
+    """One exact elimination step: a unit pivot at m[r][c], column c cleared in `rows`.
+
+    Row r is divided by its entry in column c, unless that entry is already
+    1; then each listed row other than r loses its multiple of row r, and
+    rows not listed are left alone.  Only the columns where the pivot row is
+    nonzero can change, so skipping the rest leaves every entry exactly as a
+    dense update would.
+    """
+    prow = m[r]
+    inv = prow[c]
+    if inv != 1:
+        prow = [x / inv for x in prow]
+        m[r] = prow
+    targets = [m[i] for i in rows if i != r and m[i][c]]
+    if not targets:
+        return
+    nonzero = [j for j, x in enumerate(prow) if x]
+    for row in targets:
+        f = row[c]
+        for j in nonzero:
+            row[j] -= f * prow[j]
+
+
+@dataclass
+class RefLpResult:
+    """Outcome of one solve.
+
+    x and value are the optimal point and objective value.  duals holds one
+    optimal dual value per a_ub row, in order: the rate of change of the
+    optimal value in that row's bound.  So value == b_ub . duals when there
+    are no equality rows, and duals <= 0 when minimizing, >= 0 when
+    maximizing.  x and duals are empty and value is None unless optimal.
+    """
+
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: list[Fraction]
+    value: Fraction | None
+    duals: list[Fraction]
+
+
+def _ref_run_simplex(tableau, basis, ncols) -> str:
+    """Minimize the last tableau row; Bland's rule on both choices."""
+    while True:
+        obj = tableau[-1]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return "optimal"
+        best_ratio = None
+        best_row = None
+        for i in range(len(tableau) - 1):
+            a = tableau[i][col]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[best_row])
+                ):
+                    best_ratio, best_row = ratio, i
+        if best_row is None:
+            return "unbounded"
+        ref_pivot(tableau, best_row, col, range(len(tableau)))
+        basis[best_row] = col
+
+
+def ref_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> RefLpResult:
+    """min (or max) c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq, x >= 0."""
+    n = len(c)
+    cost = [_ref_as_fraction(v) for v in c]
+    if maximize:
+        cost = [-v for v in cost]
+
+    rows: list[tuple[list[Fraction], bool, Fraction]] = []
+    for row, b in zip(a_ub, b_ub):
+        rows.append(([_ref_as_fraction(v) for v in row], True, _ref_as_fraction(b)))
+    for row, b in zip(a_eq, b_eq):
+        rows.append(([_ref_as_fraction(v) for v in row], False, _ref_as_fraction(b)))
+    m = len(rows)
+    nslack = sum(1 for _, has_slack, _ in rows if has_slack)
+    total = n + nslack
+
+    body: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    slack_basic: list[int | None] = []
+    slack_at = 0
+    for coeffs, has_slack, b in rows:
+        row = coeffs + [Fraction(0)] * nslack
+        col = None
+        if has_slack:
+            col = n + slack_at
+            row[col] = Fraction(1)
+            slack_at += 1
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+            col = None  # slack coefficient is now -1: not a ready basis column
+        body.append(row)
+        rhs.append(b)
+        slack_basic.append(col)
+
+    art_rows = [i for i in range(m) if slack_basic[i] is None]
+    art_col = {i: total + k for k, i in enumerate(art_rows)}
+    width = total + len(art_rows) + 1
+
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    for i in range(m):
+        row = body[i] + [Fraction(0)] * len(art_rows) + [rhs[i]]
+        if i in art_col:
+            row[art_col[i]] = Fraction(1)
+            basis.append(art_col[i])
+        else:
+            basis.append(slack_basic[i])
+        tableau.append(row)
+
+    # phase 1: minimize the sum of artificials, priced out against their
+    # rows, where each artificial's entry is already 1
+    if art_rows:
+        obj = [Fraction(0)] * width
+        for i in art_rows:
+            obj[art_col[i]] = Fraction(1)
+        tableau.append(obj)
+        for i in art_rows:
+            ref_pivot(tableau, i, art_col[i], [m])
+        status = _ref_run_simplex(tableau, basis, width - 1)
+        if status != "optimal" or tableau[-1][-1] != 0:
+            return RefLpResult("infeasible", [], None, [])
+        tableau.pop()
+        # pivot remaining artificials out of the basis; drop redundant rows
+        drop: list[int] = []
+        for i in range(m):
+            if basis[i] >= total:
+                col = next((j for j in range(total) if tableau[i][j] != 0), None)
+                if col is None:
+                    drop.append(i)
+                else:
+                    ref_pivot(tableau, i, col, range(len(tableau)))
+                    basis[i] = col
+        for i in reversed(drop):
+            tableau.pop(i)
+            basis.pop(i)
+
+    # phase 2 on structural + slack columns; the cost row is priced out
+    # against the basic columns, whose entries are already 1
+    tableau = [row[:total] + [row[-1]] for row in tableau]
+    tableau.append(cost + [Fraction(0)] * (total - n + 1))
+    for i, bcol in enumerate(basis):
+        ref_pivot(tableau, i, bcol, [len(tableau) - 1])
+    status = _ref_run_simplex(tableau, basis, total)
+    if status == "unbounded":
+        return RefLpResult("unbounded", [], None, [])
+
+    x = [Fraction(0)] * n
+    for i, bcol in enumerate(basis):
+        if bcol < n:
+            x[bcol] = tableau[i][-1]
+    value = sum((a * b for a, b in zip(cost, x)), Fraction(0))
+    # The objective row is cost minus pi times the stored rows, so the reduced
+    # cost of the slack of a_ub row i is -y_i, whether or not the row was
+    # negated for b < 0 (the sign flip hits both the slack and pi_i).
+    duals = [-d for d in tableau[-1][n:total]]
+    if maximize:
+        value = -value
+        duals = [-y for y in duals]
+    return RefLpResult("optimal", x, value, duals)

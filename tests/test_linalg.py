@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 from oracles import dense_rref, ref_psd_check
-from wctree.linalg import (dot, int_nthroot_floor, mat_vec, nthroot_brackets,
-                           nullspace, pivot, psd_check, rank, row_reduce, solve,
-                           sqrt_lower, sqrt_upper)
+from wctree.linalg import (column, dot, int_nthroot_floor, int_row, mat_vec,
+                           nthroot_brackets, nullspace, pivot, psd_check, rank,
+                           row_reduce, solve, sqrt_lower, sqrt_upper)
 
 
 def random_matrix(rng, rows, cols, den=6):
@@ -19,6 +20,11 @@ def random_matrix(rng, rows, cols, den=6):
 
 def to_np(mat):
     return np.array([[float(x) for x in row] for row in mat])
+
+
+def as_fractions(rows):
+    """Integer rows (numerators, then the denominator) read as Fraction rows."""
+    return [[Fraction(x, row[-1]) for x in row[:-1]] for row in rows]
 
 
 def test_rank_matches_numpy():
@@ -36,30 +42,55 @@ def test_row_reduce_matches_dense_elimination():
         rows, cols = rng.randint(1, 6), rng.randint(1, 7)
         mat = [[Fraction(rng.choice([0, 0, 1, -1, rng.randint(-8, 8)]), rng.randint(1, 4))
                 for _ in range(cols)] for _ in range(rows)]
-        assert row_reduce(mat) == dense_rref(mat)
+        red, pivots = row_reduce(mat)
+        assert (as_fractions(red), pivots) == dense_rref(mat)
+        assert all(gcd(*row) == 1 and row[-1] > 0 for row in red)
 
 
 def test_pivot_is_one_dense_elimination_step_on_the_listed_rows():
+    """Read as Fractions, the integer rows take exactly one dense Fraction step.
+
+    Some rows start scaled by a common factor, so their entries share one
+    with the denominator; every row the step changes comes out divided by
+    the gcd of its entries, with a positive denominator, and every other row
+    is the same object as before, untouched.
+    """
     rng = random.Random(19)
-    for _ in range(200):
+    for _ in range(300):
         rows, cols = rng.randint(2, 6), rng.randint(1, 7)
         mat = [[Fraction(rng.choice([0, 0, 1, -1, rng.randint(-8, 8)]), rng.randint(1, 4))
                 for _ in range(cols)] for _ in range(rows)]
         r, c = rng.randrange(rows), rng.randrange(cols)
-        if mat[r][c] == 0:
-            mat[r][c] = Fraction(rng.choice([1, -3, 5]), rng.randint(1, 4))
+        if mat[r][c] == 0 or rng.random() < 0.3:
+            mat[r][c] = rng.choice([Fraction(1), Fraction(-3, 2), Fraction(5), Fraction(1, 3)])
         listed = sorted(rng.sample(range(rows), rng.randint(0, rows)))
-        before = [row[:] for row in mat]
-        pivot(mat, r, c, listed)
-        top = before[r]
-        assert mat[r] == [x / top[c] for x in top]
+        m = [int_row(row) for row in mat]
+        m = [[k * x for x in row] for row, k in zip(m, rng.choices([1, 1, 2, 6], k=rows))]
+        before = [row[:] for row in m]
+        objects = list(m)
+        pivot(m, r, c, listed)
+
+        top = mat[r]
+        dense = [row if i != r else [x / top[c] for x in top] for i, row in enumerate(mat)]
+        for i in listed:
+            if i != r:
+                f = mat[i][c] / top[c]
+                dense[i] = [a - f * b for a, b in zip(mat[i], top)]
+        assert as_fractions(m) == dense
         for i in range(rows):
-            if i != r and i in listed:
-                f = before[i][c] / top[c]
-                assert mat[i] == [a - f * b for a, b in zip(before[i], top)]
-                assert mat[i][c] == 0
-            elif i != r:
-                assert mat[i] == before[i]
+            changed = (i == r and mat[r][c] != 1) or (i in listed and i != r and mat[i][c])
+            if changed:
+                assert gcd(*m[i]) == 1 and m[i][-1] > 0
+            else:
+                assert m[i] is objects[i] and m[i] == before[i]
+
+
+def test_int_row_and_column_round_trip():
+    values = [Fraction(1, 6), Fraction(-3, 4), 2, Fraction(0)]
+    row = int_row(values)
+    assert row == [2, -9, 24, 0, 12]
+    assert column([row], 1) == [Fraction(-3, 4)]
+    assert as_fractions([row]) == [values]
 
 
 def test_nullspace_vectors_annihilate():
