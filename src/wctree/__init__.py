@@ -11,27 +11,22 @@ and an averaged fixed-point iteration round out the toolkit.
 
 from .enumeration import (pair, rational_decode, rational_encode, seq_decode,
                           seq_encode, support_decode, support_encode, unpair)
-from .errors import (BudgetExceeded, ConfigurationError, ContractViolation,
-                     ModelIntegrityError, UnsupportedModelError)
+from .errors import (ConfigurationError, ContractViolation, ModelIntegrityError,
+                     UnsupportedModelError)
 from .spaces import (BUILTIN_SPACES, C0, L1, L2, Functional, NormValue,
                      SpaceModel, Vector, combine, conjugate_norm, dense_index,
                      dense_point, lp_space, norm, norm_cmp, pairing, sup_space)
-from .sets import (ConvexityReport, DistanceEstimate, HitQuery, HitResult,
-                   SetModel, build_set, convexity_probe, dense_space,
-                   distance_estimate, explicit_list, hilbert_cube, hit_test,
+from .sets import (SetModel, build_set, dense_space, explicit_list, hilbert_cube,
                    set_from_json, summing_hull, summing_vector, unit_ball,
                    unit_ball_model, unit_vector_family, unit_vector_hull)
 from .predicates import (DualCertificate, PrefixWitness, SchauderReport,
                          SimplexMinResult, SimplexWitness, Verdict3,
-                         basis_constant_estimate, dual_certificate_search,
-                         is_M_schauder, is_eps_dominating,
-                         l1_basis_lower_bound, mazur_combination,
+                         is_M_schauder, is_eps_dominating, mazur_combination,
                          simplex_min_norm)
-from .trees import (BranchCertificate, ExplicitFiniteTree, NodeEvaluation,
-                    SearchBudget, SearchStats, StackedTree, SubtreeView,
-                    WcTree, WfVerdict, bounded_wf_search, branch_search,
-                    encode_characteristic, expand, finite_rank, levels,
-                    rank_within, validate_certificate, walk)
+from .trees import (BranchCertificate, NodeEvaluation, SearchBudget,
+                    SearchStats, StackedTree, WcTree, WfVerdict,
+                    bounded_wf_search, branch_search, encode_characteristic,
+                    expand, levels, rank_within, validate_certificate, walk)
 from .fixedpoint import (AscentResult, FinitePoset, KmResult, MAP_REGISTRY,
                          NonexpMapHandle, SaturationResult, build_map,
                          invariant_set_saturate, km_iterate,
@@ -42,29 +37,24 @@ from .fixedpoint import (AscentResult, FinitePoset, KmResult, MAP_REGISTRY,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AscentResult", "BranchCertificate", "BudgetExceeded", "BUILTIN_SPACES",
-    "C0", "ConfigurationError", "ContractViolation", "ConvexityReport",
-    "DistanceEstimate", "DualCertificate", "ExplicitFiniteTree",
-    "FinitePoset", "Functional", "HitQuery", "HitResult", "KmResult", "L1",
-    "L2", "MAP_REGISTRY", "ModelIntegrityError", "NodeEvaluation",
-    "NonexpMapHandle", "NormValue", "PrefixWitness", "SaturationResult",
-    "SchauderReport", "SearchBudget", "SearchStats", "SetModel",
-    "SimplexMinResult", "SimplexWitness", "SpaceModel", "StackedTree",
-    "SubtreeView", "UnsupportedModelError", "Vector", "Verdict3", "WcTree",
-    "WfVerdict", "basis_constant_estimate", "bounded_wf_search",
-    "branch_search", "build_map", "build_set", "combine",
-    "conjugate_norm", "convexity_probe", "dense_index", "dense_point",
-    "dense_space", "distance_estimate", "dual_certificate_search",
-    "encode_characteristic", "expand", "explicit_list", "finite_rank",
-    "hilbert_cube", "hit_test", "invariant_set_saturate", "is_M_schauder",
-    "is_eps_dominating", "km_iterate", "l1_basis_lower_bound", "levels",
-    "lp_space", "maximal_via_uniformization", "mazur_combination", "norm",
-    "norm_cmp", "pair", "pairing", "rank_within", "rational_decode",
-    "rational_encode", "seq_decode", "seq_encode", "set_from_json",
-    "simplex_min_norm", "summing_hull", "summing_vector", "sup_space", "support_decode",
+    "AscentResult", "BranchCertificate", "BUILTIN_SPACES", "C0",
+    "ConfigurationError", "ContractViolation", "DualCertificate",
+    "FinitePoset", "Functional", "KmResult", "L1", "L2", "MAP_REGISTRY",
+    "ModelIntegrityError", "NodeEvaluation", "NonexpMapHandle", "NormValue",
+    "PrefixWitness", "SaturationResult", "SchauderReport", "SearchBudget",
+    "SearchStats", "SetModel", "SimplexMinResult", "SimplexWitness",
+    "SpaceModel", "StackedTree", "UnsupportedModelError", "Vector",
+    "Verdict3", "WcTree", "WfVerdict", "bounded_wf_search", "branch_search",
+    "build_map", "build_set", "combine", "conjugate_norm", "dense_index",
+    "dense_point", "dense_space", "encode_characteristic", "expand",
+    "explicit_list", "hilbert_cube", "invariant_set_saturate",
+    "is_M_schauder", "is_eps_dominating", "km_iterate", "levels", "lp_space",
+    "maximal_via_uniformization", "mazur_combination", "norm", "norm_cmp",
+    "pair", "pairing", "rank_within", "rational_decode", "rational_encode",
+    "seq_decode", "seq_encode", "set_from_json", "simplex_min_norm",
+    "summing_hull", "summing_vector", "sup_space", "support_decode",
     "support_encode", "uniformize_least", "uniformize_relation", "unit_ball",
-    "unit_ball_model",
-    "unit_vector_family", "unit_vector_hull", "unpair",
+    "unit_ball_model", "unit_vector_family", "unit_vector_hull", "unpair",
     "validate_certificate", "verify_nonexpansive", "walk", "zermelo_iterate",
     "__version__",
 ]

@@ -22,8 +22,8 @@ import time
 from fractions import Fraction
 
 from . import __version__, fixedpoint, predicates, sets, spaces, trees
-from .errors import (BudgetExceeded, ConfigurationError, ContractViolation,
-                     ModelIntegrityError, UnsupportedModelError)
+from .errors import (ConfigurationError, ContractViolation, ModelIntegrityError,
+                     UnsupportedModelError)
 from .predicates import (DualCertificate, PrefixWitness, SchauderReport,
                          SimplexWitness, Verdict3)
 from .spaces import SpaceModel, Vector
@@ -486,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConfigurationError, UnsupportedModelError, ModelIntegrityError,
-            BudgetExceeded, ContractViolation) as exc:
+            ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     envelope = {

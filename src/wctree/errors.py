@@ -26,6 +26,3 @@ class ContractViolation(RuntimeError):
         self.counterexample = counterexample
         super().__init__(message)
 
-
-class BudgetExceeded(RuntimeError):
-    """An exact method was asked to run past its configured size cap."""

@@ -229,13 +229,13 @@ def _constant_handle(point: Vector) -> NonexpMapHandle:
     )
 
 
-MAP_REGISTRY: dict[str, Callable[..., NonexpMapHandle]] = {
-    "identity": lambda: NonexpMapHandle(
+MAP_REGISTRY: dict[str, Callable[[Vector], NonexpMapHandle]] = {
+    "identity": lambda point: NonexpMapHandle(
         "identity", lambda v: v, lambda a: a.copy(), "leaves every point fixed"),
-    "shift": lambda: NonexpMapHandle(
+    "shift": lambda point: NonexpMapHandle(
         "shift", lambda v: v.shift(1), _shift_arr,
         "moves every coordinate one slot right (an isometry)"),
-    "halving": lambda: NonexpMapHandle(
+    "halving": lambda point: NonexpMapHandle(
         "halving", lambda v: v.scale(Fraction(1, 2)), lambda a: a / 2.0,
         "contracts toward the origin with factor 1/2"),
     "constant": _constant_handle,
@@ -243,12 +243,11 @@ MAP_REGISTRY: dict[str, Callable[..., NonexpMapHandle]] = {
 
 
 def build_map(name: str, point: Vector | None = None) -> NonexpMapHandle:
-    if name == "constant":
-        return _constant_handle(point if point is not None else Vector.zero())
+    """The registered map `name`; only "constant" reads `point` (default 0)."""
     builder = MAP_REGISTRY.get(name)
     if builder is None:
         raise ConfigurationError(f"unknown map {name!r}", "/map")
-    return builder()
+    return builder(point if point is not None else Vector.zero())
 
 
 def verify_nonexpansive(

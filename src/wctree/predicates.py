@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import linalg, lp, spaces
-from .errors import BudgetExceeded, ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation
 from .spaces import Functional, SpaceModel, Vector
 
 POLYHEDRAL_BUDGET = 250_000
@@ -452,17 +452,6 @@ def _simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
     return SimplexMinResult(lo, hi, witness, "bracket")
 
 
-def dual_certificate_search(
-    space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...], target: Fraction
-) -> DualCertificate | None:
-    """A certificate proving the simplex minimum is at least `target`, if true."""
-    res = simplex_min_norm(space, tuple(vectors))
-    cert = res.certificate
-    if cert is not None and cert.lower_bound >= target:
-        return cert
-    return None
-
-
 def mazur_combination(
     space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...]
 ) -> SimplexWitness:
@@ -729,10 +718,10 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderRe
     if big_m is not None:
         ok, bad_k, w = psd_all(big_m)
         if not ok:
-            units = int(big_m * grid)  # the grid floor of M fails as M does
-            c_lo = Fraction(units, grid) if units >= grid else None
-            margin = None if c_lo is None else big_m - c_lo
-            verdict = Verdict3(FAILS, None if margin is None else float(margin), margin,
+            # the grid floor of M fails as M does, and no basis constant is below 1
+            c_lo = max(Fraction(int(big_m * grid), grid), Fraction(1))
+            margin = big_m - c_lo
+            verdict = Verdict3(FAILS, float(margin), margin,
                                _prefix_witness(spaces.L2, vs, w, bad_k),
                                detail=f"prefix {bad_k} escapes the bound (PSD witness)")
             return SchauderReport(verdict, "exact-gram", constant_lo=c_lo)
@@ -835,43 +824,3 @@ def _schauder_sampled(
                        detail="sampling cannot certify prefix bounds, only refute")
     return SchauderReport(verdict, "sampled", constant_lo=c_lo)
 
-
-# ---------------------------------------------------------------------------
-# l1-basis equivalence
-
-
-@dataclass(frozen=True)
-class L1LowerBound:
-    value: Fraction | None
-    lo: Fraction
-    hi: Fraction
-    signs: tuple[int, ...]
-    witness: SimplexWitness
-    method: str
-
-
-def l1_basis_lower_bound(
-    space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...]
-) -> L1LowerBound:
-    """Largest delta with ||sum a_n x_n|| >= delta * sum |a_n| for all a.
-
-    By homogeneity and sign symmetry this is the least simplex minimum over
-    the 2^(m-1) sign patterns fixing the first sign positive.
-    """
-    vs = tuple(vectors)
-    m = len(vs)
-    if m == 0:
-        raise ValueError("need at least one vector")
-    if m > 8:
-        raise BudgetExceeded("sign-pattern enumeration capped at 8 vectors")
-    best: SimplexMinResult | None = None
-    best_signs: tuple[int, ...] = ()
-    for signs in itertools.product((1, -1), repeat=m - 1):
-        full_signs = (1,) + signs
-        flipped = tuple(v if s == 1 else -v for v, s in zip(vs, full_signs))
-        res = simplex_min_norm(space, flipped)
-        if best is None or (res.hi, res.lo) < (best.hi, best.lo):
-            best, best_signs = res, full_signs
-    if best is None:
-        raise ContractViolation("no sign pattern was tried")
-    return L1LowerBound(best.exact, best.lo, best.hi, best_signs, best.witness, best.method)

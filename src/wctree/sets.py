@@ -22,14 +22,12 @@ computable odd index.  Models whose points are stable under combination
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import enumeration, spaces
-from .errors import (ConfigurationError, ContractViolation, ModelIntegrityError,
-                     UnsupportedModelError)
-from .spaces import NormValue, SpaceModel, Vector
+from .errors import ConfigurationError, ModelIntegrityError, UnsupportedModelError
+from .spaces import SpaceModel, Vector
 
 
 def summing_vector(k: int) -> Vector:
@@ -332,124 +330,3 @@ def set_from_json(data) -> SetModel:
     kind = str(data.get("kind"))
     return build_set(kind, space, data.get("params"), data.get("id"))
 
-
-# ---------------------------------------------------------------------------
-# probes
-
-
-@dataclass(frozen=True)
-class HitQuery:
-    """Search for a selected point on which a functional exceeds a level."""
-
-    functional: spaces.Functional
-    level: Fraction
-    index_bound: int = 256
-
-
-@dataclass(frozen=True)
-class HitResult:
-    found: bool
-    index: int | None = None
-    point: Vector | None = None
-    value: Fraction | None = None
-
-
-def hit_test(model: SetModel, query: HitQuery) -> HitResult:
-    """First enumerated point with <f, x> strictly above the level, if any."""
-    level = Fraction(query.level)
-    for i in range(query.index_bound):
-        x = model.selector(i)
-        val = spaces.pairing(query.functional, x)
-        if val > level:
-            return HitResult(True, i, x, val)
-    return HitResult(False)
-
-
-@dataclass(frozen=True)
-class DistanceEstimate:
-    value: NormValue
-    index: int
-    point: Vector
-
-
-def distance_estimate(model: SetModel, target: Vector, depth: int = 256) -> DistanceEstimate:
-    """Least distance from target to the first `depth` selected points.
-
-    An upper bound on the true set distance; exact zeros short-circuit.
-    """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    best: tuple[Fraction, Fraction] | None = None
-    best_i = 0
-    best_nv: NormValue | None = None
-    for i in range(depth):
-        x = model.selector(i)
-        nv = spaces.norm(model.space, x - target)
-        key = (nv.hi, nv.lo)
-        if best is None or key < best:
-            best, best_i, best_nv = key, i, nv
-            if nv.hi == 0:
-                break
-    if best_nv is None:
-        raise ContractViolation("no selected point was measured")
-    return DistanceEstimate(best_nv, best_i, model.selector(best_i))
-
-
-@dataclass(frozen=True)
-class ConvexityViolation:
-    left: int
-    right: int
-    q: Fraction
-    point: Vector
-    distance: NormValue
-    certified: bool
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    checked: int
-    violations: tuple[ConvexityViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def convexity_probe(
-    model: SetModel,
-    depth: int = 8,
-    distance_depth: int = 512,
-    tol: Fraction = Fraction(0),
-) -> ConvexityReport:
-    """Check 16th-grid combinations of the first `depth` points for membership.
-
-    Models that can locate combinations exactly (combo_index) yield certified
-    verdicts: a violation there means the enumeration itself is inconsistent.
-    Otherwise membership is probed by a bounded distance scan and violations
-    are soft evidence only — reported when the scan's best distance certifies
-    a gap above `tol`.
-    """
-    violations: list[ConvexityViolation] = []
-    checked = 0
-    for n in range(depth):
-        for m in range(n + 1, depth):
-            for q16 in range(1, 16):
-                q = Fraction(q16, 16)
-                z = spaces.combine([q, 1 - q], [model.selector(n), model.selector(m)])
-                checked += 1
-                j = model.combo_index(n, m, q16)
-                if j is not None:
-                    w = model.selector(j)
-                    if w != z:
-                        d = spaces.norm(model.space, w - z)
-                        violations.append(ConvexityViolation(n, m, q, z, d, True))
-                    continue
-                inside = model.exact_contains(z)
-                if inside:
-                    continue
-                d = distance_estimate(model, z, distance_depth)
-                if d.value.hi == 0:
-                    continue
-                if d.value.lo > tol:
-                    violations.append(ConvexityViolation(n, m, q, z, d.value, False))
-    return ConvexityReport(checked, tuple(violations))

@@ -159,42 +159,6 @@ class StackedTree:
         return {"stacked": True}
 
 
-class ExplicitFiniteTree:
-    """A finite tree given as an explicit prefix-closed set of nodes."""
-
-    def __init__(self, nodes: set[tuple[int, ...]] | list[tuple[int, ...]]):
-        node_set = {tuple(n) for n in nodes}
-        node_set.add(())
-        for node in node_set:
-            if node and node[:-1] not in node_set:
-                raise ConfigurationError(
-                    f"node {node} present without its parent {node[:-1]}")
-        self.nodes = node_set
-
-    def member(self, node: tuple[int, ...]) -> NodeEvaluation:
-        node = tuple(node)
-        if node in self.nodes:
-            return NodeEvaluation(Verdict3(HOLDS, None, None, None, "listed"))
-        return NodeEvaluation(Verdict3(FAILS, None, None, None, "not listed"))
-
-    def params(self) -> dict:
-        return {"nodes": len(self.nodes)}
-
-
-class SubtreeView:
-    """The tree seen from one of its nodes."""
-
-    def __init__(self, tree, root: tuple[int, ...]):
-        self.tree = tree
-        self.root = tuple(root)
-
-    def member(self, node: tuple[int, ...]) -> NodeEvaluation:
-        return self.tree.member(self.root + tuple(node))
-
-    def params(self) -> dict:
-        return {"root": list(self.root)}
-
-
 # ---------------------------------------------------------------------------
 # the traversal core
 
@@ -449,14 +413,6 @@ def validate_certificate(tree, cert: BranchCertificate) -> bool:
         tree.member(cert.branch[:k]).verdict.holds
         for k in range(1, cert.depth + 1)
     )
-
-
-def finite_rank(tree: ExplicitFiniteTree) -> int:
-    """Height of an explicit finite tree: leaves have rank 0.
-
-    The node set is prefix-closed, so the height is the longest node's length.
-    """
-    return max(len(node) for node in tree.nodes)
 
 
 def rank_within(tree, depth: int, index_bound: int,

@@ -242,15 +242,6 @@ def brute_ascend(f, start, limit: int):
     return None
 
 
-def brute_tree_rank(nodes: set, node=()) -> int:
-    """Ordinal-style rank of a finite prefix-closed tree, recursively."""
-    kids = [node + (i,) for i in {n[len(node)] for n in nodes
-                                  if len(n) > len(node) and n[:len(node)] == node}]
-    if not kids:
-        return 0
-    return 1 + max(brute_tree_rank(nodes, k) for k in kids)
-
-
 # ---------------------------------------------------------------------------
 # Reference tree traversals: five separate loops, each charging the budget and
 # tallying verdicts by hand.  They take any tree with `member(node)` returning

@@ -16,9 +16,8 @@ from oracles import (brute_l2_simplex_min, grid_simplex_min, ref_schauder_analyz
 from wctree import predicates
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
-                               DualCertificate, basis_constant_estimate, dual_certificate_search,
-                               is_M_schauder, is_eps_dominating,
-                               l1_basis_lower_bound, mazur_combination,
+                               DualCertificate, basis_constant_estimate,
+                               is_M_schauder, is_eps_dominating, mazur_combination,
                                simplex_min_norm)
 from wctree.sets import hilbert_cube
 from wctree.spaces import (C0, L1, L2, Functional, Vector, combine, conjugate_norm, lp_space,
@@ -292,11 +291,6 @@ def test_orthonormal_dual_certificate_is_tight():
     assert cert.functional.vec == Vector.from_pairs([(i, F(1, 2)) for i in range(4)])
 
 
-def test_dual_certificate_search_threshold():
-    assert dual_certificate_search(L2, units(4), F(1, 2)) is not None
-    assert dual_certificate_search(L2, units(4), F(3, 5)) is None
-
-
 def test_mazur_combination_flattens():
     w = mazur_combination(L2, [E(0), E(0).scale(F(-1)), E(1)])
     assert w.norm.hi == 0
@@ -565,7 +559,8 @@ def test_schauder_input_validation():
 
 def test_failing_gram_report_bounds_the_constant_by_the_grid_floor():
     """A failure at M is a failure at every grid point up to M, so the
-    constant's lower end is the grid floor of M, and none when M is below 1."""
+    constant's lower end is the grid floor of M; below M = 1 it is 1, the
+    least basis constant, and the margin M - 1 is negative."""
     pair = [E(0), E(0) + E(1)]
     rep = is_M_schauder(L2, pair, F(7, 5))
     assert rep.method == "exact-gram" and rep.verdict.fails
@@ -576,8 +571,8 @@ def test_failing_gram_report_bounds_the_constant_by_the_grid_floor():
     assert w.prefix_norm.lo > F(7, 5) * w.full_norm.hi
     rep = is_M_schauder(L2, pair, F(1, 2))
     assert rep.method == "exact-gram" and rep.verdict.fails
-    assert rep.constant_lo is None
-    assert rep.verdict.margin is None and rep.verdict.exact_margin is None
+    assert rep.constant_lo == 1 and rep.constant_hi is None
+    assert rep.verdict.exact_margin == F(-1, 2) and rep.verdict.margin == -0.5
 
 
 # the lp:P nodes run the sampled probe, whose bracket norms cost the most
@@ -633,9 +628,3 @@ def test_schauder_reports_match_the_reference_engine():
 def test_schauder_single_vector_is_constant_one():
     rep = is_M_schauder(L1, [E(0) + E(3)], F(1))
     assert rep.verdict.holds and rep.constant_hi == 1
-
-
-def test_l1_lower_bound_on_disjoint_vectors():
-    res = l1_basis_lower_bound(L1, units(3))
-    assert res.value == 1  # disjoint unit vectors are 1-equivalent to the basis
-    assert res.witness is not None

@@ -1,18 +1,28 @@
-"""Set models: selectors, membership, interleaved combinations, probes."""
+"""Set models: selectors, membership, interleaved combinations."""
 
 from fractions import Fraction
 
 import pytest
 
 from wctree.errors import ConfigurationError, ModelIntegrityError, UnsupportedModelError
-from wctree.sets import (HitQuery, build_set, convexity_probe, dense_space,
-                         distance_estimate, explicit_list, hilbert_cube,
-                         hit_test, set_from_json, summing_hull, summing_vector,
-                         unit_ball, unit_ball_model, unit_vector_family,
-                         unit_vector_hull)
-from wctree.spaces import C0, L1, L2, Functional, Vector, lp_space, norm
+from wctree.sets import (build_set, dense_space, explicit_list, hilbert_cube,
+                         set_from_json, summing_hull, summing_vector, unit_ball,
+                         unit_ball_model, unit_vector_family, unit_vector_hull)
+from wctree.spaces import C0, L1, L2, Vector, combine, lp_space, norm
 
 F = Fraction
+
+
+def assert_combinations_select_exactly(model, depth):
+    """combo_index(n, m, q16) selects exactly q*sel(n) + (1-q)*sel(m), q = q16/16,
+    for every pair among the first `depth` points and every inner 16th."""
+    for n in range(depth):
+        for m in range(n + 1, depth):
+            for q16 in range(1, 16):
+                q = F(q16, 16)
+                z = combine([q, 1 - q], [model.selector(n), model.selector(m)])
+                j = model.combo_index(n, m, q16)
+                assert j is not None and model.selector(j) == z, (model.ident, n, m, q16)
 
 
 def test_summing_vector():
@@ -33,10 +43,7 @@ def test_unit_vector_hull_membership_and_units():
 
 
 def test_unit_vector_hull_interleaved_combinations_close():
-    hull = unit_vector_hull(L1)
-    report = convexity_probe(hull, depth=6)
-    assert report.ok
-    assert report.checked == 15 * 15
+    assert_combinations_select_exactly(unit_vector_hull(L1), 6)
 
 
 def test_summing_hull_membership():
@@ -46,7 +53,7 @@ def test_summing_hull_membership():
     assert sh.exact_contains(stair) is True
     rising = Vector.from_pairs([(0, F(1, 2)), (1, F(1))])
     assert sh.exact_contains(rising) is False
-    assert convexity_probe(sh, depth=5).ok
+    assert_combinations_select_exactly(sh, 5)
 
 
 def test_every_selected_point_is_member():
@@ -122,23 +129,11 @@ def test_dense_space_is_whole_space():
     ds = dense_space(lp_space(F(3, 2)))
     assert ds.whole_space
     assert ds.exact_contains(Vector.from_pairs([(5, F(-7, 3))])) is True
-    # encode hook: every selected point can name its own index
-    for i in range(50):
-        assert ds.combo_index is not None
+    # the encode hook locates every combination by its exact index
+    assert_combinations_select_exactly(ds, 6)
 
 
-def test_hit_test_finds_strict_exceed():
-    fam = unit_vector_family(L2)
-    f = Functional(L2, Vector.unit(2), F(1))
-    res = hit_test(fam, HitQuery(f, F(1, 2), index_bound=16))
-    assert res.found and res.index == 2 and res.value == 1
-    res = hit_test(fam, HitQuery(f, F(1), index_bound=16))
-    assert not res.found
+def test_cube_and_ball_combinations_select_exactly():
+    assert_combinations_select_exactly(hilbert_cube(L2), 6)  # by exact encoding
+    assert_combinations_select_exactly(unit_ball(L2), 6)  # by interleaving
 
-
-def test_distance_estimate_exact_zero_short_circuits():
-    fam = unit_vector_family(L2)
-    d = distance_estimate(fam, Vector.unit(5), depth=64)
-    assert d.value.hi == 0 and d.index == 5
-    d = distance_estimate(fam, Vector.zero(), depth=16)
-    assert d.value.exact_sq == 1  # every unit vector is at distance 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (RefBudget, brute_tree_rank, ref_branch_search,
+from oracles import (RefBudget, ref_branch_search,
                      ref_dot_walk, ref_levels, ref_rank_within, ref_wf_search)
 from wctree import predicates
 from wctree.enumeration import seq_decode
@@ -16,11 +16,10 @@ from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, SimplexWitness,
 from wctree.sets import (explicit_list, hilbert_cube, summing_hull,
                          unit_vector_family, unit_vector_hull)
 from wctree.spaces import L1, L2, Vector, combine, lp_space
-from wctree.trees import (BRANCH_FOUND, WELL_FOUNDED, ExplicitFiniteTree,
-                          NodeEvaluation, SearchBudget, StackedTree,
-                          SubtreeView, WcTree, _combine, bounded_wf_search,
-                          branch_search, encode_characteristic, expand,
-                          finite_rank, levels, rank_within,
+from wctree.trees import (BRANCH_FOUND, WELL_FOUNDED, NodeEvaluation,
+                          SearchBudget, StackedTree, WcTree, _combine,
+                          bounded_wf_search, branch_search,
+                          encode_characteristic, expand, levels, rank_within,
                           validate_certificate, walk)
 
 F = Fraction
@@ -152,26 +151,6 @@ def test_combine_needs_a_schauder_report_under_python_O():
         _combine(holding, None)
 
 
-def test_explicit_tree_requires_prefix_closure():
-    with pytest.raises(ConfigurationError):
-        ExplicitFiniteTree([(0, 1)])
-    tree = ExplicitFiniteTree([(0,), (0, 1), (2,)])
-    assert tree.member((0, 1)).verdict.holds
-    assert tree.member((1,)).verdict.fails
-
-
-def test_finite_rank_matches_brute_recursion():
-    rng = random.Random(23)
-    for _ in range(60):
-        nodes = {()}
-        for _ in range(rng.randint(0, 12)):
-            parent = rng.choice(sorted(nodes))
-            if len(parent) < 4:
-                nodes.add(parent + (rng.randint(0, 3),))
-        tree = ExplicitFiniteTree(nodes)
-        assert finite_rank(tree) == brute_tree_rank(tree.nodes)
-
-
 def test_rank_within_on_live_tree():
     rank, complete = rank_within(family_tree(), 4, 16)
     assert rank == 2  # pairs hold, triples all fail
@@ -183,12 +162,6 @@ def test_rank_within_on_live_tree():
     # raising the bound to reach e2 saturates the probe depth instead
     rank, complete = rank_within(WcTree(unit_vector_hull(L1), F(1), F(1)), 3, 10)
     assert (rank, complete) == (3, False)
-
-
-def test_subtree_view_shifts_root():
-    tree = family_tree()
-    sub = SubtreeView(tree, (0,))
-    assert sub.member((1,)).verdict.kind == tree.member((0, 1)).verdict.kind
 
 
 def test_characteristic_bits_follow_canonical_coding():
@@ -314,9 +287,8 @@ TRAVERSALS = {
     (0, 4, "/depth"), (-1, 0, "/depth"), (3, 0, "/index-bound"), (1, -2, "/index-bound"),
 ])
 def test_traversals_reject_bounds_below_one(traversal, depth, index_bound, pointer):
-    tree = ExplicitFiniteTree([(0,), (1,)])
     with pytest.raises(ConfigurationError) as info:
-        TRAVERSALS[traversal](tree, depth, index_bound)
+        TRAVERSALS[traversal](family_tree(), depth, index_bound)
     assert info.value.pointer == pointer
 
 
