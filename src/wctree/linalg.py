@@ -15,6 +15,10 @@ own denominator and is divided by the gcd of its entries after every update.
 One common (Bareiss) denominator for the whole matrix was slower, 1.42 s
 against 0.96 s on 964 simplex programs recorded from CLI runs, because every
 pivot then rescales every row, not only the rows it clears.
+
+`psd_check` takes its matrix as integer rows, which the l2 prefix test
+builds straight from an integer Gram matrix; its answer and witness depend
+only on the rational entries, not on how a row is written.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-Matrix = list[list[Fraction]]
 Row = list[int]  # numerators, then one positive denominator
 
 
@@ -137,22 +140,25 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def psd_check(sym: Matrix) -> tuple[bool, list[Fraction] | None]:
-    """Decide x^T S x >= 0 for all x, exactly.
+def psd_check(rows: list[Row]) -> tuple[bool, list[Fraction] | None]:
+    """Decide x^T S x >= 0 for all x, exactly, for S given as integer rows.
 
+    Row i holds the n numerators of row i of S and a positive denominator,
+    reduced or not; the answer depends only on the rational entries.
     Returns (True, None) or (False, w) with an explicit rational witness
     satisfying w^T S w < 0.  Elimination with diagonal pivots on [S | I]: a
     negative diagonal pivot, or a zero diagonal with a nonzero off-diagonal
     partner, yields the witness, read off the right block in original
     coordinates.
     """
-    n = len(sym)
+    n = len(rows)
     # This is symmetric congruence elimination.  For symmetric S, the
     # congruence by a diagonal pivot changes the rows not yet pivoted exactly
     # as plain row elimination does, since their pivot-column entries equal
     # the pivot row's; rows already pivoted are never read again.  So row i
     # of the right block is the current i-th coordinate in original ones.
-    m = [int_row([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(sym)]
+    m = [row[:-1] + [row[-1] * (i == j) for j in range(n)] + [row[-1]]
+         for i, row in enumerate(rows)]
     live = list(range(n))
     while live:
         idx = next((i for i in live if m[i][i] != 0), None)

@@ -11,7 +11,9 @@ Both predicates reduce to optimization over finitely many rational vectors:
 For l1 and the sup norm both problems are polyhedral and solved exactly with
 rational linear programming (minimum + matching dual certificate); for l2
 they are quadratic and solved exactly through Gram matrices (Wolfe's
-min-norm-point method for the minimum, PSD tests for the constant).  Remaining
+min-norm-point method for the minimum, PSD tests for the constant), both
+on one integer Gram matrix Q = D^2 G that clears the denominators D of the
+node, so that neither loop does Fraction arithmetic.  Remaining
 exponents run in bracket mode: certified lower bounds come from exactly
 solvable comparison norms, upper bounds (computed only when the lower bound
 does not decide) from exact evaluation at rational candidate points, and
@@ -232,13 +234,21 @@ def _simplex_min_polyhedral(space: SpaceModel, vs: tuple[Vector, ...]) -> Simple
     return SimplexMinResult(value, value, witness, "exact-lp", exact=value, certificate=cert)
 
 
-def _gram(vs: tuple[Vector, ...]) -> list[list[Fraction]]:
+def _int_gram(vs: tuple[Vector, ...]) -> tuple[list[list[int]], int]:
+    """The Gram matrix G of the vectors as (Q, D): Q = D^2 G is an int matrix.
+
+    D is the lcm of the denominators of every coefficient, so D x_n is an
+    integer vector and Q holds the int inner products over common supports.
+    """
+    d = math.lcm(*(c.denominator for v in vs for _, c in v.entries))
+    ints = [{p: c.numerator * (d // c.denominator) for p, c in v.entries} for v in vs]
     m = len(vs)
-    g = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
+    q = [[0] * m for _ in range(m)]
+    for i, u in enumerate(ints):
         for j in range(i, m):
-            g[i][j] = g[j][i] = vs[i].dot(vs[j])
-    return g
+            v = ints[j]
+            q[i][j] = q[j][i] = sum(c * v[p] for p, c in u.items() if p in v)
+    return q, d
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
@@ -263,41 +273,58 @@ def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResu
     the hull and dropping points whose weight reaches 0 when that minimum
     leaves it.  ||z||^2 strictly falls with every major cycle, so no corral
     recurs and the method ends; ties go to the lowest index throughout.
+
+    The method runs on the integer Gram matrix Q = D^2 G of `_int_gram`,
+    with the weights held as int numerators W over one positive denominator
+    delta.  A major cycle's pairings QW and its D^2 delta^2 ||z||^2 are int
+    dot products, and every test compares both sides at the same positive
+    scale, so every decision and tie is the one made on G.  The minor
+    cycle's system goes to `linalg.solve` as int rows of Q and has the same
+    solution for the weights.  Fractions are built only for that solution,
+    the step-back ratios, the minimum and the returned weights.
     """
     m = len(vs)
-    q = _gram(vs)
+    q, d = _int_gram(vs)
     start = min(range(m), key=lambda i: q[i][i])
     corral = [start]
-    w = {start: Fraction(1)}
-    best_sq: Fraction | None = None
+    w = {start: 1}
+    delta = 1
+    best: tuple[int, int] | None = None  # (D^2 delta^2 ||z||^2, delta) of the last cycle
     while True:
         qw = [sum(q[i][k] * w[k] for k in corral) for i in range(m)]
         sq = sum(w[k] * qw[k] for k in corral)
-        if best_sq is not None and sq >= best_sq:
+        if best is not None and sq * best[1] ** 2 >= best[0] * delta ** 2:
             raise ContractViolation("a major cycle of Wolfe's method did not lower the norm")
-        best_sq = sq
+        best = sq, delta
         j = min(range(m), key=qw.__getitem__)
-        if qw[j] >= sq:
+        if qw[j] * delta >= sq:
             break
         if j in corral:
             raise ContractViolation(f"Wolfe's method chose vector {j} already in the corral")
         corral.append(j)
-        w[j] = Fraction(0)
+        w[j] = 0
         while True:
             s = len(corral)
-            system = [[q[a][b] for b in corral] + [Fraction(1)] for a in corral]
-            system.append([Fraction(1)] * s + [Fraction(0)])
-            sol = linalg.solve(system, [Fraction(0)] * s + [Fraction(1)])
+            system = [[q[a][b] for b in corral] + [1] for a in corral]
+            system.append([1] * s + [0])
+            sol = linalg.solve(system, [0] * s + [1])
             if sol is None:
                 raise ContractViolation("Wolfe's corral is affinely dependent")
-            v = dict(zip(corral, sol))
-            if all(v[k] > 0 for k in corral):
-                w = v
+            *v, e = linalg.int_row(sol[:s])  # the affine minimum is V / e
+            if all(x > 0 for x in v):
+                w, delta = dict(zip(corral, v)), e
                 break
-            theta = min(w[k] / (w[k] - v[k]) for k in corral if v[k] <= 0)
-            w = {k: (1 - theta) * w[k] + theta * v[k] for k in corral}
+            # step back to the hull: theta = min w_k / (w_k - v_k) over v_k <= 0
+            theta = min(Fraction(w[k] * e, w[k] * e - delta * x)
+                        for k, x in zip(corral, v) if x <= 0)
+            a, b = theta.numerator, theta.denominator
+            w = {k: (b - a) * e * w[k] + a * delta * x for k, x in zip(corral, v)}
+            delta *= b * e
+            g = math.gcd(delta, *w.values())
+            w, delta = {k: x // g for k, x in w.items()}, delta // g
             corral = [k for k in corral if w[k] > 0]
-    weights = tuple(w.get(i, Fraction(0)) for i in range(m))
+    best_sq = Fraction(sq, (delta * d) ** 2)
+    weights = tuple(Fraction(w.get(i, 0), delta) for i in range(m))
     combo = spaces.combine(weights, vs)
     nv = spaces.norm(space, combo)
     if nv.exact_sq != best_sq:
@@ -686,31 +713,27 @@ def _constant_report(
     return SchauderReport(verdict, method, c_lo, c_hi)
 
 
-def _prefix_gram_deficit(gram: linalg.Matrix, k: int, t_sq: Fraction) -> list[list[Fraction]]:
-    """The matrix t^2 G - G_k whose PSD-ness bounds prefix k by t."""
-    m = len(gram)
-    out = [[t_sq * gram[i][j] for j in range(m)] for i in range(m)]
-    for i in range(k):
-        for j in range(k):
-            out[i][j] -= gram[i][j]
-    return out
-
-
 def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderReport:
     """Exact l2 decision: prefix bounds are PSD conditions on the Gram matrix.
 
     Since G is PSD, t^2 G - G_k only gains the PSD matrix (t'^2 - t^2) G as
     t grows to t', so the set of t where every condition holds is a ray: a
-    failure at M is a failure at every grid point up to M.
+    failure at M is a failure at every grid point up to M.  With t = a/b and
+    the integer Gram matrix Q = D^2 G, each t^2 G - G_k goes to `psd_check`
+    as the integer rows a^2 Q - b^2 Q_k over b^2 D^2, the same rationals.
     """
     m = len(vs)
-    gram = _gram(vs)
+    q, d = _int_gram(vs)
     grid = 1 << MARGIN_GRID_BITS
 
     def psd_all(t: Fraction) -> tuple[bool, int | None, list[Fraction] | None]:
-        t_sq = t * t
+        a, b = t.numerator ** 2, t.denominator ** 2
+        den = b * d * d
+        tq = [[a * x for x in row] for row in q]
         for k in range(1, m):
-            ok, w = linalg.psd_check(_prefix_gram_deficit(gram, k, t_sq))
+            rows = [[x - b * y for x, y in zip(tq[i][:k], q[i])] + tq[i][k:] + [den]
+                    if i < k else tq[i] + [den] for i in range(m)]
+            ok, w = linalg.psd_check(rows)
             if not ok:
                 return False, k, w
         return True, None, None

@@ -18,6 +18,7 @@ from . import enumeration, linalg
 from .errors import ConfigurationError
 
 BRACKET_BITS = 96
+_ZERO = Fraction(0)  # shared: a Fraction is immutable
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,9 @@ class Vector:
         for pos, coeff in pairs:
             if pos < 0:
                 raise ValueError("positions are naturals")
-            acc[pos] = acc.get(pos, Fraction(0)) + Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
+            acc[pos] = acc[pos] + coeff if pos in acc else coeff
         return Vector(tuple((p, c) for p, c in sorted(acc.items()) if c != 0))
 
     @staticmethod
@@ -67,7 +70,7 @@ class Vector:
                 return c
             if p > pos:
                 break
-        return Fraction(0)
+        return _ZERO
 
     @property
     def is_zero(self) -> bool:
@@ -91,7 +94,7 @@ class Vector:
     def dot(self, other: "Vector") -> Fraction:
         """Exact inner product over the common support."""
         mine = dict(self.entries)
-        return sum((mine.get(p, Fraction(0)) * c for p, c in other.entries), Fraction(0))
+        return sum((mine[p] * c for p, c in other.entries if p in mine), _ZERO)
 
     def shift(self, offset: int = 1) -> "Vector":
         """Move every coefficient `offset` positions to the right."""
@@ -223,12 +226,17 @@ def norm(space: SpaceModel, v: Vector) -> NormValue:
         val, err = _enclose(s, s)
         return NormValue(val, err, s, s, exact=s)
     if p == 2:
-        sq = sum((c * c for _, c in v.entries), Fraction(0))
+        sq = _square(v)
         lo = linalg.sqrt_lower(sq, BRACKET_BITS)
         hi = linalg.sqrt_upper(sq, BRACKET_BITS)
         val, err = _enclose(lo, hi)
         return NormValue(val, err, lo, hi, exact_sq=sq)
     return _bracket_norm(v, p)
+
+
+def _square(v: Vector) -> Fraction:
+    """The exact square of the l2 norm."""
+    return sum((c * c for _, c in v.entries), _ZERO)
 
 
 def _bracket_norm(v: Vector, p: Fraction) -> NormValue:
@@ -262,12 +270,12 @@ def norm_cmp(space: SpaceModel, v: Vector, threshold: Fraction) -> int | None:
     threshold = Fraction(threshold)
     if threshold < 0:
         return 1  # norms are nonnegative
+    if space.exactness == "square":
+        sq, t2 = _square(v), threshold * threshold
+        return (sq > t2) - (sq < t2)
     nv = norm(space, v)
     if nv.exact is not None:
         return (nv.exact > threshold) - (nv.exact < threshold)
-    if nv.exact_sq is not None:
-        t2 = threshold * threshold
-        return (nv.exact_sq > t2) - (nv.exact_sq < t2)
     if nv.lo > threshold:
         return 1
     if nv.hi < threshold:

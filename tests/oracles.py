@@ -3,7 +3,8 @@
 Everything in this file is deliberately dumb: dense numpy grids, exhaustive
 scans, closed forms derived by hand, and reference copies of earlier code.
 None of it imports the library's decision logic (at most its exact linear
-algebra and norms), so agreement is evidence rather than tautology.
+algebra, its norms and its result records), so agreement is evidence
+rather than tautology.
 """
 
 from __future__ import annotations
@@ -14,12 +15,16 @@ from fractions import Fraction
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import isqrt
 
 import numpy as np
 
 from wctree import linalg, spaces
-from wctree.linalg import Matrix
-from wctree.spaces import Vector
+from wctree.errors import ContractViolation
+from wctree.predicates import DualCertificate, SimplexMinResult, SimplexWitness
+from wctree.spaces import Functional, SpaceModel, Vector
+
+Matrix = list[list[Fraction]]  # the dense Fraction matrices of the reference copies
 
 
 def densify(vectors) -> np.ndarray:
@@ -490,7 +495,7 @@ def _ref_schauder_gram(vs, big_m):
         for k in range(1, m):
             deficit = [[t * t * gram[i][j] - (gram[i][j] if i < k and j < k else 0)
                         for j in range(m)] for i in range(m)]
-            ok, w = linalg.psd_check(deficit)
+            ok, w = linalg.psd_check([linalg.int_row(row) for row in deficit])
             if not ok:
                 return False, k, w
         return True, None, None
@@ -775,3 +780,121 @@ def ref_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> RefLp
         value = -value
         duals = [-y for y in duals]
     return RefLpResult("optimal", x, value, duals)
+
+
+# The Fraction form of Wolfe's min-norm-point method that
+# `predicates._simplex_min_qp` replaced, with its Gram matrix and its dual
+# certificate: the code as it stood before the l2 layer moved onto one
+# integer Gram matrix, with only the names changed (ref_ and _ref_
+# prefixes).  It builds the library's result records, so a differential test
+# can compare whole results.
+
+def _ref_gram(vs: tuple[Vector, ...]) -> list[list[Fraction]]:
+    m = len(vs)
+    g = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            g[i][j] = g[j][i] = vs[i].dot(vs[j])
+    return g
+
+
+def _ref_exact_sqrt(q: Fraction) -> Fraction | None:
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def ref_simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
+    """Exact l2 minimum by Wolfe's min-norm-point method on the Gram matrix.
+
+    P. Wolfe, "Finding the nearest point in a polytope", Math. Programming 11
+    (1976), in rationals.  The corral S is an affinely independent set of
+    vectors whose affine hull holds the current point z = sum w_i x_i.  A
+    major cycle adds the vector j least paired with z, and stops once
+    <x_j, z> >= ||z||^2 for every j, which is the optimality condition that
+    _ref_dual_certificate_l2 checks again.  A minor cycle moves z to the affine
+    minimum of the corral, from the system [Q_S 1; 1^T 0], stepping back to
+    the hull and dropping points whose weight reaches 0 when that minimum
+    leaves it.  ||z||^2 strictly falls with every major cycle, so no corral
+    recurs and the method ends; ties go to the lowest index throughout.
+    """
+    m = len(vs)
+    q = _ref_gram(vs)
+    start = min(range(m), key=lambda i: q[i][i])
+    corral = [start]
+    w = {start: Fraction(1)}
+    best_sq: Fraction | None = None
+    while True:
+        qw = [sum(q[i][k] * w[k] for k in corral) for i in range(m)]
+        sq = sum(w[k] * qw[k] for k in corral)
+        if best_sq is not None and sq >= best_sq:
+            raise ContractViolation("a major cycle of Wolfe's method did not lower the norm")
+        best_sq = sq
+        j = min(range(m), key=qw.__getitem__)
+        if qw[j] >= sq:
+            break
+        if j in corral:
+            raise ContractViolation(f"Wolfe's method chose vector {j} already in the corral")
+        corral.append(j)
+        w[j] = Fraction(0)
+        while True:
+            s = len(corral)
+            system = [[q[a][b] for b in corral] + [Fraction(1)] for a in corral]
+            system.append([Fraction(1)] * s + [Fraction(0)])
+            sol = linalg.solve(system, [Fraction(0)] * s + [Fraction(1)])
+            if sol is None:
+                raise ContractViolation("Wolfe's corral is affinely dependent")
+            v = dict(zip(corral, sol))
+            if all(v[k] > 0 for k in corral):
+                w = v
+                break
+            theta = min(w[k] / (w[k] - v[k]) for k in corral if v[k] <= 0)
+            w = {k: (1 - theta) * w[k] + theta * v[k] for k in corral}
+            corral = [k for k in corral if w[k] > 0]
+    weights = tuple(w.get(i, Fraction(0)) for i in range(m))
+    combo = spaces.combine(weights, vs)
+    nv = spaces.norm(space, combo)
+    if nv.exact_sq != best_sq:
+        raise ContractViolation(
+            f"Gram value {best_sq} disagrees with the witness norm {nv.exact_sq}"
+        )
+    cert = _ref_dual_certificate_l2(space, vs, combo, best_sq)
+    witness = SimplexWitness(weights, combo, nv)
+    root = _ref_exact_sqrt(best_sq)
+    return SimplexMinResult(
+        nv.lo, nv.hi, witness, "exact-qp",
+        exact=root, exact_sq=best_sq, certificate=cert,
+    )
+
+
+def _ref_dual_certificate_l2(
+    space: SpaceModel,
+    vs: tuple[Vector, ...],
+    z: Vector,
+    value_sq: Fraction,
+) -> DualCertificate | None:
+    """Scale the optimal combination z into a norm-<=1 functional.
+
+    At the constrained minimum z, every <z, x_n> is at least ||z||^2, so
+    g = z/||z|| certifies the minimum; the irrational scale is replaced by a
+    dyadic lower approximation, costing a quantified gap (zero whenever
+    1/||z||^2 is a perfect rational square).
+    """
+    if value_sq == 0:
+        return None
+    for x in vs:
+        if z.dot(x) < value_sq:
+            raise ContractViolation("stationary point violates its own optimality system")
+    scale = _ref_exact_sqrt(1 / value_sq)
+    if scale is None:
+        scale = linalg.sqrt_lower(1 / value_sq, spaces.BRACKET_BITS)
+    g = z.scale(scale)
+    if scale * scale * value_sq > 1:
+        raise ContractViolation("certificate scale exceeds the unit dual ball")
+    functional = Functional(space, g, Fraction(1))
+    lower = scale * value_sq
+    hi = linalg.sqrt_upper(value_sq, spaces.BRACKET_BITS)
+    return DualCertificate(functional, lower, hi - lower)

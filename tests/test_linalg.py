@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -124,7 +124,7 @@ def test_psd_check_matches_eigenvalues():
                 for i in range(n)]
         shift = Fraction(rng.randint(-2, 2), 4)
         mat = [[gram[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)]
-        ok, witness = psd_check(mat)
+        ok, witness = psd_check([int_row(row) for row in mat])
         eigs = np.linalg.eigvalsh(to_np(mat))
         if ok:
             assert eigs.min() > -1e-9
@@ -164,13 +164,19 @@ def _symmetric_cases(rng):
 
 
 def test_psd_check_matches_the_congruence_reference():
-    """Elimination on [S | I] returns exactly the old congruence's answer."""
+    """Elimination on [S | I] returns exactly the old congruence's answer,
+    whether the integer rows of S are each over their own lcm or all over
+    one unreduced common denominator: no answer, and no witness, depends on
+    how a row is written."""
     rng = random.Random(29)
     exits = {"psd": 0, "negative pivot": 0, "zero diagonal": 0}
     for _ in range(5000):
         mat = _symmetric_cases(rng)
         ok, witness, how = ref_psd_check(mat)
-        assert psd_check(mat) == (ok, witness)
+        assert psd_check([int_row(row) for row in mat]) == (ok, witness)
+        den = 6 * lcm(*(x.denominator for row in mat for x in row))
+        assert psd_check([[x.numerator * (den // x.denominator) for x in row] + [den]
+                          for row in mat]) == (ok, witness)
         exits[how] += 1
     assert all(count > 100 for count in exits.values()), exits
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (brute_l2_simplex_min, grid_simplex_min, ref_schauder_analyze,
-                     sampled_basis_constant)
+                     ref_simplex_min_qp, sampled_basis_constant)
 from wctree import predicates
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
@@ -217,21 +217,92 @@ def test_l2_minimum_of_sixteen_random_vectors_is_certified():
 
 @pytest.mark.parametrize("corrupt", ["diagonal", "off-diagonal"])
 def test_qp_minimum_refuses_a_wrong_answer(monkeypatch, corrupt):
-    """The Gram value must equal the witness norm; a wrong Gram matrix is refused."""
-    gram = predicates._gram
+    """The Gram value must equal the witness norm; a wrong Gram matrix is refused.
+
+    The integer Gram matrix Q = D^2 G is corrupted by 1/2 on the scale of G:
+    doubling D makes that 2 D^2 on the scale of the returned Q."""
+    int_gram = predicates._int_gram
 
     def perturbed(vs):
-        q = gram(vs)
+        q, d = int_gram(vs)
+        q = [[4 * x for x in row] for row in q]
         if corrupt == "diagonal":
-            q[0][0] -= F(1, 2)
+            q[0][0] -= 2 * d * d
         else:
-            q[0][1] += F(1, 2)
-            q[1][0] += F(1, 2)
-        return q
+            q[0][1] += 2 * d * d
+            q[1][0] += 2 * d * d
+        return q, 2 * d
 
-    monkeypatch.setattr(predicates, "_gram", perturbed)
+    monkeypatch.setattr(predicates, "_int_gram", perturbed)
     with pytest.raises(ContractViolation):
         predicates._simplex_min_qp(L2, tuple(units(3)))
+
+
+def _qp_outcome(solve, vs):
+    try:
+        return solve(L2, vs)
+    except ContractViolation as exc:
+        return ContractViolation, str(exc)
+
+
+def test_qp_minimum_matches_the_fraction_wolfe(monkeypatch):
+    """Wolfe's method on the integer Gram matrix returns exactly the result,
+    weights, witness norm and certificate included, or the refusal, of the
+    Fraction form it replaced."""
+    rng = random.Random(1976)
+    kinds = Counter()
+    sizes = []
+    real_solve = predicates.linalg.solve
+    monkeypatch.setattr(predicates.linalg, "solve",
+                        lambda rows, rhs: sizes.append(len(rows)) or real_solve(rows, rhs))
+    for trial in range(2400):
+        vs = tuple(_random_l2_node(rng, 1 + trial % 9))
+        sizes.clear()
+        got = _qp_outcome(predicates._simplex_min_qp, vs)
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            kinds["step back"] += 1
+        assert got == _qp_outcome(ref_simplex_min_qp, vs), vs
+        if isinstance(got, tuple):
+            kinds["refused"] += 1
+        else:
+            kinds["zero" if got.exact_sq == 0 else "positive"] += 1
+            kinds["interior" if sum(1 for w in got.witness.weights if w) > 1 else "vertex"] += 1
+    assert kinds["zero"] > 100 and kinds["positive"] > 1000, kinds
+    assert kinds["interior"] > 500 and kinds["vertex"] > 500, kinds
+    assert kinds["step back"] > 100, kinds
+
+
+def test_qp_minimum_builds_fractions_only_at_its_boundary(monkeypatch):
+    """One Wolfe solve on a seeded 9-vector node, with a step back, hands
+    `linalg.solve` int systems and constructs Fractions only for each
+    system's solution, the step-back ratios, the minimum, its exact root and
+    the weights, beyond what the witness and certificate checks on the
+    vectors build.  Fraction pairings in the major cycles would cost over a
+    thousand."""
+    rng = random.Random(9)
+    vs = tuple(Vector.from_pairs((i, F(rng.randint(-4, 4), rng.randint(1, 3)))
+                                 for i in range(6)) for _ in range(9))
+    solves = []
+    real_solve = predicates.linalg.solve
+    built = []
+    fraction_new = Fraction.__new__
+    with monkeypatch.context() as patch:
+        patch.setattr(predicates.linalg, "solve",
+                      lambda rows, rhs: solves.append(rows) or real_solve(rows, rhs))
+        patch.setattr(Fraction, "__new__",
+                      lambda cls, *a, **k: built.append(1) or fraction_new(cls, *a, **k))
+        res = predicates._simplex_min_qp(L2, vs)
+        solve_count = len(built)
+        combo = combine(res.witness.weights, vs)
+        norm(L2, combo)
+        predicates._dual_certificate_l2(L2, vs, combo, res.exact_sq)
+        checks = len(built) - solve_count
+    sizes = [len(rows) for rows in solves]
+    assert res.method == "exact-qp" and res.certificate is not None
+    assert any(b <= a for a, b in zip(sizes, sizes[1:])), sizes  # a step back happened
+    assert all(type(x) is int for rows in solves for row in rows for x in row)
+    # each solution has len(rows) entries, and a step back compares fewer ratios
+    assert solve_count - checks <= 2 * sum(sizes) + len(vs) + 2, (solve_count, checks)
 
 
 # ---------------------------------------------------------------------------

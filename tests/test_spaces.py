@@ -36,6 +36,24 @@ def test_vector_basics():
     assert Vector.from_json(v.to_json()) == v
 
 
+def test_vector_builds_no_fraction_for_fraction_inputs_or_absent_positions(monkeypatch):
+    """from_pairs keeps Fraction coefficients as given, and coeff answers an
+    absent position with one shared zero; ints are still converted."""
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    built = []
+    fraction_new = Fraction.__new__
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__",
+                      lambda cls, *a, **k: built.append(a) or fraction_new(cls, *a, **k))
+        v = Vector.from_pairs([(3, half), (0, third)])
+        zeros = [v.coeff(p) for p in (1, 2, 5)]
+        assert not built, built
+        w = Vector.from_pairs([(1, 2)])
+    assert v.entries == ((0, third), (3, half)) and v.entries[1][1] is half
+    assert zeros == [0, 0, 0] and all(type(z) is Fraction for z in zeros)
+    assert w.entries == ((1, Fraction(2)),) and type(w.entries[0][1]) is Fraction
+
+
 def test_vector_rejects_zero_entries_silently():
     v = Vector.from_pairs([(0, Fraction(0)), (1, Fraction(1))])
     assert v.support == (1,)
@@ -104,6 +122,27 @@ def test_norm_cmp_decides_exactly():
     # l2 norm is sqrt(2); comparison happens on squares, hence exact
     assert norm_cmp(L2, v, Fraction(3, 2)) == -1
     assert norm_cmp(L2, v, Fraction(7, 5)) == 1
+    # on l2 it is the comparison of norm(...).exact_sq with the threshold's
+    # square, exact ties included, and 1 below a zero threshold
+    rng = random.Random(31)
+    outcomes = {-1: 0, 0: 0, 1: 0}
+    for _ in range(600):
+        if rng.random() < 0.4:  # a scaled Pythagorean vector has a rational norm
+            a, b, c = rng.choice([(3, 4, 5), (5, 12, 13), (8, 15, 17)])
+            t = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 5))
+            p, q = rng.sample(range(6), 2)
+            v = Vector.from_pairs([(p, a * t), (q, -b * t)])
+            thresholds = [c * abs(t), c * abs(t) + Fraction(1, 97), c * abs(t) - Fraction(1, 97)]
+        else:
+            v = Vector.from_pairs((p, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                                  for p in rng.sample(range(6), rng.randint(0, 4)))
+            thresholds = [Fraction(rng.randint(-3, 12), rng.randint(1, 4)), Fraction(0)]
+        sq = norm(L2, v).exact_sq
+        for t in thresholds:
+            want = 1 if t < 0 else (sq > t * t) - (sq < t * t)
+            assert norm_cmp(L2, v, t) == want, (v, t)
+            outcomes[want] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_space_parsing_and_conjugates():
