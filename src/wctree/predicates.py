@@ -108,34 +108,38 @@ def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ..
 
     `memo` is a dict that the caller owns and passes to every call it wants
     to share results; a `WcTree` keeps one for its lifetime.  The minimum
-    does not depend on the order of the vectors, so the memo solves the
-    first order it sees, and a later call with the same vectors in another
-    order gets that result with the witness weights put in its own order.
-    A bracket minimum whose upper end `is_eps_dominating` has not needed yet
-    sits in the memo as its lower end alone; the first call here computes
-    the upper end, for the order first seen, and fills that entry.
-    Without a memo the call uses one of its own, so it is a plain solve.
+    depends on the set of distinct vectors alone, so one entry serves every
+    order and every repetition of them: it solves the distinct vectors in
+    the order first seen, and each call gets the witness weights in its own
+    order (`_reordered`).  A bracket minimum whose upper end
+    `is_eps_dominating` has not needed yet sits in the memo as its lower end
+    alone; the first call here fills in the upper end.  Without a memo the
+    call uses one of its own, so it is a plain solve.
     """
     vs = tuple(vectors)
     if not vs:
         raise ValueError("simplex minimum needs at least one vector")
-    if memo is None:
-        memo = {}
-    key = _memo_key(space, vs)
-    entry = memo.get(key)
-    if entry is None:
-        res = _simplex_min_solve(space, vs)
-        memo[key] = (vs, res)
-        return res
-    solved, res = entry
-    if isinstance(res, Fraction):  # the lower end of a bracket minimum alone
-        res = _simplex_min_bracket_upper(space, solved, res)
-        memo[key] = (solved, res)
-    return res if solved == vs else _reordered(res, solved, vs)
+    memo = {} if memo is None else memo
+    return _served(space, vs, memo, *_memo_entry(space, vs, memo, _simplex_min_solve))
 
 
-def _memo_key(space: SpaceModel, vs: tuple[Vector, ...]) -> tuple:
-    return (space.kind, space.p, tuple(sorted(v.entries for v in vs)))
+def _memo_entry(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, start) -> tuple:
+    """The memo key of vs, its set of distinct vectors, and the entry there:
+    those vectors in first-seen order and what `start` solved for them."""
+    key = (space.kind, space.p, frozenset(vs))
+    if key not in memo:
+        distinct = tuple(dict.fromkeys(vs))
+        memo[key] = (distinct, start(space, distinct))
+    return key, *memo[key]
+
+
+def _served(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, key: tuple,
+            solved: tuple[Vector, ...], known) -> SimplexMinResult:
+    """The minimum for vs from its memo entry, filling in a lone lower end first."""
+    if isinstance(known, Fraction):
+        known = _simplex_min_bracket_upper(space, solved, known)
+        memo[key] = (solved, known)
+    return known if solved == vs else _reordered(known, solved, vs)
 
 
 def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
@@ -148,11 +152,10 @@ def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinR
 
 def _reordered(res: SimplexMinResult, solved: tuple[Vector, ...],
                vs: tuple[Vector, ...]) -> SimplexMinResult:
-    """`res`, solved for `solved`, with its weights moved to the order of vs."""
-    pool: dict[Vector, list[Fraction]] = {}
-    for v, w in zip(solved, res.witness.weights):
-        pool.setdefault(v, []).append(w)
-    weights = tuple(pool[v].pop() for v in vs)
+    """`res`, solved for the distinct vectors `solved`, with its weights moved
+    to the order of vs: each on its first occurrence there, 0 on every copy."""
+    pop = dict(zip(solved, res.witness.weights))
+    weights = tuple(pop.pop(v, Fraction(0)) for v in vs)
     return dataclasses.replace(
         res, witness=dataclasses.replace(res.witness, weights=weights))
 
@@ -545,20 +548,16 @@ def _bracket_domination(space: SpaceModel, vs: tuple[Vector, ...], eps: Fraction
     """Domination on the bracket path, with the upper end computed lazily.
 
     The exact lower end decides `holds` by itself whenever it clears eps
-    plus tol; only otherwise is the upper end asked of `simplex_min_norm`,
-    which fills it into the memo entry that the lower end started.
+    plus tol; only otherwise is the upper end computed, into the memo entry
+    that the lower end started, for the distinct vectors that entry holds.
     """
-    if memo is None:
-        memo = {}  # this call's own, so the upper end reuses the lower end
-    key = _memo_key(space, vs)
-    if key not in memo:
-        memo[key] = (vs, _simplex_min_bracket_lower(space, vs))
-    known = memo[key][1]
+    memo = {} if memo is None else memo  # one of its own: the upper end reuses the lower
+    key, solved, known = _memo_entry(space, vs, memo, _simplex_min_bracket_lower)
     lo = known if isinstance(known, Fraction) else known.lo
     if lo >= eps + tol:
         return Verdict3(HOLDS, float(lo - eps), None, None,
                         detail="comparison-norm lower bound clears eps plus tol")
-    res = simplex_min_norm(space, vs, memo)
+    res = _served(space, vs, memo, key, solved, known)
     if res.hi < eps:
         return Verdict3(FAILS, float(res.hi - eps), None, res.witness,
                         detail="witness combination certified below eps")

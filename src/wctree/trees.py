@@ -19,9 +19,9 @@ export; `branch_search` and `levels` expand breadth-first instead, since
 under a budget cut the two orders evaluate different nodes.
 
 Membership depends on the selected vectors alone, so a tree memoizes its
-evaluations by them.  It also owns the order-invariant simplex-minimum memo
-that the domination test draws on, so all a command has computed lives
-exactly as long as its tree; no state outlives it.
+evaluations by them.  It also owns the simplex-minimum memo of its domination
+tests, one entry for every order and repetition of the same vectors, so all
+a command has computed lives as long as its tree; no state outlives it.
 
 The stacked tree interleaves every parameter scale: its section at first
 index n is the (1/(n+1), n+1)-tree of the same family, so one tree carries
@@ -76,9 +76,10 @@ class WcTree:
     """Tree of finite selector-index tuples passing both node predicates.
 
     Evaluations are memoized by the selected vectors in order, so nodes that
-    select the same vectors share one; `simplex_memo` is the simplex-minimum
-    memo handed to every domination test, shared by permuted nodes (and by
-    the sections of a `StackedTree`).  Both live as long as the tree.
+    select the same vectors share one.  `simplex_memo`, the simplex-minimum
+    memo of every domination test, has one entry for every order and every
+    repetition of the same vectors (and every section of a `StackedTree`).
+    Both live as long as the tree.
     """
 
     def __init__(self, family: SetModel, eps: Fraction, big_m: Fraction,

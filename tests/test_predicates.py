@@ -110,6 +110,52 @@ def test_memo_weights_follow_repeated_vectors():
     assert len(memo) == 1
 
 
+REPEAT_SPACES = [L1, C0, L2, lp_space(F(3, 2))]
+
+
+def test_one_memo_entry_serves_every_repetition_like_a_direct_solve():
+    """A multiset of vectors with repeats, served from the memo entry of its
+    distinct vectors, has the minimum a direct solve of the multiset finds:
+    the same lower end, exact value, method and certificate bound, a
+    certificate that pairs above that bound with every vector, and weights
+    that sit on first occurrences and combine to the witness."""
+    rng = random.Random(1414)
+    starts = Counter()
+    for trial in range(320):
+        space = REPEAT_SPACES[trial % 4]
+        distinct = [Vector.from_pairs((p, F(rng.randint(-3, 3), rng.randint(1, 3)))
+                                      for p in rng.sample(range(4), rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 4))]
+        vs = distinct + [rng.choice(distinct) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(vs)
+        oracle = predicates._simplex_min_solve(space, tuple(vs))
+        memo: dict = {}
+        start = rng.choice(["none", "other order"]
+                           + ["lower end"] * (space.exactness == "bracket"))
+        if start == "other order":
+            simplex_min_norm(space, rng.sample(vs, len(vs)), memo)
+        elif start == "lower end":  # eps 0 is decided by the lower end alone
+            is_eps_dominating(space, rng.sample(distinct, len(distinct)), F(0), memo=memo)
+            (_, lo), = memo.values()
+            assert isinstance(lo, Fraction)
+        starts[start] += 1
+        res = simplex_min_norm(space, vs, memo)
+        assert len(memo) == 1
+        assert (res.lo, res.exact, res.exact_sq, res.method) == \
+            (oracle.lo, oracle.exact, oracle.exact_sq, oracle.method)
+        if space.exactness != "bracket":
+            assert (res.certificate is None) == (oracle.certificate is None)
+            if res.certificate is not None:
+                bound = res.certificate.lower_bound
+                assert bound == oracle.certificate.lower_bound
+                assert all(pairing(res.certificate.functional, x) >= bound for x in vs)
+        weights = res.witness.weights
+        assert all(w == 0 for i, w in enumerate(weights) if vs[i] in vs[:i])
+        assert sum(weights) == 1
+        assert combine(weights, vs) == res.witness.combo
+    assert min(starts["none"], starts["other order"]) >= 100 and starts["lower end"] >= 20, starts
+
+
 # ---------------------------------------------------------------------------
 # simplex minimum against the dumb grid
 

@@ -1,5 +1,6 @@
 """Tree membership, bounded searches, certificates, rank, characteristic."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -218,6 +219,23 @@ def test_stacked_sections_fill_a_shared_bracket_entry_once(monkeypatch):
     assert upper_ends == [solved]
     (entry,) = stacked.simplex_memo.values()
     assert entry[0] == solved and entry[1].lo == lo and entry[1].hi < 1
+
+
+def test_exhaustive_scan_solves_each_set_of_distinct_vectors_once(monkeypatch):
+    """The lp:3/2 scan evaluates 260 nodes over four unit vectors, repeats
+    included; their minima take one lower end per nonempty subset, each
+    solved on distinct vectors."""
+    lower_ends = []
+    real = predicates._simplex_min_bracket_lower
+    monkeypatch.setattr(predicates, "_simplex_min_bracket_lower",
+                        lambda space, vs: lower_ends.append(vs) or real(space, vs))
+    tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
+    verdict = bounded_wf_search(tree, 5, 4)
+    assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 260
+    assert all(len(set(vs)) == len(vs) for vs in lower_ends)
+    subsets = {frozenset(map(Vector.unit, c))
+               for k in range(1, 5) for c in itertools.combinations(range(4), k)}
+    assert len(lower_ends) == 15 and set(map(frozenset, lower_ends)) == subsets
 
 
 def _scan(tree, depth, index_bound):

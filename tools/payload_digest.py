@@ -1,0 +1,143 @@
+"""Digest of every report payload of a fixed list of CLI commands.
+
+    python3 tools/payload_digest.py [--dump DIR] > digests.txt
+
+Run from anywhere; the program is imported from the `src/` directory next to
+this file's directory, and the benchmark commands are read from the
+`perfbench/` directory there.  Each command runs in a fresh interpreter, once
+plainly and once under `python -O`, and one line is printed per run:
+
+    <sha256>  <plain|-O>  <command>
+
+The digest covers the report envelope without its `timing_ms`, with keys
+sorted; a command that exits nonzero is digested by its exit code and
+standard error instead.  Diffing the output of two checkouts shows which
+payloads a change moved; `--dump DIR` also writes every digested text to
+DIR, one numbered file per run, so that the moved ones can be read.
+
+The list: the four benchmark workloads at seed 5, the CLI scenarios of the
+acceptance criteria and of README, traversals on every kind of space, and
+`predicate` on nodes that repeat an index, in l1, c0, l2, lp:3/2 and lp:3,
+over every built-in set, at an eps that the lower end of a bracket minimum
+decides and at one that needs its upper end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS, cli_args, draw_params  # noqa: E402
+
+SPACES = ["l1", "c0", "l2", "lp:3/2", "lp:3"]
+SETS = ["unit-vector-hull", "summing-hull", "unit-ball", "hilbert-cube",
+        "unit-vector-family", "dense-space"]
+REPEAT_NODES = ["0,0", "0,1,0", "1,0,1", "2,3,2,3", "0,4,8,4", "5,1,5,1,5"]
+PREDICATE_EPS = ["1/2", "1"]
+
+SCENARIOS = [
+    # acceptance criteria 01, 02 and 10
+    "branch-hunt --space l1 --set unit-vector-hull --eps 1 --bigm 1 --depth 10"
+    " --index-bound 64 --beam-width 4",
+    "wf-scan --space l2 --set unit-vector-family --eps 3/5 --bigm 2 --depth 4"
+    " --index-bound 16",
+    "branch-hunt --space l2 --set hilbert-cube --eps 7/10 --bigm 2 --depth 1"
+    " --index-bound 64",
+    # README
+    "predicate --space l2 --set unit-vector-family --node 0,1,2 --eps 3/5 --bigm 2",
+    "analyze-tree --space l1 --set unit-vector-hull --eps 1 --bigm 1 --depth 3"
+    " --index-bound 8",
+    "export-dot --space l2 --set unit-vector-family --eps 3/5 --bigm 2 --depth 3"
+    " --index-bound 6",
+    # traversals on every kind of space
+    "analyze-tree --space l2 --set summing-hull --eps 1/2 --bigm 3 --depth 3"
+    " --index-bound 12",
+    "analyze-tree --space l2 --set summing-hull --eps 3/16 --bigm 3 --depth 3"
+    " --index-bound 12",
+    "analyze-tree --space l2 --set summing-hull --bigm 3 --depth 3 --index-bound 12"
+    " --stacked",
+    "analyze-tree --space lp:3/2 --set unit-vector-family --depth 4 --index-bound 6"
+    " --stacked",
+    "analyze-tree --space c0 --set summing-hull --eps 1/2 --bigm 2 --depth 3"
+    " --index-bound 10",
+    "analyze-tree --space lp:3 --set unit-vector-family --eps 1/2 --bigm 2 --depth 3"
+    " --index-bound 6",
+    "wf-scan --space lp:3/2 --set unit-vector-family --eps 3/5 --bigm 2 --depth 5"
+    " --index-bound 5",
+    "wf-scan --space lp:3 --set hilbert-cube --eps 1/3 --bigm 2 --depth 3"
+    " --index-bound 8",
+    "wf-scan --space lp:3 --set hilbert-cube --eps 1/3 --bigm 2 --depth 3"
+    " --index-bound 8 --node-budget 40",
+    "wf-scan --space l1 --set dense-space --eps 1/2 --bigm 2 --depth 3"
+    " --index-bound 10",
+    "wf-scan --space lp:4/3 --set summing-hull --eps 1/2 --bigm 2 --depth 3"
+    " --index-bound 8",
+    "wf-scan --space c0 --set unit-vector-hull --eps 1/2 --bigm 2 --depth 3"
+    " --index-bound 8",
+    "branch-hunt --space lp:3/2 --set unit-vector-family --eps 3/5 --bigm 2"
+    " --depth 4 --index-bound 6",
+    "export-dot --space l2 --set summing-hull --eps 1/2 --bigm 3 --depth 3"
+    " --index-bound 5",
+    "export-dot --space lp:3/2 --set unit-vector-family --eps 3/5 --bigm 2"
+    " --depth 3 --index-bound 5",
+    "export-dot --space l1 --set unit-vector-hull --eps 1/2 --bigm 2 --depth 3"
+    " --index-bound 5",
+    "export-dot --space c0 --set summing-hull --eps 1/2 --bigm 2 --depth 3"
+    " --index-bound 5",
+]
+
+
+def commands() -> list[list[str]]:
+    cmds = [cli_args(w, draw_params(w, 5)) for w in WORKLOADS.values()]
+    cmds += [s.split() for s in SCENARIOS]
+    for space in SPACES:
+        for kind in SETS:
+            for node in REPEAT_NODES:
+                for eps in PREDICATE_EPS:
+                    cmds.append(["predicate", "--space", space, "--set", kind,
+                                 "--node", node, "--eps", eps, "--bigm", "2"])
+    return cmds
+
+
+def digested_text(args: list[str], optimize: bool) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-m", "wctree.cli", *args],
+                          capture_output=True, text=True, env=env, check=False)
+    if proc.returncode != 0:
+        return f"exit {proc.returncode}\n{proc.stderr}"
+    envelope = json.loads(proc.stdout)
+    envelope.pop("timing_ms")
+    return json.dumps(envelope, indent=1, sort_keys=True)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", type=Path, default=None,
+                        help="also write every digested text to this directory")
+    args = parser.parse_args()
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    runs = 0
+    for cmd in commands():
+        for optimize in (False, True):
+            text = digested_text(cmd, optimize)
+            mode = "-O" if optimize else "plain"
+            if args.dump:
+                (args.dump / f"{runs:04d}{mode}.json").write_text(text + "\n")
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            print(f"{digest}  {mode:5}  {' '.join(cmd)}", flush=True)
+            runs += 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
