@@ -135,8 +135,8 @@ def witness_json(w) -> dict | None:
             "type": "prefix-escape",
             "prefix": w.prefix,
             "coefficients": [str(c) for c in w.coefficients],
-            "prefix_norm": norm_json(w.prefix_norm),
-            "full_norm": norm_json(w.full_norm),
+            "prefix_norm": None if w.prefix_norm is None else norm_json(w.prefix_norm),
+            "full_norm": None if w.full_norm is None else norm_json(w.full_norm),
         }
     return {"type": type(w).__name__}
 

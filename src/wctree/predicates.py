@@ -573,12 +573,15 @@ def _bracket_domination(space: SpaceModel, vs: tuple[Vector, ...], eps: Fraction
 
 @dataclass(frozen=True)
 class PrefixWitness:
-    """Coefficients whose prefix combination beats M times the full one."""
+    """Coefficients whose prefix combination beats M times the full one.
+
+    A structural failure ships a kernel vector, whose full sum is exactly 0,
+    and no norms: both are None."""
 
     prefix: int
     coefficients: tuple[Fraction, ...]
-    prefix_norm: spaces.NormValue
-    full_norm: spaces.NormValue
+    prefix_norm: spaces.NormValue | None
+    full_norm: spaces.NormValue | None
 
 
 @dataclass(frozen=True)
@@ -627,6 +630,13 @@ def _schauder_analyze(
     if m == 1:
         return _constant_report(Fraction(1), Fraction(1), big_m, "exact-structural",
                                 detail="single vector, prefix equals whole")
+    first: dict[Vector, int] = {}
+    for j, v in enumerate(vs):
+        i = first.setdefault(v, j)
+        if i < j:  # x_j = x_i: the kernel vector e_j - e_i needs no elimination
+            z = [Fraction(0)] * m
+            z[i], z[j] = Fraction(-1), Fraction(1)
+            return _dependent_report(z)
 
     rows = _coordinate_rows(vs)
     # the supports are pairwise disjoint exactly when their sizes add up to the
@@ -637,13 +647,7 @@ def _schauder_analyze(
     mat = _matrix(vs, rows)
     kernel = linalg.nullspace(mat)  # non-empty exactly when the rank is below m
     if kernel:
-        # the full sum cancels; the first nonzero coefficient opens a nonzero prefix
-        z = kernel[0]
-        k = 1 + next(i for i, c in enumerate(z) if c)
-        verdict = Verdict3(FAILS, math.inf, None, _prefix_witness(space, vs, z, k),
-                           detail="linearly dependent: a cancelling combination "
-                                  "has a nonzero prefix")
-        return SchauderReport(verdict, "exact-structural", unbounded=True)
+        return _dependent_report(kernel[0])
 
     if space.exactness == "square":
         return _schauder_gram(vs, big_m)
@@ -654,13 +658,14 @@ def _schauder_analyze(
     return _schauder_sampled(space, vs, big_m, rng_seed)
 
 
-def _prefix_witness(space: SpaceModel, vs: tuple[Vector, ...],
-                    coeffs: list[Fraction], k: int) -> PrefixWitness:
-    """The first k terms of sum coeffs[n] x_n, set against the whole sum."""
-    prefix = spaces.combine(coeffs[:k], vs[:k])
-    full = spaces.combine(coeffs, vs)
-    return PrefixWitness(k, tuple(coeffs),
-                         spaces.norm(space, prefix), spaces.norm(space, full))
+def _dependent_report(z: list[Fraction]) -> SchauderReport:
+    """Failure on a kernel vector z: its full sum is exactly 0, so it carries no
+    norm brackets, and its first nonzero coefficient opens a nonzero prefix."""
+    k = 1 + next(i for i, c in enumerate(z) if c)
+    verdict = Verdict3(FAILS, math.inf, None, PrefixWitness(k, tuple(z), None, None),
+                       detail="linearly dependent: a cancelling combination "
+                              "has a nonzero prefix")
+    return SchauderReport(verdict, "exact-structural", unbounded=True)
 
 
 def _prefix_ratio(
@@ -743,8 +748,10 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderRe
             # the grid floor of M fails as M does, and no basis constant is below 1
             c_lo = max(Fraction(int(big_m * grid), grid), Fraction(1))
             margin = big_m - c_lo
-            verdict = Verdict3(FAILS, float(margin), margin,
-                               _prefix_witness(spaces.L2, vs, w, bad_k),
+            witness = PrefixWitness(
+                bad_k, tuple(w), spaces.norm(spaces.L2, spaces.combine(w[:bad_k], vs[:bad_k])),
+                spaces.norm(spaces.L2, spaces.combine(w, vs)))
+            verdict = Verdict3(FAILS, float(margin), margin, witness,
                                detail=f"prefix {bad_k} escapes the bound (PSD witness)")
             return SchauderReport(verdict, "exact-gram", constant_lo=c_lo)
 

@@ -10,7 +10,7 @@ together with a guaranteed error bound derived from dyadic root brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -40,6 +40,14 @@ class Vector:
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
             prev = pos
+
+    def __hash__(self):
+        # the generated hash, computed on first use and kept on the instance
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.entries,)))
+            return self._hash
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, Fraction]]) -> "Vector":

@@ -13,13 +13,13 @@ import pytest
 
 from oracles import (brute_l2_simplex_min, grid_simplex_min, ref_schauder_analyze,
                      ref_simplex_min_qp, sampled_basis_constant)
-from wctree import predicates
+from wctree import linalg, predicates
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
                                DualCertificate, basis_constant_estimate,
                                is_M_schauder, is_eps_dominating, mazur_combination,
                                simplex_min_norm)
-from wctree.sets import hilbert_cube
+from wctree.sets import build_set, hilbert_cube
 from wctree.spaces import (C0, L1, L2, Functional, Vector, combine, conjugate_norm, lp_space,
                            norm, pairing)
 from wctree.trees import WcTree
@@ -627,14 +627,37 @@ def test_schauder_known_constants():
     assert is_M_schauder(L2, pair, F(7, 5)).verdict.fails  # 7/5 < sqrt 2
 
 
+def _assert_kernel_witness(vs, w):
+    """A structural failure ships a kernel vector z and no norms, checked
+    exactly: sum z_n x_n = 0, z_n = 0 for n < k - 1, sum_{n<k} z_n x_n != 0."""
+    z, k = w.coefficients, w.prefix
+    assert w.prefix_norm is None and w.full_norm is None
+    assert combine(z, vs).is_zero
+    assert not any(z[:k - 1]) and not combine(z[:k], vs[:k]).is_zero
+
+
+def _kernel_as_reference(vs):
+    """Whether a structural failure ships the reference engine's kernel: it
+    does unless a dependence comes before the first repeat."""
+    first = next((j for j, v in enumerate(vs) if v in vs[:j]), None)
+    if first is None:
+        return True
+    rows = sorted({p for v in vs[:first] for p in v.support})
+    return linalg.rank([[v.coeff(r) for v in vs[:first]] for r in rows]) == first
+
+
 def test_schauder_repeats_are_unbounded():
-    rep = is_M_schauder(L2, [E(0), E(0)], F(100))
-    assert rep.verdict.fails
-    assert rep.unbounded
-    w = rep.verdict.witness
-    assert w is not None
-    # witness prefix genuinely escapes: nonzero prefix, zero full combination
-    assert w.full_norm.hi == 0 and w.prefix_norm.lo > 0
+    # the first repeat x_j = x_i ships e_j - e_i with prefix i + 1
+    nodes = [([E(0), E(0)], 1, (-1, 1)),
+             ([E(0), E(1), E(2), E(1), E(0)], 2, (0, -1, 0, 1, 0))]
+    for space in (L1, C0, L2, lp_space(F(3, 2))):
+        for vs, prefix, kernel in nodes:
+            rep = is_M_schauder(space, vs, F(100))
+            assert rep.verdict.fails and rep.unbounded
+            assert rep.method == "exact-structural" and rep.verdict.margin == math.inf
+            _assert_kernel_witness(vs, rep.verdict.witness)
+            assert (rep.verdict.witness.prefix, rep.verdict.witness.coefficients) == \
+                (prefix, kernel)
 
 
 def test_schauder_witness_on_failure_is_self_evident():
@@ -705,6 +728,20 @@ def _schauder_tuple(rep):
             rep.constant_lo, rep.constant_hi, rep.unbounded)
 
 
+def _assert_matches_reference(rep, vs, ref):
+    """Every field but the witness equals the reference's; so does the witness,
+    except that a structural failure ships a kernel vector without norms, and
+    the reference's kernel only where `_kernel_as_reference` says so."""
+    got = _schauder_tuple(rep)
+    assert got[:4] + got[5:] == ref[:4] + ref[5:]
+    if not (rep.method == "exact-structural" and rep.verdict.fails):
+        assert got[4] == ref[4]
+        return
+    _assert_kernel_witness(vs, rep.verdict.witness)
+    if _kernel_as_reference(vs):
+        assert got[4][:2] == ref[4][:2]
+
+
 def _schauder_node(rng, space):
     """A few nonzero vectors on four coordinates, at times with a repeated or
     scaled copy of an earlier one; at most three in lp:P."""
@@ -720,8 +757,9 @@ def _schauder_node(rng, space):
 
 
 def test_schauder_reports_match_the_reference_engine():
-    """Every report, witness included, equals the reference copy of the
-    four-method engine in `oracles`, for every method and verdict."""
+    """Every report equals the reference copy of the four-method engine in
+    `oracles`, for every method and verdict; a structural failure's witness
+    is checked as `_assert_matches_reference` says."""
     rng = random.Random(1701)
     seen = Counter()
     for trial in range(1500):
@@ -733,13 +771,41 @@ def test_schauder_reports_match_the_reference_engine():
             rep = basis_constant_estimate(space, vs, rng_seed=seed)
         else:
             rep = is_M_schauder(space, vs, big_m, rng_seed=seed)
-        assert _schauder_tuple(rep) == ref_schauder_analyze(space, vs, big_m, seed), \
-            (space, vs, big_m, seed)
+        try:
+            _assert_matches_reference(rep, vs, ref_schauder_analyze(space, vs, big_m, seed))
+        except AssertionError as exc:
+            raise AssertionError((space, vs, big_m, seed)) from exc
         seen[rep.method, rep.verdict.kind] += 1
     possible = set(itertools.product(
         ("exact-structural", "exact-polyhedral", "exact-gram", "sampled"),
         (HOLDS, FAILS, INCONCLUSIVE))) - {("sampled", HOLDS)}
     assert set(seen) == possible, seen
+
+
+def test_repeat_nodes_fail_on_sight_as_the_reference_engine_fails_them():
+    """Nodes that repeat a vector, a third of them with a dependence before
+    the first repeat, fail as the reference engine fails them, and every
+    shipped kernel vector passes the exact check."""
+    rng = random.Random(1703)
+    spaces_ = (L1, C0, L2, lp_space(F(3, 2)))
+    dense = build_set("dense-space", L1)
+    cases = [(space, [dense.selector(i) for i in (1, 2, 3, 1)]) for space in spaces_]
+    for trial in range(600):
+        space = spaces_[trial % 4]
+        vs = _schauder_node(rng, space)[:3]
+        if trial % 3 == 0:
+            vs.append(rng.choice(vs).scale(F(rng.choice([-1, 2, 3]))))
+        vs.insert(rng.randint(1, len(vs)), rng.choice(vs))
+        cases.append((space, vs))
+    other_kernel = 0
+    for space, vs in cases:
+        big_m = rng.choice(SCHAUDER_BOUNDS)
+        rep = (basis_constant_estimate(space, vs) if big_m is None
+               else is_M_schauder(space, vs, big_m))
+        assert rep.verdict.fails and rep.unbounded
+        _assert_matches_reference(rep, vs, ref_schauder_analyze(space, vs, big_m, 0))
+        other_kernel += not _kernel_as_reference(vs)
+    assert other_kernel >= 100, other_kernel
 
 
 def test_schauder_single_vector_is_constant_one():

@@ -1,14 +1,19 @@
 """Norm evaluation, vectors, functionals, and the dense enumeration."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import densify, float_norm
+import wctree
 from wctree.errors import ConfigurationError
 from wctree.spaces import (BUILTIN_SPACES, C0, L1, L2, Functional, SpaceModel,
                            Vector, combine, conjugate_norm, dense_index,
@@ -52,6 +57,46 @@ def test_vector_builds_no_fraction_for_fraction_inputs_or_absent_positions(monke
     assert v.entries == ((0, third), (3, half)) and v.entries[1][1] is half
     assert zeros == [0, 0, 0] and all(type(z) is Fraction for z in zeros)
     assert w.entries == ((1, Fraction(2)),) and type(w.entries[0][1]) is Fraction
+
+
+# one vector built four ways; the check prints its verdict rather than
+# asserting, so that it also runs under `python -O`
+EQUAL_VECTORS_CHECK = """
+from fractions import Fraction as F
+from wctree.spaces import Vector, combine
+vs = [Vector.from_pairs([(3, 2), (0, F(1, 2)), (5, 1), (5, -1)]),
+      Vector.from_pairs([(0, 1), (3, 4)]).scale(F(1, 2)),
+      combine([F(1, 2), F(2)], [Vector.unit(0), Vector.unit(3)]),
+      Vector.from_json([[0, "1/2"], [3, "2/1"]])]
+print(all(v == vs[0] for v in vs)
+      and len({hash(v) for v in vs}) == 1
+      and all(hash(v) == hash((v.entries,)) for v in vs)
+      and len(dict.fromkeys(vs)) == 1 and len(frozenset(vs)) == 1
+      and len({vs[0]: 0, Vector.unit(0): 1}) == 2)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_equal_vectors_share_one_hash_and_one_slot(flags):
+    """Equal vectors from `from_pairs`, `scale`, `combine` and `from_json`
+    hash alike, to the generated dataclass value `hash((entries,))`, and take
+    one slot in a dict and in a frozenset."""
+    src = str(Path(wctree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", EQUAL_VECTORS_CHECK],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "True"
+
+
+def test_vector_hashes_its_entries_once(monkeypatch):
+    v = Vector.from_pairs([(0, Fraction(1, 3)), (4, Fraction(-2, 7))])
+    hashed = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda c: hashed.append(c) or real(c))
+    assert len({hash(v), hash(v), hash(v)}) == 1 and len(hashed) == 2
+    assert {v: 1}[Vector(v.entries)] == 1 and len(hashed) == 4
 
 
 def test_vector_rejects_zero_entries_silently():

@@ -238,6 +238,31 @@ def test_exhaustive_scan_solves_each_set_of_distinct_vectors_once(monkeypatch):
     assert len(lower_ends) == 15 and set(map(frozenset, lower_ends)) == subsets
 
 
+def test_exhaustive_scan_fails_repeat_nodes_without_elimination_or_norms(monkeypatch):
+    """Every dependent node of the unit-vector scan repeats a vector, so the
+    Schauder test fails it on sight: no `linalg.nullspace` and no norm."""
+    eliminations, schauder_norms, inside = [], [], []
+    real_nullspace, real_norm = predicates.linalg.nullspace, predicates.spaces.norm
+    real_analyze = predicates._schauder_analyze
+    monkeypatch.setattr(predicates.linalg, "nullspace",
+                        lambda rows: eliminations.append(rows) or real_nullspace(rows))
+    monkeypatch.setattr(predicates.spaces, "norm", lambda space, v: (
+        inside and schauder_norms.append(v)) or real_norm(space, v))
+
+    def analyze(*args):
+        inside.append(True)
+        try:
+            return real_analyze(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(predicates, "_schauder_analyze", analyze)
+    tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
+    verdict = bounded_wf_search(tree, 5, 4)
+    assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 260
+    assert len(inside) == 0 and eliminations == [] and schauder_norms == []
+
+
 def _scan(tree, depth, index_bound):
     return list(walk(tree, depth, index_bound, SearchBudget(),
                      lambda ev: not ev.verdict.fails))
