@@ -13,7 +13,6 @@ malformed-input errors, 1 for semantic configuration or model failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -207,7 +206,7 @@ def cmd_wf_scan(args) -> dict:
         "kind": verdict.kind,
         "branch": None if verdict.branch is None else list(verdict.branch),
         "detail": verdict.detail,
-        "stats": dataclasses.asdict(verdict.stats),
+        "stats": verdict.stats._asdict(),
         "tree": tree.params(),
     }
 

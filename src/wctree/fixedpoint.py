@@ -14,9 +14,8 @@ and, when a domain model is supplied, against exact set membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from . import spaces
 from .errors import ConfigurationError, ContractViolation
@@ -124,8 +123,7 @@ def uniformize_relation(
     return {a: uniformize_least(poset, pool) for a, pool in pools.items()}
 
 
-@dataclass(frozen=True)
-class AscentResult:
+class AscentResult(NamedTuple):
     fixed_point: Element
     orbit: tuple[Element, ...]
 
@@ -187,8 +185,7 @@ def maximal_via_uniformization(poset: FinitePoset) -> AscentResult:
 # nonexpansive maps and averaged iteration
 
 
-@dataclass(frozen=True)
-class NonexpMapHandle:
+class NonexpMapHandle(NamedTuple):
     """A named nonexpansive map with exact and dense-float implementations.
 
     apply_vec acts on sparse rational vectors; apply_arr acts on dense float
@@ -286,16 +283,14 @@ def _float_norm(space: SpaceModel, arr: np.ndarray) -> float:
     return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class KmChecks:
+class KmChecks(NamedTuple):
     residual_monotone: bool
     shadow_deviation: float
     shadow_steps: int
     domain_ok: bool | None
 
 
-@dataclass(frozen=True)
-class KmResult:
+class KmResult(NamedTuple):
     """residuals[n] is ||x_n - T x_n||; the last entry describes `final`."""
 
     residuals: tuple[float, ...]
@@ -377,8 +372,7 @@ def km_iterate(
 # invariant-set saturation
 
 
-@dataclass(frozen=True)
-class SaturationResult:
+class SaturationResult(NamedTuple):
     points: tuple[Vector, ...]
     rounds: int
     exhausted: bool  # budget hit while new points were still appearing

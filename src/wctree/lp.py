@@ -15,14 +15,13 @@ are nonnegative; callers split free variables themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import int_row, pivot
+from .spaces import Record
 
 
-@dataclass
-class LpResult:
+class LpResult(Record):
     """Outcome of one solve.
 
     x and value are the optimal point and objective value.  duals holds one
@@ -34,11 +33,12 @@ class LpResult:
     the artificials pivoted out of the basis.
     """
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: list[Fraction]
-    value: Fraction | None
-    duals: list[Fraction]
-    pivots: int
+    __slots__ = _fields = ("status", "x", "value", "duals", "pivots")
+
+    def __init__(self, status: str,  # "optimal" | "infeasible" | "unbounded"
+                 x: list[Fraction], value: Fraction | None, duals: list[Fraction],
+                 pivots: int):
+        super().__init__(status, x, value, duals, pivots)
 
 
 def _run_simplex(tableau, basis, ncols) -> tuple[str, int]:

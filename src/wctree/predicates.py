@@ -23,17 +23,16 @@ threshold.  A sampled probe can certify failure but never success.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from . import linalg, lp, spaces
 from .errors import ConfigurationError, ContractViolation
-from .spaces import Functional, SpaceModel, Vector
+from .spaces import FrozenRecord, Functional, SpaceModel, Vector
 
 POLYHEDRAL_BUDGET = 250_000
 MARGIN_GRID_BITS = 12  # basis constants are bracketed on the 2^-12 grid
@@ -43,8 +42,7 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict3:
+class Verdict3(NamedTuple):
     """Three-valued decision with a signed slack and supporting evidence.
 
     margin is the certified slack of the decision in the direction of the
@@ -71,15 +69,13 @@ class Verdict3:
         return self.kind == INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class SimplexWitness:
+class SimplexWitness(NamedTuple):
     weights: tuple[Fraction, ...]
     combo: Vector
     norm: spaces.NormValue
 
 
-@dataclass(frozen=True)
-class DualCertificate:
+class DualCertificate(NamedTuple):
     """Functional of dual norm <= 1 with <g, x_n> >= lower_bound for all n.
 
     Pairing any simplex combination against g shows its norm is at least
@@ -91,15 +87,15 @@ class DualCertificate:
     gap: Fraction
 
 
-@dataclass(frozen=True)
-class SimplexMinResult:
-    lo: Fraction
-    hi: Fraction
-    witness: SimplexWitness
-    method: str  # "exact-lp" | "exact-qp" | "bracket"
-    exact: Fraction | None = None
-    exact_sq: Fraction | None = None
-    certificate: DualCertificate | None = None
+class SimplexMinResult(FrozenRecord):  # not a tuple: it never equals one
+    __slots__ = _fields = ("lo", "hi", "witness", "method", "exact", "exact_sq",
+                           "certificate")
+
+    def __init__(self, lo: Fraction, hi: Fraction, witness: SimplexWitness,
+                 method: str,  # "exact-lp" | "exact-qp" | "bracket"
+                 exact: Fraction | None = None, exact_sq: Fraction | None = None,
+                 certificate: DualCertificate | None = None):
+        super().__init__(lo, hi, witness, method, exact, exact_sq, certificate)
 
 
 def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...],
@@ -156,8 +152,8 @@ def _reordered(res: SimplexMinResult, solved: tuple[Vector, ...],
     to the order of vs: each on its first occurrence there, 0 on every copy."""
     pop = dict(zip(solved, res.witness.weights))
     weights = tuple(pop.pop(v, Fraction(0)) for v in vs)
-    return dataclasses.replace(
-        res, witness=dataclasses.replace(res.witness, weights=weights))
+    return SimplexMinResult(res.lo, res.hi, res.witness._replace(weights=weights),
+                            res.method, res.exact, res.exact_sq, res.certificate)
 
 
 def _coordinate_rows(vectors: tuple[Vector, ...]) -> list[int]:
@@ -571,8 +567,7 @@ def _bracket_domination(space: SpaceModel, vs: tuple[Vector, ...], eps: Fraction
 # Schauder prefix bounds
 
 
-@dataclass(frozen=True)
-class PrefixWitness:
+class PrefixWitness(NamedTuple):
     """Coefficients whose prefix combination beats M times the full one.
 
     A structural failure ships a kernel vector, whose full sum is exactly 0,
@@ -584,8 +579,7 @@ class PrefixWitness:
     full_norm: spaces.NormValue | None
 
 
-@dataclass(frozen=True)
-class SchauderReport:
+class SchauderReport(NamedTuple):
     verdict: Verdict3
     method: str  # "exact-structural" | "exact-polyhedral" | "exact-gram" | "sampled"
     constant_lo: Fraction | None = None

@@ -10,9 +10,8 @@ together with a guaranteed error bound derived from dyadic root brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import enumeration, linalg
 from .errors import ConfigurationError
@@ -21,8 +20,52 @@ BRACKET_BITS = 96
 _ZERO = Fraction(0)  # shared: a Fraction is immutable
 
 
-@dataclass(frozen=True)
-class Vector:
+class Record:
+    """A record whose fields, named in `_fields`, live in `__slots__`: for the
+    records that validate, are mutable or must not be tuples (the others are
+    `typing.NamedTuple`s).  Like a dataclass, it compares equal by its field
+    values, prints them by name, and is unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """A `Record` that refuses assignment once `__init__` has filled it, and
+    hashes as the tuple of its field values, like a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vector(FrozenRecord):
     """Finitely supported rational vector: sorted (position, coefficient) pairs.
 
     Entries are normalized on construction: strictly increasing positions,
@@ -30,19 +73,26 @@ class Vector:
     identical coefficients.
     """
 
-    entries: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("entries", "_hash")
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[int, Fraction], ...] = ()):
         prev = -1
-        for pos, coeff in self.entries:
+        for pos, coeff in entries:
             if pos <= prev:
                 raise ValueError("entries must have strictly increasing positions")
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
             prev = pos
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
     def __hash__(self):
-        # the generated hash, computed on first use and kept on the instance
+        # hash((entries,)), computed on first use and kept on the instance
         try:
             return self._hash
         except AttributeError:
@@ -125,8 +175,7 @@ class Vector:
         return f"Vector({body})"
 
 
-@dataclass(frozen=True)
-class SpaceModel:
+class SpaceModel(FrozenRecord):
     """A norm on the finitely supported rational vectors.
 
     kind "lp" with rational p >= 1, or "c0" for the sup norm.  The dense
@@ -134,19 +183,18 @@ class SpaceModel:
     shared by every space.
     """
 
-    ident: str
-    kind: str  # "lp" | "c0"
-    p: Fraction | None = None
+    __slots__ = _fields = ("ident", "kind", "p")
 
-    def __post_init__(self):
-        if self.kind == "lp":
-            if self.p is None or Fraction(self.p) < 1:
+    def __init__(self, ident: str, kind: str, p: Fraction | None = None):
+        if kind == "lp":
+            if p is None or Fraction(p) < 1:
                 raise ConfigurationError("lp spaces need rational p >= 1", "/p")
-        elif self.kind == "c0":
-            if self.p is not None:
+        elif kind == "c0":
+            if p is not None:
                 raise ConfigurationError("c0 takes no exponent", "/p")
         else:
-            raise ConfigurationError(f"unknown space kind {self.kind!r}", "/kind")
+            raise ConfigurationError(f"unknown space kind {kind!r}", "/kind")
+        super().__init__(ident, kind, p)
 
     @property
     def exactness(self) -> str:
@@ -198,8 +246,7 @@ C0 = sup_space()
 BUILTIN_SPACES = {"l1": L1, "l2": L2, "c0": C0, "sup": C0}
 
 
-@dataclass(frozen=True)
-class NormValue:
+class NormValue(NamedTuple):
     """A norm evaluation with a certified enclosure.
 
     value/error are floats for reporting; lo <= true norm <= hi always holds
@@ -303,24 +350,22 @@ def pairing(f: "Functional", v: Vector) -> Fraction:
     return f.vec.dot(v)
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(FrozenRecord):
     """A dual-space element in the conjugate-norm representation.
 
     `bound` is the claimed dual norm bound; construction verifies it, and
     refuses a bound that the certified conjugate norm cannot decide either way.
     """
 
-    space: SpaceModel
-    vec: Vector
-    bound: Fraction = Fraction(1)
+    __slots__ = _fields = ("space", "vec", "bound")
 
-    def __post_init__(self):
-        cmp = _dual_norm_cmp(self.space, self.vec, Fraction(self.bound))
+    def __init__(self, space: SpaceModel, vec: Vector, bound: Fraction = Fraction(1)):
+        cmp = _dual_norm_cmp(space, vec, Fraction(bound))
         if cmp == 1:
             raise ConfigurationError("functional exceeds its claimed dual-norm bound")
         if cmp is None:
             raise ConfigurationError("the dual-norm bound cannot be decided")
+        super().__init__(space, vec, bound)
 
     def __call__(self, v: Vector) -> Fraction:
         return pairing(self, v)

@@ -31,18 +31,17 @@ the whole parameter sweep, and its sections share one simplex memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import enumeration, predicates
 from .errors import ConfigurationError, ContractViolation
 from .predicates import FAILS, HOLDS, INCONCLUSIVE, SchauderReport, Verdict3
 from .sets import SetModel
-from .spaces import Vector
+from .spaces import Record, Vector
 
 
-@dataclass(frozen=True)
-class NodeEvaluation:
+class NodeEvaluation(NamedTuple):
     """Joint verdict of the two node predicates, with per-predicate detail."""
 
     verdict: Verdict3
@@ -164,10 +163,11 @@ class StackedTree:
 # the traversal core
 
 
-@dataclass
-class SearchBudget:
-    max_nodes: int = 100_000
-    spent: int = 0
+class SearchBudget(Record):
+    __slots__ = _fields = ("max_nodes", "spent")
+
+    def __init__(self, max_nodes: int = 100_000, spent: int = 0):
+        super().__init__(max_nodes, spent)
 
     def charge(self) -> bool:
         self.spent += 1
@@ -244,8 +244,7 @@ def levels(tree, depth: int, index_bound: int,
 # bounded searches
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     evaluated: int
     holds: int
     fails: int
@@ -257,8 +256,7 @@ WELL_FOUNDED = "well-founded-within"
 BRANCH_FOUND = "branch-found"
 
 
-@dataclass(frozen=True)
-class WfVerdict:
+class WfVerdict(NamedTuple):
     """Outcome of an exhaustive bounded search.
 
     well-founded-within: no path that could lie in the tree reaches the
@@ -321,15 +319,13 @@ def bounded_wf_search(
                      "every candidate path dies before the target depth")
 
 
-@dataclass(frozen=True)
-class PrefixRecord:
+class PrefixRecord(NamedTuple):
     node: tuple[int, ...]
     kind: str
     margin: float | None
 
 
-@dataclass(frozen=True)
-class BranchCertificate:
+class BranchCertificate(NamedTuple):
     """A depth-long all-holds path with per-prefix margins.
 
     `generator` describes the index pattern when one is recognized, e.g.

@@ -299,12 +299,16 @@ def test_saturation_mode(capsys):
     assert sat["closed"] and sat["points"] == 2
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    """Only fixed-point uses numpy, so importing the CLI must not load it."""
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_cli_import_leaves_numpy_dataclasses_and_inspect_unloaded(flags):
+    """Start-up imports only what every command needs: only fixed-point uses
+    numpy, and no record is a dataclass, whose import pulls in inspect."""
     src = str(Path(wctree.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    check = ("import sys, wctree.cli; "
+             "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, wctree.cli; print('numpy' in sys.modules)"],
+        [sys.executable, *flags, "-c", check],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

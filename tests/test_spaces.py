@@ -79,7 +79,7 @@ print(all(v == vs[0] for v in vs)
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
 def test_equal_vectors_share_one_hash_and_one_slot(flags):
     """Equal vectors from `from_pairs`, `scale`, `combine` and `from_json`
-    hash alike, to the generated dataclass value `hash((entries,))`, and take
+    hash alike, to `hash((entries,))` as a frozen dataclass did, and take
     one slot in a dict and in a frozenset."""
     src = str(Path(wctree.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

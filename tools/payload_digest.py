@@ -21,6 +21,9 @@ acceptance criteria and of README, traversals on every kind of space, and
 over every built-in set, at an eps that the lower end of a bracket minimum
 decides and at one that needs its upper end.  On some sets node 1,2,3,1 is
 dependent before its repeat, so its structural witness is not e_j - e_i.
+Then `fixed-point`, averaged and saturating, with every registered map, and
+`poset-demo`, on the default poset and on given ones, so that each result
+record of `fixedpoint` reaches some payload.
 """
 
 from __future__ import annotations
@@ -95,6 +98,32 @@ SCENARIOS = [
     " --index-bound 5",
 ]
 
+# whitespace-free arguments, split on spaces like SCENARIOS
+FIXED_POINT = [
+    # README
+    "fixed-point --space l2 --map shift --steps 10000 --set unit-ball",
+    "poset-demo --elements a,b,c --covers a<b,a<c",
+    # averaged iteration on every map and kind of space, with and without a domain
+    "fixed-point --space l2 --map shift --steps 100 --set unit-ball",
+    "fixed-point --space l1 --map shift --steps 50 --weight 1/3 --start 0:1,2:-1/2",
+    "fixed-point --space c0 --map halving --steps 40 --set unit-ball",
+    "fixed-point --space lp:3/2 --map identity --steps 20 --start 1:3/4",
+    "fixed-point --space l2 --map constant --point 0:1,3:1/2 --steps 30 --set unit-ball",
+    "fixed-point --space lp:3 --map constant --point 2:-1 --steps 25 --weight 9/10",
+    "fixed-point --space l2 --map shift --steps 0",
+    "fixed-point --space l2 --map shift --steps 10 --weight 1",
+    # orbit saturation: closed, closed at once, and cut by the point budget
+    "fixed-point --space l2 --map constant --point 0:1 --saturate --start 3:1/2",
+    "fixed-point --space l1 --map halving --saturate --start 0:1 --max-points 40",
+    "fixed-point --space l2 --map identity --saturate",
+    "fixed-point --space c0 --map shift --saturate --max-points 16",
+    # ascent in finite posets
+    "poset-demo",
+    "poset-demo --elements a,b,c,d --covers a<b,b<c,a<d",
+    "poset-demo --elements x",
+    "poset-demo --elements a,b --covers a-b",
+]
+
 
 def commands() -> list[list[str]]:
     cmds = [cli_args(w, draw_params(w, 5)) for w in WORKLOADS.values()]
@@ -105,6 +134,7 @@ def commands() -> list[list[str]]:
                 for eps in PREDICATE_EPS:
                     cmds.append(["predicate", "--space", space, "--set", kind,
                                  "--node", node, "--eps", eps, "--bigm", "2"])
+    cmds += [s.split() for s in FIXED_POINT]
     return cmds
 
 
