@@ -13,12 +13,16 @@ malformed-input errors, 1 for semantic configuration or model failures.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 import time
 from fractions import Fraction
+
+try:  # the builtin module; hashlib would load the OpenSSL bindings at start-up
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed it _sha2
+    from hashlib import sha256
 
 from . import __version__, fixedpoint, predicates, sets, spaces, trees
 from .errors import (ConfigurationError, ContractViolation, ModelIntegrityError,
@@ -493,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         "version": __version__,
         "command": args.command,
         "config": json.loads(canonical),
-        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
+        "config_hash": sha256(canonical.encode()).hexdigest(),
         "seed": args.seed,
         "timing_ms": round((time.perf_counter() - started) * 1000, 3),
         "payload": payload,

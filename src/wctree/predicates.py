@@ -15,10 +15,14 @@ min-norm-point method for the minimum, PSD tests for the constant), both
 on one integer Gram matrix Q = D^2 G that clears the denominators D of the
 node, so that neither loop does Fraction arithmetic.  Remaining
 exponents run in bracket mode: certified lower bounds come from exactly
-solvable comparison norms, upper bounds (computed only when the lower bound
-does not decide) from exact evaluation at rational candidate points, and
+solvable comparison norms, each solved only when its norm at the uniform
+combination could raise the best one so far; upper bounds (computed only
+when the lower bound does not decide) from exact evaluation at rational
+points that a float descent over the nonzero coefficients finds; and
 verdicts degrade to "inconclusive" when the enclosure straddles the
-threshold.  A sampled probe can certify failure but never success.
+threshold.  A domination verdict that does not fail depends on the set of
+the vectors alone, so a `trees.WcTree` asks for it once per set.  A sampled
+probe can certify failure but never success.
 """
 
 from __future__ import annotations
@@ -385,19 +389,18 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fra
     """Certified lower end of a bracket minimum.
 
     The largest exact minimum of a comparison norm that the p-norm
-    dominates: l2 when p < 2, sup always, and l1 scaled by the support-size
-    Holder factor.  Every vertex is a feasible point, so no vertex norm may
-    fall below it; that is checked here, where it costs m norm brackets.
+    dominates: l1 scaled by the support-size Holder factor, sup, and l2
+    when p < 2.  A minimum is at most its norm at any feasible point, so
+    the sup LP and the l2 QP are solved only when their norm at the uniform
+    combination exceeds the best candidate so far; a skipped one could not
+    have raised it.  Every vertex is a feasible point, so no vertex norm may
+    fall below the lower end; that is checked here, where it costs m norm
+    brackets.
     """
     p = space.p
     if p is None:
         raise ContractViolation("a bracket minimum needs a finite exponent")
-    sup_min = simplex_min_norm(spaces.C0, vs)
-    if sup_min.exact is None:
-        raise ContractViolation("the sup-norm simplex minimum came back inexact")
-    candidates = [sup_min.exact]
-    if p < 2:
-        candidates.append(simplex_min_norm(spaces.L2, vs).lo)
+    lo = Fraction(0)  # no candidate is negative, so 0 moves no maximum
     d = len(_coordinate_rows(vs))
     if d:
         l1_min = simplex_min_norm(spaces.L1, vs)
@@ -405,8 +408,15 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fra
             raise ContractViolation("the l1 simplex minimum came back inexact")
         a, b = p.numerator, p.denominator
         _, holder_hi = linalg.nthroot_brackets(Fraction(d ** (a - b)), a, 64)
-        candidates.append(l1_min.exact / holder_hi)
-    lo = max(candidates)
+        lo = l1_min.exact / holder_hi
+    u = spaces.combine([Fraction(1, len(vs))] * len(vs), vs)
+    if spaces.norm(spaces.C0, u).exact > lo:
+        sup_min = simplex_min_norm(spaces.C0, vs)
+        if sup_min.exact is None:
+            raise ContractViolation("the sup-norm simplex minimum came back inexact")
+        lo = max(lo, sup_min.exact)
+    if p < 2 and u.dot(u) > lo * lo:
+        lo = max(lo, simplex_min_norm(spaces.L2, vs).lo)
     if any(spaces.norm(space, v).hi < lo for v in vs):
         raise ContractViolation("bracket bounds crossed; comparison-norm reasoning is wrong")
     return lo
@@ -422,18 +432,25 @@ def _simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
     lazy path of `is_eps_dominating` skips whenever `lo` alone decides.
     """
     m = len(vs)
-    rows = _coordinate_rows(vs)
-    cols = [[float(v.coeff(r)) for r in rows] for v in vs]
+    at = {r: j for j, r in enumerate(_coordinate_rows(vs))}
+    # the nonzero coefficients, (row, c) per vector and (vector, c) per row, in
+    # the order of the dense sums: a skipped product is an exact +-0.0, and a
+    # sum that starts at 0 and adds one changes by nothing, not even its sign
+    cols = [[(at[r], float(c)) for r, c in v.entries] for v in vs]
+    by_row: list[list[tuple[int, float]]] = [[] for _ in at]
+    for n, col in enumerate(cols):
+        for j, c in col:
+            by_row[j].append((n, c))
     pf = float(space.p)
 
     def fval_grad(a: list[float]) -> tuple[float, list[float]]:
-        z = [sum(a[n] * cols[n][j] for n in range(m)) for j in range(len(rows))]
+        z = [sum(a[n] * c for n, c in row) for row in by_row]
         s = sum(abs(t) ** pf for t in z)
         f = s ** (1 / pf) if s > 0 else 0.0
         if f <= 0:
             return 0.0, [0.0] * m
         gz = [math.copysign(abs(t) ** (pf - 1), t) / f ** (pf - 1) for t in z]
-        return f, [sum(gz[j] * cols[n][j] for j in range(len(rows))) for n in range(m)]
+        return f, [sum(gz[j] * c for j, c in col) for col in cols]
 
     starts = [[1.0 / m] * m]
     for i in range(m):

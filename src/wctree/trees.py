@@ -19,9 +19,10 @@ export; `branch_search` and `levels` expand breadth-first instead, since
 under a budget cut the two orders evaluate different nodes.
 
 Membership depends on the selected vectors alone, so a tree memoizes its
-evaluations by them.  It also owns the simplex-minimum memo of its domination
-tests, one entry for every order and repetition of the same vectors, so all
-a command has computed lives as long as its tree; no state outlives it.
+evaluations by them, and every domination verdict that is not a failure by
+their set.  It also owns the simplex-minimum memo of its domination tests,
+one entry for every order and repetition of the same vectors, so all a
+command has computed lives as long as its tree; no state outlives it.
 
 The stacked tree interleaves every parameter scale: its section at first
 index n is the (1/(n+1), n+1)-tree of the same family, so one tree carries
@@ -75,10 +76,14 @@ class WcTree:
     """Tree of finite selector-index tuples passing both node predicates.
 
     Evaluations are memoized by the selected vectors in order, so nodes that
-    select the same vectors share one.  `simplex_memo`, the simplex-minimum
-    memo of every domination test, has one entry for every order and every
-    repetition of the same vectors (and every section of a `StackedTree`).
-    Both live as long as the tree.
+    select the same vectors share one.  A domination verdict that holds or is
+    undecided carries nothing that follows the order of the vectors, so one
+    serves every order and repetition of the same vectors; a failing one
+    carries witness weights in the node's order, and each order asks for its
+    own.  `simplex_memo`, the simplex-minimum memo of every domination test,
+    has one entry for every order and every repetition of the same vectors
+    (and every section of a `StackedTree`, whose verdicts differ in eps).
+    All three live as long as the tree.
     """
 
     def __init__(self, family: SetModel, eps: Fraction, big_m: Fraction,
@@ -93,6 +98,7 @@ class WcTree:
         self.big_m = big_m
         self.tol = Fraction(tol)
         self._cache: dict[tuple[Vector, ...], NodeEvaluation] = {}
+        self._dominations: dict[frozenset[Vector], Verdict3] = {}
         self.simplex_memo = {} if simplex_memo is None else simplex_memo
 
     def vectors(self, node: tuple[int, ...]) -> tuple[Vector, ...]:
@@ -106,8 +112,13 @@ class WcTree:
         if not vs:
             ev = NodeEvaluation(Verdict3(HOLDS, None, None, None, "root"))
         else:
-            dom = predicates.is_eps_dominating(self.family.space, vs, self.eps, self.tol,
-                                               self.simplex_memo)
+            key = frozenset(vs)
+            dom = self._dominations.get(key)
+            if dom is None:
+                dom = predicates.is_eps_dominating(self.family.space, vs, self.eps,
+                                                   self.tol, self.simplex_memo)
+                if not dom.fails:  # a failure's witness weights follow vs
+                    self._dominations[key] = dom
             if dom.fails:
                 ev = NodeEvaluation(_combine(dom, None), dom, None)
             else:

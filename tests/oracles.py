@@ -898,3 +898,125 @@ def _ref_dual_certificate_l2(
     lower = scale * value_sq
     hi = linalg.sqrt_upper(value_sq, spaces.BRACKET_BITS)
     return DualCertificate(functional, lower, hi - lower)
+
+
+# The bracket-minimum ends of `predicates` as they stood before the lower end
+# skipped comparison minima that cannot raise it and the descent skipped
+# zero coefficients, with only the names changed and the comparison-minimum
+# solver passed in (the library's `simplex_min_norm`, for l1, sup and l2).
+
+def _ref_coordinate_rows(vectors: tuple[Vector, ...]) -> list[int]:
+    rows: set[int] = set()
+    for v in vectors:
+        rows.update(v.support)
+    return sorted(rows)
+
+
+def ref_simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...],
+                                  simplex_min) -> Fraction:
+    """Certified lower end of a bracket minimum.
+
+    The largest exact minimum of a comparison norm that the p-norm
+    dominates: l2 when p < 2, sup always, and l1 scaled by the support-size
+    Holder factor.  Every vertex is a feasible point, so no vertex norm may
+    fall below it; that is checked here, where it costs m norm brackets.
+    """
+    p = space.p
+    if p is None:
+        raise ContractViolation("a bracket minimum needs a finite exponent")
+    sup_min = simplex_min(spaces.C0, vs)
+    if sup_min.exact is None:
+        raise ContractViolation("the sup-norm simplex minimum came back inexact")
+    candidates = [sup_min.exact]
+    if p < 2:
+        candidates.append(simplex_min(spaces.L2, vs).lo)
+    d = len(_ref_coordinate_rows(vs))
+    if d:
+        l1_min = simplex_min(spaces.L1, vs)
+        if l1_min.exact is None:
+            raise ContractViolation("the l1 simplex minimum came back inexact")
+        a, b = p.numerator, p.denominator
+        _, holder_hi = linalg.nthroot_brackets(Fraction(d ** (a - b)), a, 64)
+        candidates.append(l1_min.exact / holder_hi)
+    lo = max(candidates)
+    if any(spaces.norm(space, v).hi < lo for v in vs):
+        raise ContractViolation("bracket bounds crossed; comparison-norm reasoning is wrong")
+    return lo
+
+
+def _ref_project_simplex(a: list[float]) -> list[float]:
+    srt = sorted(a, reverse=True)
+    acc = 0.0
+    rho, theta = 0, 0.0
+    for i, v in enumerate(srt, 1):
+        acc += v
+        t = (acc - 1.0) / i
+        if v - t > 0:
+            rho, theta = i, t
+    return [max(0.0, v - theta) for v in a]
+
+
+def ref_simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
+                                  lo: Fraction) -> SimplexMinResult:
+    """The enclosure of a bracket minimum whose lower end is `lo`.
+
+    Upper end: the exact norm bracket at the best rational candidate that
+    projected subgradient descent finds (m + 1 starts, snapped to the 2^-12
+    grid), or at a vertex when one is tighter.  The descent multiplies out
+    every coefficient of the dense coordinate matrix, zeros included.
+    """
+    m = len(vs)
+    rows = _ref_coordinate_rows(vs)
+    cols = [[float(v.coeff(r)) for r in rows] for v in vs]
+    pf = float(space.p)
+
+    def fval_grad(a: list[float]) -> tuple[float, list[float]]:
+        z = [sum(a[n] * cols[n][j] for n in range(m)) for j in range(len(rows))]
+        s = sum(abs(t) ** pf for t in z)
+        f = s ** (1 / pf) if s > 0 else 0.0
+        if f <= 0:
+            return 0.0, [0.0] * m
+        gz = [math.copysign(abs(t) ** (pf - 1), t) / f ** (pf - 1) for t in z]
+        return f, [sum(gz[j] * cols[n][j] for j in range(len(rows))) for n in range(m)]
+
+    starts = [[1.0 / m] * m]
+    for i in range(m):
+        e = [0.0] * m
+        e[i] = 1.0
+        starts.append(e)
+    best_pt: list[float] | None = None
+    best_f = math.inf
+    for a in starts:
+        cur = a[:]
+        for t in range(1, 121):
+            f, grad = fval_grad(cur)
+            if f < best_f:
+                best_f, best_pt = f, cur[:]
+            gn = math.sqrt(sum(g * g for g in grad)) or 1.0
+            step = 0.3 / (gn * math.sqrt(t))
+            cur = _ref_project_simplex([cur[i] - step * grad[i] for i in range(m)])
+        f, _ = fval_grad(cur)
+        if f < best_f:
+            best_f, best_pt = f, cur[:]
+    if best_pt is None:
+        raise ContractViolation("the descent found no point with a finite norm")
+    grid = 1 << 12  # predicates.MARGIN_GRID_BITS
+    snapped = [Fraction(max(0, round(w * grid)), grid) for w in best_pt]
+    total = sum(snapped, Fraction(0))
+    weights = tuple(w / total for w in snapped) if total else tuple(
+        [Fraction(1)] + [Fraction(0)] * (m - 1)
+    )
+    combo = spaces.combine(weights, vs)
+    nv = spaces.norm(space, combo)
+    hi = nv.hi
+    # vertices are feasible too; keep whichever bound is tighter
+    for i in range(m):
+        vn = spaces.norm(space, vs[i])
+        if vn.hi < hi:
+            hi = vn.hi
+            weights = tuple(Fraction(1) if j == i else Fraction(0) for j in range(m))
+            combo, nv = vs[i], vn
+    if hi < lo:
+        raise ContractViolation("bracket bounds crossed; comparison-norm reasoning is wrong")
+    witness = SimplexWitness(weights, combo, nv)
+    return SimplexMinResult(lo, hi, witness, "bracket")

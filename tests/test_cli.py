@@ -1,6 +1,8 @@
 """CLI envelope, exit codes, reproducibility, file outputs."""
 
 import copy
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -51,6 +53,13 @@ def test_config_hash_tracks_inputs(capsys):
     a = run_json(capsys, *base)
     b = run_json(capsys, *base, "--seed", "7")
     assert a["config_hash"] != b["config_hash"]
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_config(capsys):
+    env = run_json(capsys, "wf-scan", "--space", "lp:3/2", "--set", "unit-vector-family",
+                   "--eps", "3/5", "--bigm", "2", "--depth", "2", "--index-bound", "3")
+    canonical = json.dumps(env["config"], sort_keys=True, separators=(",", ":"))
+    assert env["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_text_format(capsys):
@@ -302,11 +311,15 @@ def test_saturation_mode(capsys):
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
 def test_cli_import_leaves_numpy_dataclasses_and_inspect_unloaded(flags):
     """Start-up imports only what every command needs: only fixed-point uses
-    numpy, and no record is a dataclass, whose import pulls in inspect."""
+    numpy, no record is a dataclass, whose import pulls in inspect, and the
+    config hash takes the builtin sha256 where there is one, not hashlib's
+    OpenSSL bindings."""
     src = str(Path(wctree.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    check = ("import sys, wctree.cli; "
-             "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    unwanted = {"numpy", "dataclasses", "inspect"}
+    if importlib.util.find_spec("_sha256") is not None:
+        unwanted.add("_hashlib")
+    check = f"import sys, wctree.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, *flags, "-c", check],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,

@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (brute_l2_simplex_min, grid_simplex_min, ref_schauder_analyze,
+                     ref_simplex_min_bracket_lower, ref_simplex_min_bracket_upper,
                      ref_simplex_min_qp, sampled_basis_constant)
-from wctree import linalg, predicates
+from wctree import linalg, predicates, sets
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
                                DualCertificate, basis_constant_estimate,
@@ -584,6 +586,76 @@ def test_lazy_bracket_domination_matches_the_eager_enclosure():
         assert combine(hit.witness.weights, order) == eager.witness.combo
     assert sum(kinds.values()) >= 300
     assert min(kinds[k] for k in (HOLDS, FAILS, INCONCLUSIVE)) >= 40, kinds
+
+
+BRACKET_EXPONENTS = [F(3, 2), F(4, 3), F(3), F(5, 2)]
+
+
+def _seeded_nodes(rng, per_set):
+    """(space, vectors): 1-4 distinct vectors drawn from the first 24
+    selectors of every built-in set, in lp:P for every P above."""
+    for kind in sorted(sets._BUILDERS):
+        for p in BRACKET_EXPONENTS:
+            model = build_set(kind, lp_space(p))
+            for _ in range(per_set):
+                picks = rng.sample(range(24), rng.randint(1, 4))
+                yield model.space, tuple(dict.fromkeys(map(model.selector, picks)))
+
+
+def _outcome(solve):
+    """What solve() returns, or the type and message of what it raises."""
+    try:
+        return solve()
+    except (ContractViolation, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_pruned_lower_end_matches_the_unpruned_reference(monkeypatch):
+    """The lower end solves a sup LP or an l2 QP only when its norm at the
+    uniform combination beats the best candidate so far; it is the Fraction
+    that solving every comparison minimum gives, and it skips some of each."""
+    real = predicates.simplex_min_norm
+    solved = Counter()
+    monkeypatch.setattr(predicates, "simplex_min_norm", lambda space, vs, memo=None: (
+        solved.update([space]) or real(space, vs, memo)))
+    nodes, below_two = 0, 0
+    for space, vs in _seeded_nodes(random.Random(1818), 60):
+        want = _outcome(lambda: ref_simplex_min_bracket_lower(space, vs, real))
+        got = _outcome(lambda: predicates._simplex_min_bracket_lower(space, vs))
+        assert got == want, (space, vs)
+        nodes += 1
+        below_two += space.p < 2
+    # the reference solves sup for every node and l2 for every p < 2
+    assert nodes >= 400
+    assert 0 < solved[C0] < nodes and 0 < solved[L2] < below_two, solved
+
+
+def test_sparse_descent_is_bit_identical_to_the_dense_reference(monkeypatch):
+    """The descent multiplies out nonzero coefficients only, in the order of
+    the dense sums, so it projects the same floats bit for bit (float.hex
+    tells signed zeros apart) and snaps the same weights to the same upper
+    end.  unit-ball and dense-space have negative coefficients, whose
+    products with a zero weight are -0.0."""
+    traces: dict[str, list] = {"sparse": [], "dense": []}
+
+    def traced(real, trace):
+        return lambda a: trace.append([x.hex() for x in a]) or real(a)
+
+    monkeypatch.setattr(predicates, "_project_simplex",
+                        traced(predicates._project_simplex, traces["sparse"]))
+    monkeypatch.setattr(oracles, "_ref_project_simplex",
+                        traced(oracles._ref_project_simplex, traces["dense"]))
+    rng = random.Random(1819)
+    negative = 0
+    for space, vs in _seeded_nodes(rng, 5):
+        traces["sparse"].clear()
+        traces["dense"].clear()
+        got = predicates._simplex_min_bracket_upper(space, vs, F(0))
+        want = ref_simplex_min_bracket_upper(space, vs, F(0))
+        assert (got.witness, got.hi) == (want.witness, want.hi), (space, vs)
+        assert traces["sparse"] == traces["dense"], (space, vs)
+        negative += any(c < 0 for v in vs for _, c in v.entries)
+    assert negative >= 10
 
 
 def test_no_module_asserts():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, SimplexWitness,
                                Verdict3, is_M_schauder, is_eps_dominating,
                                simplex_min_norm)
-from wctree.sets import (explicit_list, hilbert_cube, summing_hull,
+from wctree.sets import (dense_space, explicit_list, hilbert_cube, summing_hull,
                          unit_vector_family, unit_vector_hull)
 from wctree.spaces import L1, L2, Vector, combine, lp_space
 from wctree.trees import (BRANCH_FOUND, WELL_FOUNDED, NodeEvaluation,
@@ -261,6 +262,93 @@ def test_exhaustive_scan_fails_repeat_nodes_without_elimination_or_norms(monkeyp
     verdict = bounded_wf_search(tree, 5, 4)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 260
     assert len(inside) == 0 and eliminations == [] and schauder_norms == []
+
+
+def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
+    """The work of `wf-scan --space lp:3/2 --set unit-vector-family --eps 3/5
+    --bigm 2 --depth 5 --index-bound 5`: one domination test per set of
+    distinct vectors that holds, one per order of each failing one; an l1 LP
+    per lower end and a sup LP only where it can raise one; no l2 QP."""
+    calls = Counter()
+    for owner, name in ((predicates, "is_eps_dominating"), (predicates.lp, "solve_lp"),
+                        (predicates, "_simplex_min_qp")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k: (
+            calls.update([_name]) or _real(*a, **k)))
+    tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
+    verdict = bounded_wf_search(tree, 5, 5)
+    assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
+    assert calls == {"is_eps_dominating": 150, "solve_lp": 36}
+
+
+class _NoVerdicts(dict):
+    """A verdict dict that keeps nothing, so every node runs the predicate."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _LoggedTree(WcTree):
+    def __init__(self, *args, keep_verdicts: bool):
+        super().__init__(*args)
+        self.log: list = []
+        if not keep_verdicts:
+            self._dominations = _NoVerdicts()
+
+    def member(self, node):
+        ev = super().member(node)
+        self.log.append((node, ev))
+        return ev
+
+
+@pytest.mark.parametrize("family, eps, big_m, depth, index_bound", [
+    (unit_vector_hull(L1), F(3, 8), F(1), 8, 32),
+    (unit_vector_family(L2), F(6, 25), F(1), 8, 8),
+], ids=["l1-hull-branch", "l2-family-branch"])
+def test_set_verdicts_leave_every_evaluation_unchanged(monkeypatch, family, eps, big_m,
+                                                       depth, index_bound):
+    """The seed-5 branch workloads, with the certificate revalidated on a
+    fresh tree as `branch-hunt` does: every node evaluates to the same
+    NodeEvaluation as when no domination verdict is kept, with fewer tests."""
+    calls = []
+    real = predicates.is_eps_dominating
+    monkeypatch.setattr(predicates, "is_eps_dominating", lambda space, vs, *a: (
+        calls.append(vs) or real(space, vs, *a)))
+    runs = {}
+    for keep in (True, False):
+        tree, fresh = (_LoggedTree(family, eps, big_m, keep_verdicts=keep) for _ in "ab")
+        cert = branch_search(tree, depth, index_bound, 4)
+        assert cert is not None and validate_certificate(fresh, cert)
+        runs[keep] = cert, tree.log + fresh.log, len(calls)
+        calls.clear()
+    assert runs[True][:2] == runs[False][:2]
+    assert runs[True][2] < runs[False][2]
+
+
+def test_failing_domination_witness_follows_each_nodes_order():
+    """A failing verdict is asked for again in each order of its vectors, so
+    its witness weights combine that node's own vectors; the verdicts that
+    hold are kept, one per set."""
+    cases = [
+        # e0 and -e0 cancel, so every order fails at any eps
+        (WcTree(dense_space(L1), F(1, 2), F(2)), [(1, 4), (4, 1), (4, 1, 4), (2, 4, 1)]),
+        # five unit vectors of lp:3/2 have minimum 5^(-1/3) < 3/5
+        (WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2)),
+         [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 0, 2, 4, 1, 3)]),
+    ]
+    for tree, nodes in cases:
+        weights = set()
+        for node in nodes:
+            dom = tree.member(node).domination
+            vs = tree.vectors(node)
+            assert dom.fails and combine(dom.witness.weights, vs) == dom.witness.combo
+            assert dom.witness == simplex_min_norm(tree.family.space, vs,
+                                                   tree.simplex_memo).witness
+            weights.add(dom.witness.weights)
+        assert len(weights) > 1  # the orders differ in their weights
+        assert not tree._dominations
+        assert tree.member(nodes[0][:1]).domination is \
+            tree._dominations[frozenset(tree.vectors(nodes[0][:1]))]
 
 
 def _scan(tree, depth, index_bound):

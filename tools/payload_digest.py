@@ -21,6 +21,10 @@ acceptance criteria and of README, traversals on every kind of space, and
 over every built-in set, at an eps that the lower end of a bracket minimum
 decides and at one that needs its upper end.  On some sets node 1,2,3,1 is
 dependent before its repeat, so its structural witness is not e_j - e_i.
+Then `predicate` on nodes of 2-4 distinct nonzero vectors, in lp:4/3 and
+lp:5/2 over every built-in set, at an eps of 1/16 that the lower end
+decides (every such lower end is at least 1/16) and at 2, above every
+lower end, where the upper end is needed.
 Then `fixed-point`, averaged and saturating, with every registered map, and
 `poset-demo`, on the default poset and on given ones, so that each result
 record of `fixedpoint` reaches some payload.
@@ -46,6 +50,16 @@ SETS = ["unit-vector-hull", "summing-hull", "unit-ball", "hilbert-cube",
         "unit-vector-family", "dense-space"]
 REPEAT_NODES = ["0,0", "0,1,0", "1,0,1", "2,3,2,3", "0,4,8,4", "5,1,5,1,5", "1,2,3,1"]
 PREDICATE_EPS = ["1/2", "1"]
+BRACKET_SPACES = ["lp:4/3", "lp:5/2"]
+DISTINCT_NODES = {
+    "unit-vector-hull": ["4,0", "0,4,8", "8,0,14,4"],
+    "summing-hull": ["4,0", "0,4,8", "12,8,4,0"],
+    "unit-ball": ["2,6", "8,2,12", "2,6,8,14"],
+    "hilbert-cube": ["1,3", "8,1,5", "1,2,3,6"],
+    "unit-vector-family": ["1,0", "0,2,4", "3,0,1,2"],
+    "dense-space": ["4,2", "2,1,6", "1,8,3,7"],
+}
+DISTINCT_EPS = ["1/16", "2"]
 
 SCENARIOS = [
     # acceptance criteria 01, 02 and 10
@@ -132,6 +146,12 @@ def commands() -> list[list[str]]:
         for kind in SETS:
             for node in REPEAT_NODES:
                 for eps in PREDICATE_EPS:
+                    cmds.append(["predicate", "--space", space, "--set", kind,
+                                 "--node", node, "--eps", eps, "--bigm", "2"])
+    for space in BRACKET_SPACES:
+        for kind in SETS:
+            for node in DISTINCT_NODES[kind]:
+                for eps in DISTINCT_EPS:
                     cmds.append(["predicate", "--space", space, "--set", kind,
                                  "--node", node, "--eps", eps, "--bigm", "2"])
     cmds += [s.split() for s in FIXED_POINT]
