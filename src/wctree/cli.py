@@ -241,18 +241,15 @@ def cmd_branch_hunt(args) -> dict:
 def cmd_analyze_tree(args) -> dict:
     tree = _tree_from_args(args)
     budget = trees.SearchBudget(args.node_budget)
-    levels = trees.levels(tree, args.depth, args.index_bound, budget)
-    rank = None
-    if not args.stacked:
-        rank = trees.rank_within(tree, args.depth, args.index_bound, budget)
+    levels, rank, complete = trees.levels(tree, args.depth, args.index_bound, budget)
     bits, open_idx = trees.encode_characteristic(tree, args.char_count, budget)
     payload: dict = {
         "tree": tree.params(),
         "levels": [{"depth": d, **counts} for d, counts in enumerate(levels, 1)],
         "budget_exhausted": budget.exhausted,
     }
-    if rank is not None:
-        payload["rank_within_bounds"] = {"value": rank[0], "complete": rank[1]}
+    if not args.stacked:
+        payload["rank_within_bounds"] = {"value": rank, "complete": complete}
     payload["characteristic"] = {"bits": bits, "open": open_idx}
     return payload
 

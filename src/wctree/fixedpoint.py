@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 Element = Hashable
+SHADOW_STEPS = 12  # the first iterations `km_iterate` repeats in exact arithmetic
 
 
 class FinitePoset:
@@ -310,12 +311,11 @@ def km_iterate(
     weight: Fraction = Fraction(1, 2),
     start: Vector | None = None,
     domain: SetModel | None = None,
-    shadow_steps: int = 12,
 ) -> KmResult:
     """Averaged iteration x' = (1-t) x + t T(x) with residual tracking.
 
     Runs in dense float64 with an exact rational shadow over the first
-    `shadow_steps` iterations; the shadow must agree with the float path and,
+    `SHADOW_STEPS` iterations; the shadow must agree with the float path and,
     if a domain model is given, stay inside it under exact membership.
     """
     import numpy as np
@@ -335,7 +335,7 @@ def km_iterate(
     shadow = x_vec
     shadow_dev = 0.0
     domain_ok: bool | None = None if domain is None else True
-    run_shadow = min(shadow_steps, steps)
+    run_shadow = min(SHADOW_STEPS, steps)
 
     residuals = []
     monotone = True

@@ -367,9 +367,6 @@ class Functional(FrozenRecord):
             raise ConfigurationError("the dual-norm bound cannot be decided")
         super().__init__(space, vec, bound)
 
-    def __call__(self, v: Vector) -> Fraction:
-        return pairing(self, v)
-
     def to_json(self) -> dict:
         return {"vector": self.vec.to_json(), "bound": str(self.bound)}
 

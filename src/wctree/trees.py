@@ -14,9 +14,11 @@ searches are careful about which claims an unknown node can block:
 Every bounded traversal rests on `expand`, which evaluates a node's children
 below the index bound at one `SearchBudget` unit each and stops at the first
 refused charge (`budget.exhausted` then says the traversal was cut).  The
-depth-first `walk` serves `bounded_wf_search`, `rank_within` and the DOT
-export; `branch_search` and `levels` expand breadth-first instead, since
-under a budget cut the two orders evaluate different nodes.
+depth-first `walk` serves `bounded_wf_search` and the DOT export;
+`branch_search` and `levels` expand breadth-first instead, since under a
+budget cut the two orders evaluate different nodes.  `levels` counts verdicts
+per depth and finds the certified rank in one pass, of which `rank_within`
+is a view, so `analyze-tree` evaluates each node once.
 
 Membership depends on the selected vectors alone, so a tree memoizes its
 evaluations by them, and every domination verdict that is not a failure by
@@ -178,6 +180,8 @@ class SearchBudget(Record):
     __slots__ = _fields = ("max_nodes", "spent")
 
     def __init__(self, max_nodes: int = 100_000, spent: int = 0):
+        if max_nodes < 0:
+            raise ConfigurationError("node budget must be nonnegative", "/node-budget")
         super().__init__(max_nodes, spent)
 
     def charge(self) -> bool:
@@ -228,27 +232,41 @@ def walk(tree, depth: int, index_bound: int, budget: SearchBudget, descend):
 
 
 def levels(tree, depth: int, index_bound: int,
-           budget: SearchBudget) -> list[dict[str, int]]:
-    """Verdict counts per depth, breadth-first through not-failing nodes.
+           budget: SearchBudget) -> tuple[list[dict[str, int]], int, bool]:
+    """(counts, rank, complete): verdict counts per depth, breadth-first
+    through not-failing nodes, and the rank of the certified-holds region.
 
     Stops after a level that the budget cuts or that leaves nothing to expand.
+    The rank is the depth of the deepest evaluated node whose every prefix
+    holds.  It is incomplete when an undecided child of such a node, a budget
+    cut or a rank at `depth` itself may hide taller certified structure.
     """
     _check_bounds(depth, index_bound)
     counts_by_depth = []
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(depth):
+    rank, complete = 0, True
+    frontier = [((), True)]  # (node, whether every node on its path holds)
+    for d in range(1, depth + 1):
         counts = {HOLDS: 0, FAILS: 0, INCONCLUSIVE: 0}
         nxt = []
-        for node in frontier:
+        for node, certified in frontier:
             for child, ev in expand(tree, node, index_bound, budget):
-                counts[ev.verdict.kind] += 1
-                if not ev.verdict.fails:
-                    nxt.append(child)
+                kind = ev.verdict.kind
+                counts[kind] += 1
+                if kind == FAILS:
+                    continue
+                on_path = certified and kind == HOLDS
+                if on_path:
+                    rank = d
+                elif certified:  # undecided below an all-holds path
+                    complete = False
+                nxt.append((child, on_path))
         counts_by_depth.append(counts)
         if budget.exhausted or not nxt:
             break
         frontier = nxt
-    return counts_by_depth
+    if budget.exhausted or rank >= depth:
+        complete = False
+    return counts_by_depth, rank, complete
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +443,10 @@ def validate_certificate(tree, cert: BranchCertificate) -> bool:
 
 def rank_within(tree, depth: int, index_bound: int,
                 budget: SearchBudget | None = None) -> tuple[int, bool]:
-    """Rank of the certified-holds region under the bounds.
-
-    Returns (rank, complete): `complete` is False when an undecided node or
-    the budget cap means deeper certified structure may have been missed.
-    The rank is the length of the longest all-holds path from the root.
-    """
-    budget = budget or SearchBudget()
-    rank, complete = 0, True
-    for node, ev in walk(tree, depth, index_bound, budget,
-                         lambda ev: ev.verdict.holds):
-        if ev.verdict.holds:
-            rank = max(rank, len(node))
-        elif ev.verdict.inconclusive:
-            complete = False
-    # a cut scan, or a rank at the cap itself, may be hiding taller structure
-    if budget.exhausted or rank >= depth:
-        complete = False
+    """(rank, complete) of the certified-holds region under the bounds, as
+    `levels` finds them: the rank is the length of the longest evaluated
+    all-holds path from the root."""
+    _, rank, complete = levels(tree, depth, index_bound, budget or SearchBudget())
     return rank, complete
 
 

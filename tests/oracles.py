@@ -366,6 +366,13 @@ def ref_rank_within(tree, depth, index_bound, budget):
     return rank, complete
 
 
+def ref_certified_rank(tree, nodes):
+    """Length of the longest of `nodes` whose every prefix holds, in any order."""
+    return max((len(node) for node in nodes
+                if all(tree.member(node[:k]).verdict.holds
+                       for k in range(1, len(node) + 1))), default=0)
+
+
 def ref_levels(tree, depth, index_bound, budget):
     """(per-depth verdict counts, exhausted), breadth-first."""
     levels = []

@@ -226,27 +226,63 @@ def test_traversal_bounds_below_one_exit_1(capsys):
     assert "/depth" in capsys.readouterr().err
     assert main(["branch-hunt", *model, "--depth", "2", "--index-bound", "0"]) == 1
     assert "/index-bound" in capsys.readouterr().err
+    # a negative budget is refused; a zero one evaluates nothing and says so
+    assert main(["wf-scan", *model, "--depth", "2", "--node-budget", "-1"]) == 1
+    assert "/node-budget" in capsys.readouterr().err
+    payload = run_json(capsys, "wf-scan", *model, "--depth", "2",
+                       "--node-budget", "0")["payload"]
+    assert payload["stats"]["evaluated"] == 0 and payload["stats"]["exhausted"]
+
+
+def _count_member_calls(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch WcTree.member to log every call's node; return the log."""
+    calls = []
+    member = trees.WcTree.member
+
+    def counting_member(tree, node):
+        calls.append(tuple(node))
+        return member(tree, node)
+
+    monkeypatch.setattr(trees.WcTree, "member", counting_member)
+    return calls
+
+
+SUMMING_ANALYZE = ["analyze-tree", "--space", "l2", "--set", "summing-hull", "--eps", "1/2",
+                   "--bigm", "3", "--depth", "3", "--index-bound", "12"]
 
 
 def test_analyze_tree_spends_one_node_budget(capsys, monkeypatch):
     """Levels, rank and characteristic bits draw on the one --node-budget."""
-    evaluated = set()
-    member = trees.WcTree.member
-
-    def counting_member(tree, node):
-        if node:
-            evaluated.add(tuple(node))
-        return member(tree, node)
-
-    monkeypatch.setattr(trees.WcTree, "member", counting_member)
-    payload = run_json(capsys, "analyze-tree", "--space", "l2", "--set", "summing-hull",
-                       "--eps", "1/2", "--bigm", "3", "--depth", "3",
-                       "--index-bound", "12", "--node-budget", "50")["payload"]
-    assert len(evaluated) <= 50
+    calls = _count_member_calls(monkeypatch)
+    payload = run_json(capsys, *SUMMING_ANALYZE, "--node-budget", "50")["payload"]
+    assert len(set(calls) - {()}) <= 50
     assert payload["budget_exhausted"]
-    assert payload["rank_within_bounds"] == {"value": 0, "complete": False}
+    # the rank of the levels that were evaluated, which a cut leaves incomplete
+    assert payload["rank_within_bounds"] == {"value": 2, "complete": False}
     # the levels spent the whole budget, so every characteristic node stays open
     assert payload["characteristic"]["open"] == list(range(32))
+
+
+def test_analyze_tree_charges_each_node_once(capsys, monkeypatch):
+    """The levels and the rank come from one pass, so a budget that covers
+    the levels leaves the characteristic nodes theirs."""
+    calls = _count_member_calls(monkeypatch)
+    payload = run_json(capsys, *SUMMING_ANALYZE, "--node-budget", "1000")["payload"]
+    assert len(calls) == sum(sum(level[kind] for kind in ("holds", "fails", "inconclusive"))
+                             for level in payload["levels"]) + 32
+    assert not payload["budget_exhausted"]
+    assert payload["characteristic"]["open"] == []
+
+
+def test_analyze_tree_evaluates_each_level_node_once(capsys, monkeypatch):
+    """On the benchmark's seed-5 analyze-tree command, member is called once
+    per level node and once per characteristic node: 852 + 32."""
+    calls = _count_member_calls(monkeypatch)
+    payload = run_json(capsys, "analyze-tree", "--space", "l2", "--set", "summing-hull",
+                       "--eps", "3/4", "--bigm", "3", "--depth", "3",
+                       "--index-bound", "12", "--seed", "5")["payload"]
+    assert not payload["budget_exhausted"]
+    assert len(calls) == 884
 
 
 # one command per benchmark workload, at the workload's seed-1 parameters

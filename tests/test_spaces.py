@@ -219,7 +219,7 @@ def test_functional_validates_claimed_bound():
     with pytest.raises(ConfigurationError):
         Functional(L2, g, Fraction(1, 2))  # sqrt(1/2) > 1/2
     assert pairing(f, Vector.unit(0)) == Fraction(1, 2)
-    assert f(Vector.unit(0) + Vector.unit(1)) == Fraction(1)
+    assert pairing(f, Vector.unit(0) + Vector.unit(1)) == Fraction(1)
     # dual of sup is summable: exactly 1 here, so the bound is tight
     Functional(C0, g, Fraction(1))
     with pytest.raises(ConfigurationError):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (RefBudget, ref_branch_search,
+from oracles import (RefBudget, ref_branch_search, ref_certified_rank,
                      ref_dot_walk, ref_levels, ref_rank_within, ref_wf_search)
 from wctree import predicates
 from wctree.enumeration import seq_decode
@@ -423,6 +423,16 @@ def test_traversals_reject_bounds_below_one(traversal, depth, index_bound, point
     assert info.value.pointer == pointer
 
 
+def test_node_budget_must_be_nonnegative():
+    """A negative budget is refused; a zero one evaluates nothing and says so."""
+    with pytest.raises(ConfigurationError) as info:
+        SearchBudget(-1)
+    assert info.value.pointer == "/node-budget"
+    tree, budget = family_tree(), SearchBudget(0)
+    assert levels(tree, 2, 4, budget) == ([{HOLDS: 0, FAILS: 0, INCONCLUSIVE: 0}], 0, False)
+    assert budget.exhausted and not tree._cache
+
+
 class TableTree:
     """A three-valued tree whose verdicts come from a seeded hash of each node.
 
@@ -486,13 +496,21 @@ def test_traversal_core_matches_reference_loops():
             assert (cert.branch, prefixes, cert.min_margin) == want, case
         seen.add(("beam", cert is not None))
 
-        got, want = run(lambda t, b: rank_within(t, depth, index_bound, b),
-                        lambda t, b: ref_rank_within(t, depth, index_bound, b))
-        assert got == want, case
+        # the rank is a view of the breadth-first levels: their nodes, in their order
+        got, ((_, cut), evaluated) = run(
+            lambda t, b: rank_within(t, depth, index_bound, b),
+            lambda t, b: (ref_levels(t, depth, index_bound, b), t.calls))
+        if cut:  # the deepest evaluated all-holds path, and incomplete
+            assert got == (ref_certified_rank(TableTree(case, weights), evaluated),
+                           False), case
+        else:
+            assert got == ref_rank_within(TableTree(case, weights), depth, index_bound,
+                                          RefBudget(max_nodes)), case
         seen.add(("rank complete", got[1]))
+        seen.add(("rank above 0, cut", cut, got[0] > 0))
 
         def levels_and_flag(t, b):
-            counts = levels(t, depth, index_bound, b)
+            counts, _, _ = levels(t, depth, index_bound, b)
             return [{"depth": d, **c} for d, c in enumerate(counts, 1)], b.exhausted
 
         got, want = run(levels_and_flag,
@@ -511,4 +529,5 @@ def test_traversal_core_matches_reference_loops():
     assert seen >= {("exhausted", True), ("exhausted", False),
                     ("wf", BRANCH_FOUND), ("wf", WELL_FOUNDED), ("wf", INCONCLUSIVE),
                     ("inconclusive", True), ("beam", True), ("beam", False),
-                    ("rank complete", True), ("rank complete", False)}
+                    ("rank complete", True), ("rank complete", False),
+                    ("rank above 0, cut", True, True), ("rank above 0, cut", False, True)}

@@ -16,8 +16,9 @@ payloads a change moved; `--dump DIR` also writes every digested text to
 DIR, one numbered file per run, so that the moved ones can be read.
 
 The list: the four benchmark workloads at seed 5, the CLI scenarios of the
-acceptance criteria and of README, traversals on every kind of space, and
-`predicate` on nodes that repeat an index, in l1, c0, l2, lp:3/2 and lp:3,
+acceptance criteria and of README, traversals on every kind of space
+(`analyze-tree` also with undecided nodes below an all-holds path, and
+under node budgets that cut it), and `predicate` on nodes that repeat an index, in l1, c0, l2, lp:3/2 and lp:3,
 over every built-in set, at an eps that the lower end of a bracket minimum
 decides and at one that needs its upper end.  On some sets node 1,2,3,1 is
 dependent before its repeat, so its structural witness is not e_j - e_i.
@@ -88,6 +89,16 @@ SCENARIOS = [
     " --index-bound 10",
     "analyze-tree --space lp:3 --set unit-vector-family --eps 1/2 --bigm 2 --depth 3"
     " --index-bound 6",
+    # undecided nodes below an all-holds path, and budgets that cut the levels
+    # or leave the characteristic nodes some of their own
+    "analyze-tree --space lp:3/2 --set dense-space --eps 1/2 --bigm 2 --depth 3"
+    " --index-bound 6",
+    "analyze-tree --space lp:3 --set hilbert-cube --eps 1/3 --bigm 2 --depth 3"
+    " --index-bound 8",
+    "analyze-tree --space l2 --set summing-hull --eps 1/2 --bigm 3 --depth 3"
+    " --index-bound 12 --node-budget 50",
+    "analyze-tree --space l2 --set summing-hull --eps 1/2 --bigm 3 --depth 3"
+    " --index-bound 12 --node-budget 1000",
     "wf-scan --space lp:3/2 --set unit-vector-family --eps 3/5 --bigm 2 --depth 5"
     " --index-bound 5",
     "wf-scan --space lp:3 --set hilbert-cube --eps 1/3 --bigm 2 --depth 3"
