@@ -8,16 +8,16 @@ Both predicates reduce to optimization over finitely many rational vectors:
   coefficient pattern, stays within factor M of the full combination — a
   maximum of norm ratios, i.e. the basis constant of the finite sequence.
 
-For l1 and the sup norm both problems are polyhedral and solved exactly with
-rational linear programming (minimum + matching dual certificate); for l2
-they are quadratic and solved exactly through Gram matrices (Wolfe's
-min-norm-point method for the minimum, PSD tests for the constant), both
-on one integer Gram matrix Q = D^2 G that clears the denominators D of the
-node, so that neither loop does Fraction arithmetic.  Remaining
-exponents run in bracket mode: certified lower bounds come from exactly
-solvable comparison norms, each solved only when its norm at the uniform
-combination could raise the best one so far; upper bounds (computed only
-when the lower bound does not decide) from exact evaluation at rational
+For l1 and the sup norm both problems are polyhedral: a minimum is a vertex
+that a sign functional certifies, else a rational LP's value and duals; for
+l2 they are quadratic and solved on one integer Gram matrix Q = D^2 G that
+clears the denominators D of the node: the minimum in closed form when Q is
+diagonal, else by Wolfe's min-norm-point method, and the constant by PSD
+tests.  Every minimum passes the same exact checks of its certificate.
+Remaining exponents run in bracket mode: certified lower bounds come from
+exactly solvable comparison norms, each solved only when its norm at the
+uniform combination could raise the best one so far; upper bounds (computed
+only when the lower bound does not decide) from exact evaluation at rational
 points that a float descent over the nonzero coefficients finds; and
 verdicts degrade to "inconclusive" when the enclosure straddles the
 threshold.  A domination verdict that does not fail depends on the set of
@@ -172,14 +172,63 @@ def _matrix(vectors: tuple[Vector, ...], rows: list[int]) -> list[list[Fraction]
 
 
 def _simplex_min_polyhedral(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
-    """Exact LP minimum for l1 / sup, with a dual certificate from the same solve.
+    """Exact l1 / sup minimum from `_vertex_minimum`, else `_lp_minimum`.
 
-    The LP's optimal duals on the two rows +-(A a)_j - t <= 0 of coordinate j
-    give g_j = y-_j - y+_j.  Dual feasibility of the LP makes g a functional of
-    dual norm <= 1 with <g, x_n> >= value for every n; both facts are checked
-    exactly here, and together with the witness of norm value they prove that
-    value is the minimum (strong duality is checked, not assumed).
+    Either way, exact checks prove the value is the minimum: the witness has
+    norm value, g lies in the dual unit ball, and <g, x_n> >= value for
+    every n (strong duality is checked, not assumed).
     """
+    weights, value, g = _vertex_minimum(space, vs) or _lp_minimum(space, vs)
+    combo = spaces.combine(weights, vs)
+    nv = spaces.norm(space, combo)
+    if nv.exact != value:
+        raise ContractViolation(
+            f"simplex minimum {value} disagrees with the witness norm {nv.exact}"
+        )
+    try:
+        functional = Functional(space, g, Fraction(1))
+    except ConfigurationError as exc:
+        raise ContractViolation("the certificate leaves the dual unit ball", g) from exc
+    for x in vs:
+        if spaces.pairing(functional, x) < value:
+            raise ContractViolation(
+                f"duality gap in exact arithmetic: <g, x> < primal {value}", x
+            )
+    cert = DualCertificate(functional, value, Fraction(0))
+    witness = SimplexWitness(weights, combo, nv)
+    return SimplexMinResult(value, value, witness, "exact-lp", exact=value, certificate=cert)
+
+
+def _vertex_minimum(space: SpaceModel, vs: tuple[Vector, ...]) -> tuple | None:
+    """(weights, value, g) at the least-norm vertex x_i, lowest index first,
+    if a sign functional g has <g, x_n> >= ||x_i|| for all n; else None.
+
+    In l1, g is sign(x_i) on the support of x_i and, off it, the common sign
+    of each coordinate's nonzeros where they agree, 0 elsewhere; in sup, g is
+    sign(x_ij) e_j at a j with |x_ij| = ||x_i||, or 0 when x_i = 0.
+    """
+    norms = [spaces.norm(space, v).exact for v in vs]
+    value = min(norms)
+    i = norms.index(value)
+    if space.kind == "c0":
+        tries = [{p: 1 if c > 0 else -1} for p, c in vs[i].entries if abs(c) == value] or [{}]
+    else:
+        signs: dict[int, int] = {}
+        for p, c in itertools.chain(*(v.entries for v in vs)):
+            s = 1 if c > 0 else -1
+            signs[p] = s if signs.get(p, s) == s else 0
+        signs.update((p, 1 if c > 0 else -1) for p, c in vs[i].entries)
+        tries = [signs]
+    for g in tries:
+        if all(sum(c if g[p] > 0 else -c for p, c in x.entries if g.get(p)) >= value for x in vs):
+            weights = tuple(Fraction(int(n == i)) for n in range(len(vs)))
+            return weights, value, Vector.from_pairs(g.items())
+    return None
+
+
+def _lp_minimum(space: SpaceModel, vs: tuple[Vector, ...]) -> tuple:
+    """(weights, value, g) from one rational LP: the optimal duals y+-_j of the
+    two rows +-(A a)_j - t <= 0 of coordinate j give g_j = y-_j - y+_j."""
     m = len(vs)
     rows = _coordinate_rows(vs)
     r = len(rows)
@@ -211,30 +260,10 @@ def _simplex_min_polyhedral(space: SpaceModel, vs: tuple[Vector, ...]) -> Simple
     primal = lp.solve_lp(cost, a_ub, b_ub, a_eq, b_eq)
     if primal.status != "optimal":
         raise ContractViolation(f"simplex LP should be solvable, got {primal.status}")
-    weights = tuple(primal.x[:m])
-    combo = spaces.combine(weights, vs)
-    nv = spaces.norm(space, combo)
-    value = nv.exact
-    if value is None or value != primal.value:
-        raise ContractViolation(
-            f"simplex LP value {primal.value} disagrees with the witness norm {value}"
-        )
-
     y = primal.duals
     g = Vector.from_pairs((rows[j], scales[j] * (y[2 * j + 1] - y[2 * j]))
                           for j in range(r))
-    try:
-        functional = Functional(space, g, Fraction(1))
-    except ConfigurationError as exc:
-        raise ContractViolation("LP duals leave the dual unit ball", g) from exc
-    for x in vs:
-        if spaces.pairing(functional, x) < value:
-            raise ContractViolation(
-                f"duality gap in exact arithmetic: <g, x> < primal {value}", x
-            )
-    cert = DualCertificate(functional, value, Fraction(0))
-    witness = SimplexWitness(weights, combo, nv)
-    return SimplexMinResult(value, value, witness, "exact-lp", exact=value, certificate=cert)
+    return tuple(primal.x[:m]), primal.value, g
 
 
 def _int_gram(vs: tuple[Vector, ...]) -> tuple[list[list[int]], int]:
@@ -264,7 +293,34 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
-    """Exact l2 minimum by Wolfe's min-norm-point method on the Gram matrix.
+    """Exact l2 minimum on the integer Gram matrix Q = D^2 G of `_int_gram`:
+    weights 1/Q_nn scaled to sum 1, of squared norm 1 / sum(D^2 / Q_nn), when
+    Q is diagonal and positive (orthogonal nonzero vectors), else `_wolfe`.
+    The witness norm and `_dual_certificate_l2` check either answer."""
+    q, d = _int_gram(vs)
+    m = len(vs)
+    if all(q[i][i] > 0 and not any(q[i][:i]) for i in range(m)):
+        total = sum(Fraction(1, q[i][i]) for i in range(m))
+        weights, best_sq = tuple(1 / (q[i][i] * total) for i in range(m)), 1 / (d * d * total)
+    else:
+        weights, best_sq = _wolfe(q, d)
+    combo = spaces.combine(weights, vs)
+    nv = spaces.norm(space, combo)
+    if nv.exact_sq != best_sq:
+        raise ContractViolation(
+            f"Gram value {best_sq} disagrees with the witness norm {nv.exact_sq}"
+        )
+    cert = _dual_certificate_l2(space, vs, combo, best_sq)
+    witness = SimplexWitness(weights, combo, nv)
+    root = _exact_sqrt(best_sq)
+    return SimplexMinResult(
+        nv.lo, nv.hi, witness, "exact-qp",
+        exact=root, exact_sq=best_sq, certificate=cert,
+    )
+
+
+def _wolfe(q: list[list[int]], d: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Weights and squared value of the l2 minimum by Wolfe's min-norm-point method.
 
     P. Wolfe, "Finding the nearest point in a polytope", Math. Programming 11
     (1976), in rationals.  The corral S is an affinely independent set of
@@ -286,8 +342,7 @@ def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResu
     solution for the weights.  Fractions are built only for that solution,
     the step-back ratios, the minimum and the returned weights.
     """
-    m = len(vs)
-    q, d = _int_gram(vs)
+    m = len(q)
     start = min(range(m), key=lambda i: q[i][i])
     corral = [start]
     w = {start: 1}
@@ -326,21 +381,7 @@ def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResu
             g = math.gcd(delta, *w.values())
             w, delta = {k: x // g for k, x in w.items()}, delta // g
             corral = [k for k in corral if w[k] > 0]
-    best_sq = Fraction(sq, (delta * d) ** 2)
-    weights = tuple(Fraction(w.get(i, 0), delta) for i in range(m))
-    combo = spaces.combine(weights, vs)
-    nv = spaces.norm(space, combo)
-    if nv.exact_sq != best_sq:
-        raise ContractViolation(
-            f"Gram value {best_sq} disagrees with the witness norm {nv.exact_sq}"
-        )
-    cert = _dual_certificate_l2(space, vs, combo, best_sq)
-    witness = SimplexWitness(weights, combo, nv)
-    root = _exact_sqrt(best_sq)
-    return SimplexMinResult(
-        nv.lo, nv.hi, witness, "exact-qp",
-        exact=root, exact_sq=best_sq, certificate=cert,
-    )
+    return tuple(Fraction(w.get(i, 0), delta) for i in range(m)), Fraction(sq, (delta * d) ** 2)
 
 
 def _dual_certificate_l2(
@@ -756,12 +797,19 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderRe
     if big_m is not None:
         ok, bad_k, w = psd_all(big_m)
         if not ok:
-            # the grid floor of M fails as M does, and no basis constant is below 1
-            c_lo = max(Fraction(int(big_m * grid), grid), Fraction(1))
-            margin = big_m - c_lo
             witness = PrefixWitness(
                 bad_k, tuple(w), spaces.norm(spaces.L2, spaces.combine(w[:bad_k], vs[:bad_k])),
                 spaces.norm(spaces.L2, spaces.combine(w, vs)))
+            # w^T (M^2 G - G_k) w < 0: the witness's exact prefix ratio exceeds M,
+            # and so does a lower root of it taken fine enough; no constant is below 1
+            ratio_sq = witness.prefix_norm.exact_sq / witness.full_norm.exact_sq
+            if ratio_sq <= big_m * big_m:
+                raise ContractViolation("the PSD witness does not escape the bound")
+            bits = MARGIN_GRID_BITS
+            while (c_lo := linalg.sqrt_lower(ratio_sq, bits)) <= big_m:
+                bits *= 2
+            c_lo = max(c_lo, Fraction(1))
+            margin = big_m - c_lo
             verdict = Verdict3(FAILS, float(margin), margin, witness,
                                detail=f"prefix {bad_k} escapes the bound (PSD witness)")
             return SchauderReport(verdict, "exact-gram", constant_lo=c_lo)

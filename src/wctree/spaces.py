@@ -263,8 +263,10 @@ class NormValue(NamedTuple):
 
 
 def _enclose(lo: Fraction, hi: Fraction) -> tuple[float, float]:
-    mid = (lo + hi) / 2
-    value = float(mid)
+    if lo == hi:  # an exact norm needs no Fraction arithmetic
+        value = float(lo)
+        return value, abs(value) * 1e-15 + 1e-300
+    value = float((lo + hi) / 2)
     slack = abs(value) * 1e-15 + 1e-300
     return value, float(hi - lo) / 2 + slack
 

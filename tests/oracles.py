@@ -425,9 +425,9 @@ def ref_dot_walk(tree, depth, index_bound, budget):
 # ---------------------------------------------------------------------------
 # Reference prefix-bound (Schauder) engine: the structural, exact-gram,
 # exact-polyhedral and sampled methods with their own witness and ratio loops,
-# including the grid sweep below M after an exact-gram failure.  It uses the
-# library's exact linear algebra and norms, none of its predicates, and
-# returns a plain tuple
+# including the lower end that an exact-gram failure takes from its witness's
+# prefix ratio.  It uses the library's exact linear algebra and norms, none of
+# its predicates, and returns a plain tuple
 #   (kind, margin, exact_margin, detail, witness, method,
 #    constant_lo, constant_hi, unbounded)
 # whose witness is None or (prefix, coefficients, prefix_norm, full_norm).
@@ -513,12 +513,16 @@ def _ref_schauder_gram(vs, big_m):
             prefix = spaces.combine(w[:bad_k] + [Fraction(0)] * (m - bad_k), vs)
             witness = (bad_k, tuple(w), spaces.norm(spaces.L2, prefix),
                        spaces.norm(spaces.L2, spaces.combine(w, vs)))
-            units = int(big_m * REF_GRID)
-            c_lo = None
-            if units >= REF_GRID and not psd_all(Fraction(units, REF_GRID))[0]:
-                c_lo = Fraction(units, REF_GRID)
-            return ("fails", float(big_m - c_lo) if c_lo else None,
-                    big_m - c_lo if c_lo else None,
+            # the floor of the witness's prefix ratio on the 2^-bits grid, for
+            # the first of 12, 24, 48, ... bits where that floor exceeds M
+            ratio_sq = witness[2].exact_sq / witness[3].exact_sq
+            if ratio_sq <= big_m * big_m:
+                raise AssertionError("the PSD witness does not escape the bound")
+            bits = 12
+            while (c_lo := Fraction(isqrt(math.floor(ratio_sq * 4 ** bits)), 2 ** bits)) <= big_m:
+                bits *= 2
+            c_lo = max(c_lo, Fraction(1))
+            return ("fails", float(big_m - c_lo), big_m - c_lo,
                     f"prefix {bad_k} escapes the bound (PSD witness)", witness,
                     "exact-gram", c_lo, None, False)
     hi_units = REF_GRID

@@ -159,6 +159,127 @@ def test_one_memo_entry_serves_every_repetition_like_a_direct_solve():
 
 
 # ---------------------------------------------------------------------------
+# simplex minimum: the solver-free certificates against the solvers
+
+
+def _polyhedral_node(rng):
+    """Three to five vectors in one orthant of five coordinates (every
+    coefficient positive, or every coefficient of a coordinate one sign), or
+    one to five with mixed signs on three coordinates; at times a zero or
+    repeated vector among them."""
+    kind = rng.choice(["positive", "orthant", "mixed", "mixed"])
+    signs = [rng.choice([1, -1]) for _ in range(5)]
+    width = 3 if kind == "mixed" else 5
+    vs = []
+    for _ in range(rng.randint(1 if kind == "mixed" else 3, 5)):
+        roll = rng.random()
+        if vs and roll < 0.08:
+            vs.append(rng.choice(vs))
+        elif roll < 0.12:
+            vs.append(Vector.zero())
+        else:
+            vs.append(Vector.from_pairs(
+                (p, F(rng.randint(1, 4) * (1 if kind == "positive" else signs[p] if
+                                           kind == "orthant" else rng.choice([1, -1])),
+                      rng.randint(1, 3)))
+                for p in rng.sample(range(width), rng.randint(1, 3))))
+    return tuple(vs)
+
+
+def _assert_independently_certified(space, res, vs):
+    """The certificate alone proves the minimum: a functional of exact
+    conjugate norm at most 1, pairing with every x_n to at least the value,
+    and a simplex combination of the vectors with exactly that norm."""
+    cert, w = res.certificate, res.witness
+    assert cert.lower_bound == res.exact == res.lo == res.hi and cert.gap == 0
+    assert conjugate_norm(space, cert.functional.vec).exact <= 1
+    assert all(pairing(cert.functional, x) >= res.exact for x in vs)
+    assert all(a >= 0 for a in w.weights) and sum(w.weights) == 1
+    assert combine(w.weights, vs) == w.combo and norm(space, w.combo).exact == res.exact
+
+
+@pytest.mark.parametrize("space", [L1, C0], ids=["l1", "sup"])
+def test_vertex_minimum_matches_the_lp(monkeypatch, space):
+    """On 400 seeded nodes the minimum equals the LP's value, whether a
+    vertex certifies it or the LP runs, and every certificate checks out
+    without the solver; nodes that the LP has to solve keep its weights."""
+    rng = random.Random(1976 if space is L1 else 1977)
+    solves = []
+    real = predicates.lp.solve_lp
+    monkeypatch.setattr(predicates.lp, "solve_lp", lambda *a: solves.append(a) or real(*a))
+    taken = Counter()
+    for _ in range(400):
+        vs = _polyhedral_node(rng)
+        solves.clear()
+        res = predicates._simplex_min_polyhedral(space, vs)
+        lp_ran = len(solves)
+        weights, value, _ = predicates._lp_minimum(space, vs)
+        assert res.method == "exact-lp" and res.exact == value, vs
+        assert lp_ran == (predicates._vertex_minimum(space, vs) is None)
+        if lp_ran:
+            taken["lp"] += 1
+            assert res.witness.weights == weights
+        else:
+            taken["vertex"] += 1
+            (i,) = [n for n, a in enumerate(res.witness.weights) if a]
+            assert res.witness.weights[i] == 1 and norm(space, vs[i]).exact == value
+        _assert_independently_certified(space, res, vs)
+    assert min(taken.values()) >= 60, taken
+
+
+def _l2_node(rng):
+    """Pairwise orthogonal nonzero vectors (disjoint supports, or pairs
+    a(e_i + e_j), b(e_i - e_j)), or random ones."""
+    if rng.random() < 0.5:
+        return tuple(_random_l2_node(rng, rng.randint(1, 6)))
+    vs = []
+    coords = rng.sample(range(8), 8)
+    while coords and len(vs) < 5:
+        i = coords.pop()
+        a = F(rng.choice([1, -1]) * rng.randint(1, 4), rng.randint(1, 3))
+        if coords and rng.random() < 0.5:
+            j = coords.pop()
+            b = F(rng.choice([1, -1]) * rng.randint(1, 4), rng.randint(1, 3))
+            vs += [(E(i) + E(j)).scale(a), (E(i) - E(j)).scale(b)]
+        else:
+            vs.append(Vector.from_pairs([(i, a)] + [(p, a) for p in coords[:rng.randint(0, 1)]]))
+            del coords[:len(vs[-1].support) - 1]
+    rng.shuffle(vs)
+    return tuple(vs)
+
+
+def test_orthogonal_l2_minimum_matches_wolfe(monkeypatch):
+    """On 600 seeded nodes the l2 minimum, weights, exact square and
+    certificate included, equals the Fraction form of Wolfe's method, and on
+    orthogonal nodes also `_wolfe` on the same Gram matrix; only nodes with
+    a non-diagonal Gram matrix run Wolfe's loop."""
+    rng = random.Random(1978)
+    wolfe = []
+    real = predicates._wolfe
+    monkeypatch.setattr(predicates, "_wolfe", lambda q, d: wolfe.append(q) or real(q, d))
+    taken = Counter()
+    for _ in range(600):
+        vs = _l2_node(rng)
+        wolfe.clear()
+        res = predicates._simplex_min_qp(L2, vs)
+        assert res == ref_simplex_min_qp(L2, vs), vs
+        q, d = predicates._int_gram(vs)
+        orthogonal = all(q[i][j] == 0 for i in range(len(vs)) for j in range(i))
+        if not wolfe:
+            taken["closed form"] += 1
+            assert orthogonal and all(q[i][i] > 0 for i in range(len(vs)))
+            assert real(q, d) == (res.witness.weights, res.exact_sq)
+            cert = res.certificate
+            assert conjugate_norm(L2, cert.functional.vec).lo <= 1
+            assert all(pairing(cert.functional, x) >= cert.lower_bound for x in vs)
+            assert norm(L2, combine(res.witness.weights, vs)).exact_sq == res.exact_sq
+        else:
+            taken["wolfe"] += 1
+            assert not orthogonal or any(q[i][i] == 0 for i in range(len(vs)))
+    assert min(taken.values()) >= 200, taken
+
+
+# ---------------------------------------------------------------------------
 # simplex minimum against the dumb grid
 
 
@@ -268,7 +389,9 @@ def test_qp_minimum_refuses_a_wrong_answer(monkeypatch, corrupt):
     """The Gram value must equal the witness norm; a wrong Gram matrix is refused.
 
     The integer Gram matrix Q = D^2 G is corrupted by 1/2 on the scale of G:
-    doubling D makes that 2 D^2 on the scale of the returned Q."""
+    doubling D makes that 2 D^2 on the scale of the returned Q.  A corrupted
+    diagonal leaves Q diagonal, so the closed form answers and is refused; a
+    corrupted off-diagonal entry sends the node to Wolfe's method."""
     int_gram = predicates._int_gram
 
     def perturbed(vs):
@@ -382,11 +505,14 @@ def test_weak_duality_and_self_evidence():
 @pytest.mark.parametrize("corrupt", ["value", "scaled-duals", "zero-duals"])
 def test_polyhedral_minimum_refuses_a_wrong_lp_answer(monkeypatch, corrupt):
     """The value agreement, dual-ball and pairing checks on the one LP solve
-    are what certify an l1 minimum; each must reject a corrupted answer."""
+    are what certify an l1 minimum; each must reject a corrupted answer.  No
+    vertex of e0 + e1, e0 - e1 is the minimum e0, so the LP runs."""
     solve_lp = predicates.lp.solve_lp
+    solves = []
 
     def corrupted(*args, **kwargs):
         res = solve_lp(*args, **kwargs)
+        solves.append(res)
         if corrupt == "value":
             res.value += 1
         elif corrupt == "scaled-duals":
@@ -397,7 +523,40 @@ def test_polyhedral_minimum_refuses_a_wrong_lp_answer(monkeypatch, corrupt):
 
     monkeypatch.setattr(predicates.lp, "solve_lp", corrupted)
     with pytest.raises(ContractViolation):
-        predicates._simplex_min_polyhedral(L1, tuple(units(3)))
+        predicates._simplex_min_polyhedral(L1, (E(0) + E(1), E(0) - E(1)))
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("space, vs, corrupt", [
+    (L1, (E(0), E(0).scale(F(3)) + E(1)), "outside-ball"),
+    (C0, (E(0) + E(1).scale(F(1, 2)), E(0).scale(F(2))), "outside-ball"),
+    (L1, (E(0) + E(1), E(0) - E(1)), "above-minimum"),
+    (C0, (E(0), E(1)), "above-minimum"),
+], ids=["l1-ball", "sup-ball", "l1-value", "sup-value"])
+def test_polyhedral_minimum_refuses_a_wrong_closed_form(monkeypatch, space, vs, corrupt):
+    """A vertex functional outside the dual unit ball, or a vertex claimed as
+    the minimum with its sign functional where the true minimum is lower,
+    fails the same checks as an LP answer, before any LP runs."""
+    vertex_minimum = predicates._vertex_minimum
+    solves = []
+    monkeypatch.setattr(predicates.lp, "solve_lp", lambda *a: solves.append(a))
+    if corrupt == "outside-ball":
+        assert vertex_minimum(space, vs) is not None  # the vertex certifies itself
+
+        def wrong(space, vs):
+            weights, value, g = vertex_minimum(space, vs)
+            return weights, value, g.scale(F(2))
+    else:
+        assert vertex_minimum(space, vs) is None
+
+        def wrong(space, vs):
+            return (F(1), F(0)), norm(space, vs[0]).exact, Vector.from_pairs(
+                (p, F((c > 0) - (c < 0))) for p, c in vs[0].entries)
+
+    monkeypatch.setattr(predicates, "_vertex_minimum", wrong)
+    with pytest.raises(ContractViolation):
+        predicates._simplex_min_polyhedral(space, vs)
+    assert solves == []
 
 
 def test_orthonormal_dual_certificate_is_tight():
@@ -769,22 +928,47 @@ def test_schauder_input_validation():
         basis_constant_estimate(L2, [E(0), Vector.zero()])
 
 
-def test_failing_gram_report_bounds_the_constant_by_the_grid_floor():
-    """A failure at M is a failure at every grid point up to M, so the
-    constant's lower end is the grid floor of M; below M = 1 it is 1, the
-    least basis constant, and the margin M - 1 is negative."""
+def test_failing_gram_report_bounds_the_constant_by_its_witness_ratio():
+    """A failure at M takes the constant's lower end from its PSD witness:
+    the exact prefix ratio of the witness exceeds M, and so does its lower
+    root on the coarsest 2^-12, 2^-24, ... grid that clears M.  The margin
+    is then negative, as on every failure; below M = 1 the lower end is 1,
+    the least basis constant."""
     pair = [E(0), E(0) + E(1)]
     rep = is_M_schauder(L2, pair, F(7, 5))
     assert rep.method == "exact-gram" and rep.verdict.fails
-    assert rep.constant_lo == F(2867, 2048) and rep.constant_hi is None
-    assert rep.verdict.exact_margin == F(7, 5) - F(2867, 2048)
-    assert rep.verdict.margin == float(F(7, 5) - F(2867, 2048))
     w = rep.verdict.witness
+    ratio_sq = w.prefix_norm.exact_sq / w.full_norm.exact_sq
+    assert ratio_sq > F(49, 25)
+    assert rep.constant_lo == F(5791, 4096) and rep.constant_hi is None
+    assert F(7, 5) < rep.constant_lo and rep.constant_lo ** 2 <= ratio_sq
+    assert rep.verdict.exact_margin == F(7, 5) - F(5791, 4096) < 0
+    assert rep.verdict.margin == float(F(7, 5) - F(5791, 4096))
     assert w.prefix_norm.lo > F(7, 5) * w.full_norm.hi
     rep = is_M_schauder(L2, pair, F(1, 2))
     assert rep.method == "exact-gram" and rep.verdict.fails
     assert rep.constant_lo == 1 and rep.constant_hi is None
     assert rep.verdict.exact_margin == F(-1, 2) and rep.verdict.margin == -0.5
+
+
+def test_every_failing_gram_report_has_a_negative_margin():
+    """Seeded full-rank l2 nodes failing at M from 1 to 5/2, M on the 2^-12
+    grid among them: every margin is negative, and the lower end is a
+    certified lower bound of the witness's exact prefix ratio."""
+    rng = random.Random(1207)
+    failed = 0
+    for _ in range(300):
+        vs = _schauder_node(rng, L2)
+        big_m = F(rng.randint(4096, 10240), 4096)
+        rep = is_M_schauder(L2, vs, big_m)
+        if rep.method != "exact-gram" or not rep.verdict.fails:
+            continue
+        failed += 1
+        w = rep.verdict.witness
+        assert rep.verdict.exact_margin < 0 and rep.verdict.margin < 0
+        assert rep.constant_lo > big_m
+        assert rep.constant_lo ** 2 <= w.prefix_norm.exact_sq / w.full_norm.exact_sq
+    assert failed >= 30, failed
 
 
 # the lp:P nodes run the sampled probe, whose bracket norms cost the most

@@ -1,6 +1,7 @@
 """Tree membership, bounded searches, certificates, rank, characteristic."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from oracles import (RefBudget, ref_branch_search, ref_certified_rank,
                      ref_dot_walk, ref_levels, ref_rank_within, ref_wf_search)
-from wctree import predicates
+from wctree import cli, predicates
 from wctree.enumeration import seq_decode
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, SimplexWitness,
@@ -267,18 +268,44 @@ def test_exhaustive_scan_fails_repeat_nodes_without_elimination_or_norms(monkeyp
 def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
     """The work of `wf-scan --space lp:3/2 --set unit-vector-family --eps 3/5
     --bigm 2 --depth 5 --index-bound 5`: one domination test per set of
-    distinct vectors that holds, one per order of each failing one; an l1 LP
-    per lower end and a sup LP only where it can raise one; no l2 QP."""
+    distinct vectors that holds, one per order of each failing one.  Every
+    comparison minimum a lower end solves, l1 and sup alike, is certified at
+    a vertex of the unit vectors without an LP, and no l2 QP is solved."""
     calls = Counter()
     for owner, name in ((predicates, "is_eps_dominating"), (predicates.lp, "solve_lp"),
-                        (predicates, "_simplex_min_qp")):
+                        (predicates, "_simplex_min_qp"),
+                        (predicates, "_simplex_min_polyhedral")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k: (
             calls.update([_name]) or _real(*a, **k)))
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 5)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
-    assert calls == {"is_eps_dominating": 150, "solve_lp": 36}
+    assert calls == {"is_eps_dominating": 150, "_simplex_min_polyhedral": 36}
+
+
+@pytest.mark.parametrize("space, set_name, eps, index_bound, solver", [
+    ("l1", "unit-vector-hull", "3/8", "32", "_simplex_min_polyhedral"),
+    ("l2", "unit-vector-family", "6/25", "8", "_simplex_min_qp"),
+], ids=["l1-hull-branch", "l2-family-branch"])
+def test_seed5_branch_hunts_certify_every_minimum_without_a_solver(
+        monkeypatch, capsys, space, set_name, eps, index_bound, solver):
+    """The seed-5 `branch-hunt` commands of the benchmark find and revalidate
+    their branch with every simplex minimum certified in closed form: the
+    l1 minima at a vertex, with no LP, and the l2 minima of orthogonal unit
+    vectors, with no `linalg.solve` of a Wolfe corral."""
+    calls = Counter()
+    for owner, name in ((predicates.lp, "solve_lp"), (predicates.linalg, "solve"),
+                        (predicates, solver)):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k: (
+            calls.update([_name]) or _real(*a, **k)))
+    assert cli.main(["branch-hunt", "--space", space, "--set", set_name, "--eps", eps,
+                     "--bigm", "1", "--depth", "8", "--index-bound", index_bound,
+                     "--beam-width", "4", "--seed", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["found"] and payload["revalidated"]
+    assert calls == {solver: {"l1": 141, "l2": 90}[space]}
 
 
 class _NoVerdicts(dict):
