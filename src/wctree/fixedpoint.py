@@ -211,10 +211,9 @@ def _shift_arr(arr: np.ndarray) -> np.ndarray:
 def _constant_handle(point: Vector) -> NonexpMapHandle:
     import numpy as np
 
-    top = max((p for p, _ in point.entries), default=-1)
-    dense = np.zeros(top + 1)
-    for p, c in point.entries:
-        dense[p] = float(c)
+    dense = np.zeros(point.support[-1] + 1 if point.support else 0)
+    for p, n in zip(point.support, point.nums):
+        dense[p] = n / point.den
 
     def apply_arr(arr: np.ndarray) -> np.ndarray:
         out = np.zeros(max(arr.size, dense.size))
@@ -326,10 +325,9 @@ def km_iterate(
     if steps < 1:
         raise ConfigurationError("need at least one step", "/steps")
     x_vec = start if start is not None else Vector.unit(0)
-    top = max((p for p, _ in x_vec.entries), default=0)
-    arr = np.zeros(top + 1)
-    for p, c in x_vec.entries:
-        arr[p] = float(c)
+    arr = np.zeros(x_vec.support[-1] + 1 if x_vec.support else 1)
+    for p, n in zip(x_vec.support, x_vec.nums):
+        arr[p] = n / x_vec.den
     t = float(weight)
 
     shadow = x_vec
@@ -354,9 +352,9 @@ def km_iterate(
         if n < run_shadow:
             shadow = spaces.combine([1 - weight, weight],
                                     [shadow, handle.apply_vec(shadow)])
-            for p, c in shadow.entries:
+            for p, n in zip(shadow.support, shadow.nums):
                 ref = arr[p] if p < arr.size else 0.0
-                shadow_dev = max(shadow_dev, abs(float(c) - ref))
+                shadow_dev = max(shadow_dev, abs(n / shadow.den - ref))
             if domain is not None and domain_ok:
                 inside = domain.exact_contains(shadow)
                 if inside is False:

@@ -41,6 +41,8 @@ from .spaces import FrozenRecord, Functional, SpaceModel, Vector
 POLYHEDRAL_BUDGET = 250_000
 MARGIN_GRID_BITS = 12  # basis constants are bracketed on the 2^-12 grid
 
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)  # shared: immutable
+
 HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
@@ -155,7 +157,7 @@ def _reordered(res: SimplexMinResult, solved: tuple[Vector, ...],
     """`res`, solved for the distinct vectors `solved`, with its weights moved
     to the order of vs: each on its first occurrence there, 0 on every copy."""
     pop = dict(zip(solved, res.witness.weights))
-    weights = tuple(pop.pop(v, Fraction(0)) for v in vs)
+    weights = tuple(pop.pop(v, _ZERO) for v in vs)
     return SimplexMinResult(res.lo, res.hi, res.witness._replace(weights=weights),
                             res.method, res.exact, res.exact_sq, res.certificate)
 
@@ -167,8 +169,17 @@ def _coordinate_rows(vectors: tuple[Vector, ...]) -> list[int]:
     return sorted(rows)
 
 
-def _matrix(vectors: tuple[Vector, ...], rows: list[int]) -> list[list[Fraction]]:
-    return [[v.coeff(r) for v in vectors] for r in rows]
+def _matrix(vectors: tuple[Vector, ...], rows: list[int]) -> tuple[list[list[int]], int]:
+    """(D A, D): the columns of A are the vectors on the coordinates `rows`,
+    and D, the lcm of their denominators, makes D A an int matrix."""
+    d = math.lcm(*(v.den for v in vectors))
+    at = {r: j for j, r in enumerate(rows)}
+    mat = [[0] * len(vectors) for _ in rows]
+    for n, v in enumerate(vectors):
+        f = d // v.den
+        for p, x in zip(v.support, v.nums):
+            mat[at[p]][n] = x * f
+    return mat, d
 
 
 def _simplex_min_polyhedral(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
@@ -186,15 +197,16 @@ def _simplex_min_polyhedral(space: SpaceModel, vs: tuple[Vector, ...]) -> Simple
             f"simplex minimum {value} disagrees with the witness norm {nv.exact}"
         )
     try:
-        functional = Functional(space, g, Fraction(1))
+        functional = Functional(space, g, _ONE)
     except ConfigurationError as exc:
         raise ContractViolation("the certificate leaves the dual unit ball", g) from exc
+    vn, vd = value.numerator, value.denominator
     for x in vs:
-        if spaces.pairing(functional, x) < value:
+        if g.int_dot(x) * vd < vn * g.den * x.den:  # <g, x> < value
             raise ContractViolation(
                 f"duality gap in exact arithmetic: <g, x> < primal {value}", x
             )
-    cert = DualCertificate(functional, value, Fraction(0))
+    cert = DualCertificate(functional, value, _ZERO)
     witness = SimplexWitness(weights, combo, nv)
     return SimplexMinResult(value, value, witness, "exact-lp", exact=value, certificate=cert)
 
@@ -206,23 +218,35 @@ def _vertex_minimum(space: SpaceModel, vs: tuple[Vector, ...]) -> tuple | None:
     In l1, g is sign(x_i) on the support of x_i and, off it, the common sign
     of each coordinate's nonzeros where they agree, 0 elsewhere; in sup, g is
     sign(x_ij) e_j at a j with |x_ij| = ||x_i||, or 0 when x_i = 0.
+
+    Norms and pairings are compared as int numerators over each vector's
+    denominator: ||x_n|| = sizes[n] / x_n.den.
     """
-    norms = [spaces.norm(space, v).exact for v in vs]
-    value = min(norms)
-    i = norms.index(value)
-    if space.kind == "c0":
-        tries = [{p: 1 if c > 0 else -1} for p, c in vs[i].entries if abs(c) == value] or [{}]
+    sup = space.kind == "c0"
+    sizes = [max(map(abs, v.nums), default=0) if sup else sum(map(abs, v.nums)) for v in vs]
+    i = 0
+    for n in range(1, len(vs)):
+        if sizes[n] * vs[i].den < sizes[i] * vs[n].den:
+            i = n
+    x, size = vs[i], sizes[i]
+    if sup:
+        tries = [{p: 1 if c > 0 else -1}
+                 for p, c in zip(x.support, x.nums) if abs(c) == size] or [{}]
     else:
         signs: dict[int, int] = {}
-        for p, c in itertools.chain(*(v.entries for v in vs)):
-            s = 1 if c > 0 else -1
-            signs[p] = s if signs.get(p, s) == s else 0
-        signs.update((p, 1 if c > 0 else -1) for p, c in vs[i].entries)
+        for v in vs:
+            for p, c in zip(v.support, v.nums):
+                s = 1 if c > 0 else -1
+                signs[p] = s if signs.get(p, s) == s else 0
+        signs.update((p, 1 if c > 0 else -1) for p, c in zip(x.support, x.nums))
         tries = [signs]
     for g in tries:
-        if all(sum(c if g[p] > 0 else -c for p, c in x.entries if g.get(p)) >= value for x in vs):
-            weights = tuple(Fraction(int(n == i)) for n in range(len(vs)))
-            return weights, value, Vector.from_pairs(g.items())
+        if all(sum(c if g[p] > 0 else -c for p, c in zip(v.support, v.nums) if g.get(p)) * x.den
+               >= size * v.den for v in vs):
+            weights = tuple(_ONE if n == i else _ZERO for n in range(len(vs)))
+            support = sorted(p for p, s in g.items() if s)
+            g_vec = Vector.from_ints(support, [g[p] for p in support])
+            return weights, Fraction(size, x.den), g_vec
     return None
 
 
@@ -243,8 +267,8 @@ def _lp_minimum(space: SpaceModel, vs: tuple[Vector, ...]) -> tuple:
     coeffs = [[0] * m for _ in rows]
     at = {pos: j for j, pos in enumerate(rows)}
     for n, v in enumerate(vs):
-        for pos, c in v.entries:
-            coeffs[at[pos]][n] = c
+        for pos, c in zip(v.support, v.nums):
+            coeffs[at[pos]][n] = Fraction(c, v.den)
     a_ub: list[list[int]] = []
     scales: list[int] = []
     for j, row in enumerate(coeffs):
@@ -272,8 +296,8 @@ def _int_gram(vs: tuple[Vector, ...]) -> tuple[list[list[int]], int]:
     D is the lcm of the denominators of every coefficient, so D x_n is an
     integer vector and Q holds the int inner products over common supports.
     """
-    d = math.lcm(*(c.denominator for v in vs for _, c in v.entries))
-    ints = [{p: c.numerator * (d // c.denominator) for p, c in v.entries} for v in vs]
+    d = math.lcm(*(v.den for v in vs))
+    ints = [{p: n * (d // v.den) for p, n in zip(v.support, v.nums)} for v in vs]
     m = len(vs)
     q = [[0] * m for _ in range(m)]
     for i, u in enumerate(ints):
@@ -300,8 +324,11 @@ def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResu
     q, d = _int_gram(vs)
     m = len(vs)
     if all(q[i][i] > 0 and not any(q[i][:i]) for i in range(m)):
-        total = sum(Fraction(1, q[i][i]) for i in range(m))
-        weights, best_sq = tuple(1 / (q[i][i] * total) for i in range(m)), 1 / (d * d * total)
+        # 1/Q_nn = shares[n] / big, so the weights are shares[n] / sum(shares)
+        big = math.lcm(*(q[i][i] for i in range(m)))
+        shares = [big // q[i][i] for i in range(m)]
+        total = sum(shares)
+        weights, best_sq = tuple(Fraction(s, total) for s in shares), Fraction(big, d * d * total)
     else:
         weights, best_sq = _wolfe(q, d)
     combo = spaces.combine(weights, vs)
@@ -399,16 +426,18 @@ def _dual_certificate_l2(
     """
     if value_sq == 0:
         return None
+    vn, vd = value_sq.numerator, value_sq.denominator
     for x in vs:
-        if z.dot(x) < value_sq:
+        if z.int_dot(x) * vd < vn * z.den * x.den:  # <z, x> < value_sq
             raise ContractViolation("stationary point violates its own optimality system")
-    scale = _exact_sqrt(1 / value_sq)
+    inverse = Fraction(vd, vn)
+    scale = _exact_sqrt(inverse)
     if scale is None:
-        scale = linalg.sqrt_lower(1 / value_sq, spaces.BRACKET_BITS)
+        scale = linalg.sqrt_lower(inverse, spaces.BRACKET_BITS)
     g = z.scale(scale)
-    if scale * scale * value_sq > 1:
+    if scale.numerator ** 2 * vn > scale.denominator ** 2 * vd:  # scale^2 value_sq > 1
         raise ContractViolation("certificate scale exceeds the unit dual ball")
-    functional = Functional(space, g, Fraction(1))
+    functional = Functional(space, g, _ONE)
     lower = scale * value_sq
     hi = linalg.sqrt_upper(value_sq, spaces.BRACKET_BITS)
     return DualCertificate(functional, lower, hi - lower)
@@ -441,22 +470,22 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fra
     p = space.p
     if p is None:
         raise ContractViolation("a bracket minimum needs a finite exponent")
-    lo = Fraction(0)  # no candidate is negative, so 0 moves no maximum
+    lo = _ZERO  # no candidate is negative, so 0 moves no maximum
     d = len(_coordinate_rows(vs))
     if d:
         l1_min = simplex_min_norm(spaces.L1, vs)
         if l1_min.exact is None:
             raise ContractViolation("the l1 simplex minimum came back inexact")
         a, b = p.numerator, p.denominator
-        _, holder_hi = linalg.nthroot_brackets(Fraction(d ** (a - b)), a, 64)
+        _, holder_hi = linalg.nthroot_brackets(d ** (a - b), a, 64)
         lo = l1_min.exact / holder_hi
     u = spaces.combine([Fraction(1, len(vs))] * len(vs), vs)
-    if spaces.norm(spaces.C0, u).exact > lo:
+    if spaces.norm_cmp(spaces.C0, u, lo) == 1:
         sup_min = simplex_min_norm(spaces.C0, vs)
         if sup_min.exact is None:
             raise ContractViolation("the sup-norm simplex minimum came back inexact")
         lo = max(lo, sup_min.exact)
-    if p < 2 and u.dot(u) > lo * lo:
+    if p < 2 and spaces.norm_cmp(spaces.L2, u, lo) == 1:
         lo = max(lo, simplex_min_norm(spaces.L2, vs).lo)
     if any(spaces.norm(space, v).hi < lo for v in vs):
         raise ContractViolation("bracket bounds crossed; comparison-norm reasoning is wrong")
@@ -477,7 +506,8 @@ def _simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
     # the nonzero coefficients, (row, c) per vector and (vector, c) per row, in
     # the order of the dense sums: a skipped product is an exact +-0.0, and a
     # sum that starts at 0 and adds one changes by nothing, not even its sign
-    cols = [[(at[r], float(c)) for r, c in v.entries] for v in vs]
+    # (n / den is correctly rounded, so it is the float of the coefficient)
+    cols = [[(at[r], c / v.den) for r, c in zip(v.support, v.nums)] for v in vs]
     by_row: list[list[tuple[int, float]]] = [[] for _ in at]
     for n, col in enumerate(cols):
         for j, c in col:
@@ -515,11 +545,9 @@ def _simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
     if best_pt is None:
         raise ContractViolation("the descent found no point with a finite norm")
     grid = 1 << MARGIN_GRID_BITS
-    snapped = [Fraction(max(0, round(w * grid)), grid) for w in best_pt]
-    total = sum(snapped, Fraction(0))
-    weights = tuple(w / total for w in snapped) if total else tuple(
-        [Fraction(1)] + [Fraction(0)] * (m - 1)
-    )
+    units = [max(0, round(w * grid)) for w in best_pt]  # weights units / grid, rescaled
+    total = sum(units)
+    weights = tuple(Fraction(u, total) for u in units) if total else (_ONE,) + (_ZERO,) * (m - 1)
     combo = spaces.combine(weights, vs)
     nv = spaces.norm(space, combo)
     hi = nv.hi
@@ -528,7 +556,7 @@ def _simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
         vn = spaces.norm(space, vs[i])
         if vn.hi < hi:
             hi = vn.hi
-            weights = tuple(Fraction(1) if j == i else Fraction(0) for j in range(m))
+            weights = tuple(_ONE if j == i else _ZERO for j in range(m))
             combo, nv = vs[i], vn
     if hi < lo:
         raise ContractViolation("bracket bounds crossed; comparison-norm reasoning is wrong")
@@ -555,7 +583,7 @@ def is_eps_dominating(
     space: SpaceModel,
     vectors: list[Vector] | tuple[Vector, ...],
     eps: Fraction,
-    tol: Fraction = Fraction(0),
+    tol: Fraction = _ZERO,
     memo: dict | None = None,
 ) -> Verdict3:
     """Does every simplex combination of the vectors have norm >= eps?
@@ -567,8 +595,8 @@ def is_eps_dominating(
     bracket path the upper end of the enclosure is computed lazily, only when
     the exact lower end does not clear eps plus tol.
     """
-    eps = Fraction(eps)
-    tol = Fraction(tol)
+    eps = spaces.as_fraction(eps)
+    tol = spaces.as_fraction(tol)
     if tol < 0:
         raise ConfigurationError("tol must be nonnegative", "/tol")
     vs = tuple(vectors)
@@ -652,7 +680,7 @@ def is_M_schauder(
     rng_seed: int = 0,
 ) -> SchauderReport:
     """Is every prefix combination bounded by M times the full combination?"""
-    big_m = Fraction(big_m)
+    big_m = spaces.as_fraction(big_m)
     if big_m <= 0:
         raise ValueError("the prefix bound must be positive")
     return _schauder_analyze(space, tuple(vectors), big_m, rng_seed)
@@ -678,25 +706,25 @@ def _schauder_analyze(
     m = len(vs)
     if m == 0:
         verdict = Verdict3(HOLDS, None, None, detail="empty sequence")
-        return SchauderReport(verdict, "exact-structural", Fraction(1), Fraction(1))
+        return SchauderReport(verdict, "exact-structural", _ONE, _ONE)
     if m == 1:
-        return _constant_report(Fraction(1), Fraction(1), big_m, "exact-structural",
+        return _constant_report(_ONE, _ONE, big_m, "exact-structural",
                                 detail="single vector, prefix equals whole")
     first: dict[Vector, int] = {}
     for j, v in enumerate(vs):
         i = first.setdefault(v, j)
         if i < j:  # x_j = x_i: the kernel vector e_j - e_i needs no elimination
-            z = [Fraction(0)] * m
-            z[i], z[j] = Fraction(-1), Fraction(1)
+            z = [_ZERO] * m
+            z[i], z[j] = _MINUS_ONE, _ONE
             return _dependent_report(z)
 
     rows = _coordinate_rows(vs)
     # the supports are pairwise disjoint exactly when their sizes add up to the
     # size of their union, and such nonzero vectors need no elimination
     if len(rows) == sum(len(v.support) for v in vs):
-        return _constant_report(Fraction(1), Fraction(1), big_m, "exact-structural",
+        return _constant_report(_ONE, _ONE, big_m, "exact-structural",
                                 detail="disjoint supports: prefixes only drop terms")
-    mat = _matrix(vs, rows)
+    mat, d = _matrix(vs, rows)
     kernel = linalg.nullspace(mat)  # non-empty exactly when the rank is below m
     if kernel:
         return _dependent_report(kernel[0])
@@ -704,7 +732,7 @@ def _schauder_analyze(
     if space.exactness == "square":
         return _schauder_gram(vs, big_m)
     if space.exactness == "rational":
-        report = _schauder_polyhedral(space, vs, mat, big_m)
+        report = _schauder_polyhedral(space, vs, mat, d, big_m)
         if report is not None:
             return report
     return _schauder_sampled(space, vs, big_m, rng_seed)
@@ -729,18 +757,21 @@ def _prefix_ratio(
     witness is the first pattern and prefix reaching it, None when no
     proper prefix beats 1.  Patterns whose full sum vanishes are skipped.
     """
-    best = Fraction(1)
+    best = _ONE
     witness = None
     for a in patterns:
         nf = spaces.norm(space, spaces.combine(a, vs))
         if nf.hi == 0:
             continue
+        hn, hd = nf.hi.numerator, nf.hi.denominator
         partial = Vector.zero()
         for k in range(1, len(vs)):
             partial = partial + vs[k - 1].scale(a[k - 1])
             nk = spaces.norm(space, partial)
-            if nk.lo > best * nf.hi:
-                best = nk.lo / nf.hi
+            lo = nk.lo
+            # nk.lo > best * nf.hi, over positive denominators
+            if lo.numerator * hd * best.denominator > best.numerator * hn * lo.denominator:
+                best = lo / nf.hi
                 witness = PrefixWitness(k, tuple(a), nk, nf)
     return best, witness
 
@@ -808,7 +839,7 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderRe
             bits = MARGIN_GRID_BITS
             while (c_lo := linalg.sqrt_lower(ratio_sq, bits)) <= big_m:
                 bits *= 2
-            c_lo = max(c_lo, Fraction(1))
+            c_lo = max(c_lo, _ONE)
             margin = big_m - c_lo
             verdict = Verdict3(FAILS, float(margin), margin, witness,
                                detail=f"prefix {bad_k} escapes the bound (PSD witness)")
@@ -835,7 +866,8 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderRe
 def _schauder_polyhedral(
     space: SpaceModel,
     vs: tuple[Vector, ...],
-    mat: list[list[Fraction]],
+    mat: list[list[int]],
+    d: int,
     big_m: Fraction | None,
 ) -> SchauderReport | None:
     """Exact l1 / sup basis constant via extreme points of the unit ball.
@@ -844,7 +876,8 @@ def _schauder_polyhedral(
     a convex maximum attained at an extreme point.  Every candidate's full
     combination has norm exactly 1, so the largest prefix ratio over them is
     the constant itself.  Returns None when the candidate count exceeds the
-    enumeration budget.
+    enumeration budget.  `mat` is the int matrix D A of `_matrix` and `d`
+    is D; images A a are tested as int numerators over a common scale.
     """
     m = len(vs)
     r = len(mat)
@@ -859,29 +892,29 @@ def _schauder_polyhedral(
     candidates: list[list[Fraction]] = []
     if sup:
         # one elimination per row subset solves it against every sign pattern
-        rhs = [[1, *signs] for signs in itertools.product((1, -1), repeat=m - 1)]
+        # the right-hand sides D b solve D A a = D b, that is A a = b
+        rhs = [[d, *(d * s for s in signs)] for signs in itertools.product((1, -1), repeat=m - 1)]
         for rows_idx in itertools.combinations(range(r), m):
             aug = [mat[j] + [b[k] for b in rhs] for k, j in enumerate(rows_idx)]
             red, pivots = linalg.row_reduce(aug)
             if pivots != list(range(m)):  # the subset is singular
                 continue
+            e = math.lcm(*(row[-1] for row in red))
             for col in range(m, m + len(rhs)):
-                a = linalg.column(red, col)
-                img = linalg.mat_vec(mat, a)
-                if all(abs(t) <= 1 for t in img):
-                    candidates.append(a)
+                a = [row[col] * (e // row[-1]) for row in red]  # e times the solution
+                if all(abs(sum(x * y for x, y in zip(row, a))) <= d * e for row in mat):
+                    candidates.append(linalg.column(red, col))
     else:
         for rows_idx in itertools.combinations(range(r), m - 1):
             sub = [mat[j] for j in rows_idx]
             ker = linalg.nullspace(sub)
             if len(ker) != 1:
                 continue
-            z = ker[0]
-            img = linalg.mat_vec(mat, z)
-            f = sum((abs(t) for t in img), Fraction(0))
+            *z, e = linalg.int_row(ker[0])  # the kernel vector is z / e
+            f = sum(abs(sum(x * y for x, y in zip(row, z))) for row in mat)  # D e ||A z / e||
             if f == 0:
                 continue
-            candidates.append([zi / f for zi in z])
+            candidates.append([Fraction(x * d, f) for x in z])
 
     c, witness = _prefix_ratio(space, vs, candidates)
     return _constant_report(c, c, big_m, "exact-polyhedral", witness=witness)

@@ -23,6 +23,8 @@ computable odd index.  Models whose points are stable under combination
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Callable
 
 from . import enumeration, spaces
@@ -34,7 +36,7 @@ def summing_vector(k: int) -> Vector:
     """The k-th summing-basis vector e_0 + e_1 + ... + e_{k-1}, k >= 1."""
     if k < 1:
         raise ValueError("summing vectors are indexed from 1")
-    return Vector(tuple((j, Fraction(1)) for j in range(k)))
+    return Vector.from_ints(range(k), [1] * k)
 
 
 class SetModel:
@@ -132,8 +134,8 @@ def _simplex_normalize(v: Vector) -> Vector:
     """Map any vector onto the unit-coefficient simplex: |coords| / their sum."""
     if v.is_zero:
         return Vector.unit(0)
-    total = sum((abs(c) for _, c in v.entries), Fraction(0))
-    return Vector(tuple((p, abs(c) / total) for p, c in v.entries))
+    nums = [abs(n) for n in v.nums]  # over v.den, which cancels
+    return Vector.from_ints(v.support, nums, sum(nums))
 
 
 def unit_vector_hull(space: SpaceModel, ident: str = "unit-vector-hull") -> SetModel:
@@ -152,12 +154,12 @@ def unit_vector_hull(space: SpaceModel, ident: str = "unit-vector-hull") -> SetM
     strict = space.kind == "lp" and space.p == 1
 
     def member(v: Vector) -> bool:
-        if any(c < 0 for _, c in v.entries):
+        if any(n < 0 for n in v.nums):
             return False
-        total = sum((c for _, c in v.entries), Fraction(0))
+        total = sum(v.nums)  # the coefficient sum is total / v.den
         # the coefficient sum is norm-continuous only in l1; elsewhere the
         # closure fills the whole sub-simplex
-        return total == 1 if strict else total <= 1
+        return total == v.den if strict else total <= v.den
 
     return SetModel(
         ident, space, "unit-vector-hull", base,
@@ -176,20 +178,21 @@ def summing_hull(space: SpaceModel, ident: str = "summing-hull") -> SetModel:
         if i % 2 == 0:
             return summing_vector(i // 2 + 1)
         weights = _simplex_normalize(spaces.dense_point(i // 2))
-        return spaces.combine(
-            [c for _, c in weights.entries],
-            [summing_vector(p + 1) for p, _ in weights.entries],
-        )
+        # sum_p w_p s_{p+1} has coordinate j equal to the sum of w_p over p >= j
+        top = weights.support[-1]
+        w = dict(zip(weights.support, weights.nums))
+        tails = list(accumulate(w.get(j, 0) for j in range(top, -1, -1)))[::-1]
+        return Vector.from_ints(range(top + 1), tails, weights.den)
 
     def member(v: Vector) -> bool:
         # combinations have coordinates 1 = x_0 >= x_1 >= ... >= 0 on an
         # initial segment, and coordinate evaluation survives norm limits
-        if v.coeff(0) != 1:
+        if v.is_zero or v.support[0] != 0 or v.nums[0] != v.den:
             return False
-        top = v.entries[-1][0]
-        prev = Fraction(1)
-        for j in range(top + 1):
-            c = v.coeff(j)
+        coords = dict(zip(v.support, v.nums))  # numerators over v.den
+        prev = v.den
+        for j in range(v.support[-1] + 1):
+            c = coords.get(j, 0)
             if c < 0 or c > prev:
                 return False
             prev = c
@@ -259,17 +262,18 @@ def hilbert_cube(space: SpaceModel, ident: str = "hilbert-cube") -> SetModel:
     """
 
     def clamp(v: Vector) -> Vector:
-        out = []
-        for p, c in v.entries:
-            cap = Fraction(1, 2 ** (p + 1))
-            out.append((p, max(-cap, min(cap, c))))
-        return Vector.from_pairs(out)
+        # a coefficient n / den beyond the cap 1 / c = 2^-(p+1) becomes +-1 / c
+        caps = [2 << p for p in v.support]
+        den = lcm(v.den, *(c for c, n in zip(caps, v.nums) if abs(n) * c > v.den))
+        nums = [n * (den // v.den) if abs(n) * c <= v.den else (den // c if n > 0 else -(den // c))
+                for c, n in zip(caps, v.nums)]
+        return Vector.from_ints(v.support, nums, den)
 
     def base(i: int) -> Vector:
         return clamp(spaces.dense_point(i))
 
     def member(v: Vector) -> bool:
-        return all(abs(c) <= Fraction(1, 2 ** (p + 1)) for p, c in v.entries)
+        return all(abs(n) * (2 << p) <= v.den for p, n in zip(v.support, v.nums))
 
     return SetModel(
         ident, space, "hilbert-cube", base,
@@ -281,7 +285,7 @@ def unit_vector_family(space: SpaceModel, ident: str = "unit-vector-family") -> 
     """The bare (non-convex) set {e_0, e_1, ...} of unit vectors."""
 
     def member(v: Vector) -> bool:
-        return len(v.entries) == 1 and v.entries[0][1] == 1
+        return v.nums == (1,) and v.den == 1
 
     return SetModel(
         ident, space, "unit-vector-family", Vector.unit,

@@ -1,23 +1,30 @@
 """Sequence-space models over finitely supported rational vectors.
 
-A point is a sparse vector with exact ``Fraction`` coefficients; a space fixes
-the norm used to measure it.  Three norms have fully exact evaluation paths:
-l1 and the sup norm produce rational values, and l2 exposes the exact squared
-norm so comparisons can be routed through squares.  Any other rational
-exponent p >= 1 is supported in bracket mode: the norm is returned as a float
-together with a guaranteed error bound derived from dyadic root brackets.
+A point is a sparse vector of exact rational coefficients, held as int
+numerators over one positive int denominator in lowest terms (one
+denominator for the whole vector, as in fraction-free elimination); a space
+fixes the norm used to measure it.  Three norms have fully exact evaluation
+paths: l1 and the sup norm produce rational values, and l2 exposes the exact
+squared norm so comparisons can be routed through squares.  Any other
+rational exponent p >= 1 is supported in bracket mode: the norm is returned
+as a float together with a guaranteed error bound derived from dyadic root
+brackets.  Norms, pairings, combinations and norm comparisons are int
+arithmetic; a ``Fraction`` is built only for a result, such as a norm value
+or a coefficient read through ``Vector.coeff`` or ``Vector.entries``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from . import enumeration, linalg
 from .errors import ConfigurationError
 
 BRACKET_BITS = 96
-_ZERO = Fraction(0)  # shared: a Fraction is immutable
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
 
 class Record:
@@ -65,15 +72,25 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Vector(FrozenRecord):
-    """Finitely supported rational vector: sorted (position, coefficient) pairs.
+def as_fraction(x) -> Fraction:
+    """x itself when it is a Fraction, else x converted: a Fraction is immutable."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
-    Entries are normalized on construction: strictly increasing positions,
-    no zero coefficients.  Equality therefore means identical support and
-    identical coefficients.
+
+class Vector(FrozenRecord):
+    """Finitely supported rational vector, held as integers.
+
+    `support` is the strictly increasing tuple of positions, `nums` the
+    nonzero int numerators there, and `den` the one positive int
+    denominator of them all: coefficient i is nums[i] / den.  The form is
+    in lowest terms (gcd(den, *nums) == 1), so it is unique, and equality
+    means identical support and identical coefficients.  Arithmetic reads
+    these fields only.  `entries`, the sorted (position, coefficient) pairs,
+    is the public view: the tuple given to `Vector(entries)` is kept as it
+    is, and otherwise the pairs are built, as Fractions, on first use.
     """
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("support", "nums", "den", "_entries", "_hash")
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, Fraction], ...] = ()):
@@ -81,15 +98,28 @@ class Vector(FrozenRecord):
         for pos, coeff in entries:
             if pos <= prev:
                 raise ValueError("entries must have strictly increasing positions")
+            if not isinstance(coeff, (int, Fraction)):
+                raise ValueError(f"coefficient {coeff!r} is neither an int nor a Fraction")
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
             prev = pos
-        object.__setattr__(self, "entries", entries)
+        den = lcm(*(c.denominator for _, c in entries))
+        _init(self, tuple(p for p, _ in entries),
+              tuple(c.numerator * (den // c.denominator) for _, c in entries), den, entries)
+
+    @property
+    def entries(self) -> tuple[tuple[int, Fraction], ...]:
+        if self._entries is None:
+            den = self.den
+            object.__setattr__(self, "_entries", tuple(
+                (p, Fraction(n, den)) for p, n in zip(self.support, self.nums)))
+        return self._entries
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.entries == other.entries
+        return (self.den == other.den and self.nums == other.nums
+                and self.support == other.support)
 
     def __hash__(self):
         # hash((entries,)), computed on first use and kept on the instance
@@ -101,14 +131,35 @@ class Vector(FrozenRecord):
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, Fraction]]) -> "Vector":
+        """Sum the coefficients of equal positions, which may come in any order."""
         acc: dict[int, Fraction] = {}
         for pos, coeff in pairs:
             if pos < 0:
                 raise ValueError("positions are naturals")
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
+            if not isinstance(coeff, (int, Fraction)):
+                raise ValueError(f"coefficient {coeff!r} is neither an int nor a Fraction")
             acc[pos] = acc[pos] + coeff if pos in acc else coeff
-        return Vector(tuple((p, c) for p, c in sorted(acc.items()) if c != 0))
+        entries = tuple((p, c) for p, c in sorted(acc.items()) if c != 0)
+        v = Vector(entries)
+        if all(isinstance(c, Fraction) for _, c in entries):
+            return v
+        return _of(v.support, v.nums, v.den)  # its view is built of Fractions
+
+    @staticmethod
+    def from_ints(support: Iterable[int], nums: Iterable[int], den: int = 1) -> "Vector":
+        """The vector with coefficient nums[i] / den at position support[i].
+
+        Positions must strictly increase and den must be positive; zero
+        numerators are dropped and the rest reduced to lowest terms.
+        """
+        support, nums = tuple(support), tuple(nums)
+        if len(support) != len(nums):
+            raise ValueError("support/numerator length mismatch")
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
+        if any(b <= a for a, b in zip(support, support[1:])) or (support and support[0] < 0):
+            raise ValueError("positions must be strictly increasing naturals")
+        return _reduced(support, nums, den)
 
     @staticmethod
     def zero() -> "Vector":
@@ -116,47 +167,47 @@ class Vector(FrozenRecord):
 
     @staticmethod
     def unit(i: int) -> "Vector":
-        return Vector(((i, Fraction(1)),))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
+        return Vector(((i, _ONE),))
 
     def coeff(self, pos: int) -> Fraction:
-        for p, c in self.entries:
-            if p == pos:
-                return c
-            if p > pos:
-                break
+        i = bisect_left(self.support, pos)
+        if i < len(self.support) and self.support[i] == pos:
+            return Fraction(self.nums[i], self.den)
         return _ZERO
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.nums
 
     def __add__(self, other: "Vector") -> "Vector":
-        return Vector.from_pairs(self.entries + other.entries)
+        return _combined([(1, 1, self), (1, 1, other)])
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return self + other.scale(Fraction(-1))
+        return _combined([(1, 1, self), (-1, 1, other)])
 
     def __neg__(self) -> "Vector":
-        return self.scale(Fraction(-1))
+        return _of(self.support, tuple(-n for n in self.nums), self.den)
 
     def scale(self, factor: Fraction) -> "Vector":
-        factor = Fraction(factor)
+        factor = as_fraction(factor)
         if factor == 0:
             return Vector()
-        return Vector(tuple((p, factor * c) for p, c in self.entries))
+        a, b = factor.numerator, factor.denominator
+        return _reduced(self.support, tuple(a * n for n in self.nums), b * self.den)
+
+    def int_dot(self, other: "Vector") -> int:
+        """The inner product times self.den * other.den, an int."""
+        mine = dict(zip(self.support, self.nums))
+        return sum(mine[p] * n for p, n in zip(other.support, other.nums) if p in mine)
 
     def dot(self, other: "Vector") -> Fraction:
         """Exact inner product over the common support."""
-        mine = dict(self.entries)
-        return sum((mine[p] * c for p, c in other.entries if p in mine), _ZERO)
+        s = self.int_dot(other)
+        return Fraction(s, self.den * other.den) if s else _ZERO
 
     def shift(self, offset: int = 1) -> "Vector":
         """Move every coefficient `offset` positions to the right."""
-        return Vector(tuple((p + offset, c) for p, c in self.entries))
+        return _of(tuple(p + offset for p in self.support), self.nums, self.den)
 
     def to_json(self) -> list[list]:
         return [[p, str(c)] for p, c in self.entries]
@@ -169,10 +220,49 @@ class Vector(FrozenRecord):
             raise ConfigurationError(f"bad vector payload: {exc}") from exc
 
     def __repr__(self):
-        if not self.entries:
+        if not self.nums:
             return "Vector(0)"
         body = " + ".join(f"({c})*e{p}" for p, c in self.entries)
         return f"Vector({body})"
+
+
+def _init(v: Vector, support: tuple, nums: tuple, den: int, entries) -> None:
+    object.__setattr__(v, "support", support)
+    object.__setattr__(v, "nums", nums)
+    object.__setattr__(v, "den", den)
+    object.__setattr__(v, "_entries", entries)
+
+
+def _of(support: tuple, nums: tuple, den: int) -> Vector:
+    """A Vector of fields already in lowest terms, without checks."""
+    v = object.__new__(Vector)
+    _init(v, support, nums, den, None)
+    return v
+
+
+def _reduced(support: tuple, nums: tuple, den: int) -> Vector:
+    """A Vector of sorted positions and int numerators over den > 0, with the
+    zero numerators dropped and the rest in lowest terms."""
+    if 0 in nums:
+        kept = [(p, n) for p, n in zip(support, nums) if n]
+        support, nums = tuple(p for p, _ in kept), tuple(n for _, n in kept)
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = tuple(n // g for n in nums), den // g
+    return _of(support, nums, den)
+
+
+def _combined(terms: list[tuple[int, int, Vector]]) -> Vector:
+    """sum(a / b * v) over the (a, b, v) terms, b > 0, over one common denominator."""
+    den = lcm(*(b * v.den for _, b, v in terms))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for a, b, v in terms:
+        f = a * (den // (b * v.den))
+        for p, n in zip(v.support, v.nums):
+            acc[p] = get(p, 0) + f * n
+    support = tuple(sorted(acc))
+    return _reduced(support, tuple(acc[p] for p in support), den)
 
 
 class SpaceModel(FrozenRecord):
@@ -208,11 +298,12 @@ class SpaceModel(FrozenRecord):
     def conjugate_kind(self) -> tuple[str, Fraction | None]:
         """Norm kind of the dual pairing: c0 <-> l1, lp <-> lq."""
         if self.kind == "c0":
-            return "lp", Fraction(1)
+            return "lp", _ONE
         if self.p == 1:
             return "c0", None
-        q = self.p / (self.p - 1)
-        return "lp", q
+        if self.p == 2:  # self-dual
+            return "lp", self.p
+        return "lp", self.p / (self.p - 1)
 
     def to_json(self) -> dict:
         return {"id": self.ident, "kind": self.kind, "p": None if self.p is None else str(self.p)}
@@ -263,27 +354,31 @@ class NormValue(NamedTuple):
 
 
 def _enclose(lo: Fraction, hi: Fraction) -> tuple[float, float]:
-    if lo == hi:  # an exact norm needs no Fraction arithmetic
+    """The midpoint and half-width of [lo, hi] as floats, from int arithmetic:
+    an int quotient is correctly rounded, as float() of the Fraction is."""
+    if lo == hi:
         value = float(lo)
         return value, abs(value) * 1e-15 + 1e-300
-    value = float((lo + hi) / 2)
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    value = (a * d + c * b) / (2 * b * d)
     slack = abs(value) * 1e-15 + 1e-300
-    return value, float(hi - lo) / 2 + slack
+    return value, (c * b - a * d) / (b * d) / 2 + slack
+
+
+def _exact(value: Fraction) -> NormValue:
+    val, err = _enclose(value, value)
+    return NormValue(val, err, value, value, exact=value)
 
 
 def norm(space: SpaceModel, v: Vector) -> NormValue:
     """Norm of v in the given space, with a certified error bound."""
     if space.kind == "c0":
-        m = max((abs(c) for _, c in v.entries), default=Fraction(0))
-        val, err = _enclose(m, m)
-        return NormValue(val, err, m, m, exact=m)
+        return _exact(Fraction(max(map(abs, v.nums), default=0), v.den))
     p = space.p
     if p == 1:
-        s = sum((abs(c) for _, c in v.entries), Fraction(0))
-        val, err = _enclose(s, s)
-        return NormValue(val, err, s, s, exact=s)
+        return _exact(Fraction(sum(map(abs, v.nums)), v.den))
     if p == 2:
-        sq = _square(v)
+        sq = Fraction(_square(v), v.den * v.den)
         lo = linalg.sqrt_lower(sq, BRACKET_BITS)
         hi = linalg.sqrt_upper(sq, BRACKET_BITS)
         val, err = _enclose(lo, hi)
@@ -291,31 +386,37 @@ def norm(space: SpaceModel, v: Vector) -> NormValue:
     return _bracket_norm(v, p)
 
 
-def _square(v: Vector) -> Fraction:
-    """The exact square of the l2 norm."""
-    return sum((c * c for _, c in v.entries), _ZERO)
+def _square(v: Vector) -> int:
+    """The exact square of the l2 norm, times den^2."""
+    return sum(n * n for n in v.nums)
 
 
 def _bracket_norm(v: Vector, p: Fraction) -> NormValue:
-    """Sum of |c|^p via integer-root brackets, then the 1/p-th root bracket."""
+    """Sum of |c|^p via integer-root brackets, then the 1/p-th root bracket.
+
+    With p = a/b, each |c|^a = |n|^a / den^a; for b > 1 its b-th root is
+    bracketed on the 2^-BRACKET_BITS grid, and the brackets are summed.
+    """
+    if not v.nums:
+        return NormValue(0.0, 0.0, _ZERO, _ZERO)
     a, b = p.numerator, p.denominator
-    slo = Fraction(0)
-    shi = Fraction(0)
-    for _, c in v.entries:
-        t = abs(c) ** a
-        if b == 1:
-            slo += t
-            shi += t
-        else:
-            tlo, thi = linalg.nthroot_brackets(t, b, BRACKET_BITS)
-            slo += tlo
-            shi += thi
-    if shi == 0:
-        return NormValue(0.0, 0.0, Fraction(0), Fraction(0))
-    lo, _ = linalg.nthroot_brackets(slo**b, a, BRACKET_BITS)
-    _, hi = linalg.nthroot_brackets(shi**b, a, BRACKET_BITS)
+    scale = 1 << BRACKET_BITS
+    if b == 1:
+        slo = shi = (sum(abs(n) ** a for n in v.nums), v.den ** a)
+    else:
+        dpow = v.den ** a
+        lo_sum = sum(linalg.int_nthroot_floor(abs(n) ** a * scale ** b // dpow, b)
+                     for n in v.nums)
+        slo, shi = (lo_sum, scale), (lo_sum + 2 * len(v.nums), scale)
+    lo = Fraction(_root_floor(*slo, b, a), scale)
+    hi = Fraction(_root_floor(*shi, b, a) + 2, scale)
     val, err = _enclose(lo, hi)
     return NormValue(val, err, lo, hi)
+
+
+def _root_floor(num: int, den: int, b: int, a: int) -> int:
+    """floor(2^BRACKET_BITS * (num/den)^(b/a)), the lower root bracket's numerator."""
+    return linalg.int_nthroot_floor(num ** b * (1 << BRACKET_BITS) ** a // den ** b, a)
 
 
 def norm_cmp(space: SpaceModel, v: Vector, threshold: Fraction) -> int | None:
@@ -324,20 +425,26 @@ def norm_cmp(space: SpaceModel, v: Vector, threshold: Fraction) -> int | None:
     Returns -1/0/+1 when decidable; None only on the bracket path when the
     enclosure straddles the threshold.
     """
-    threshold = Fraction(threshold)
-    if threshold < 0:
+    return _norm_cmp(space.kind, space.p, v, as_fraction(threshold))
+
+
+def _norm_cmp(kind: str, p: Fraction | None, v: Vector, t: Fraction) -> int | None:
+    if t < 0:
         return 1  # norms are nonnegative
-    if space.exactness == "square":
-        sq, t2 = _square(v), threshold * threshold
-        return (sq > t2) - (sq < t2)
-    nv = norm(space, v)
-    if nv.exact is not None:
-        return (nv.exact > threshold) - (nv.exact < threshold)
-    if nv.lo > threshold:
-        return 1
-    if nv.hi < threshold:
-        return -1
-    return None
+    tn, td = t.numerator, t.denominator
+    if kind == "c0" or p == 1:  # ||v|| = s / den: compare s * td with tn * den
+        s = max(map(abs, v.nums), default=0) if kind == "c0" else sum(map(abs, v.nums))
+        lhs, rhs = s * td, tn * v.den
+    elif p == 2:  # compare the squares
+        lhs, rhs = _square(v) * td * td, tn * tn * v.den * v.den
+    else:
+        nv = _bracket_norm(v, p)
+        if nv.lo > t:
+            return 1
+        if nv.hi < t:
+            return -1
+        return None
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def conjugate_norm(space: SpaceModel, v: Vector) -> NormValue:
@@ -361,8 +468,8 @@ class Functional(FrozenRecord):
 
     __slots__ = _fields = ("space", "vec", "bound")
 
-    def __init__(self, space: SpaceModel, vec: Vector, bound: Fraction = Fraction(1)):
-        cmp = _dual_norm_cmp(space, vec, Fraction(bound))
+    def __init__(self, space: SpaceModel, vec: Vector, bound: Fraction = _ONE):
+        cmp = _dual_norm_cmp(space, vec, as_fraction(bound))
         if cmp == 1:
             raise ConfigurationError("functional exceeds its claimed dual-norm bound")
         if cmp is None:
@@ -375,8 +482,7 @@ class Functional(FrozenRecord):
 
 def _dual_norm_cmp(space: SpaceModel, vec: Vector, bound: Fraction) -> int | None:
     kind, q = space.conjugate_kind()
-    dual = SpaceModel("_dual", kind, q)
-    return norm_cmp(dual, vec, bound)
+    return _norm_cmp(kind, q, vec, bound)
 
 
 def combine(coeffs: Iterable[Fraction], vectors: Iterable[Vector]) -> Vector:
@@ -385,12 +491,12 @@ def combine(coeffs: Iterable[Fraction], vectors: Iterable[Vector]) -> Vector:
     vectors = list(vectors)
     if len(coeffs) != len(vectors):
         raise ValueError("coefficient/vector length mismatch")
-    pairs: list[tuple[int, Fraction]] = []
+    terms = []
     for a, v in zip(coeffs, vectors):
-        a = Fraction(a)
+        a = as_fraction(a)
         if a != 0:
-            pairs.extend((p, a * c) for p, c in v.entries)
-    return Vector.from_pairs(pairs)
+            terms.append((a.numerator, a.denominator, v))
+    return _combined(terms)
 
 
 def dense_point(index: int) -> Vector:

@@ -1031,3 +1031,84 @@ def ref_simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
         raise ContractViolation("bracket bounds crossed; comparison-norm reasoning is wrong")
     witness = SimplexWitness(weights, combo, nv)
     return SimplexMinResult(lo, hi, witness, "bracket")
+
+
+# The Fraction form of `spaces.Vector` and of its norms, before a vector held
+# int numerators over one denominator: sorted (position, Fraction) pairs and
+# sums of Fractions, with only the names changed.  A differential test
+# checks the int form against it, value for value.
+
+class RefVector:
+    def __init__(self, entries: tuple[tuple[int, Fraction], ...] = ()):
+        self.entries = entries
+
+    @staticmethod
+    def from_pairs(pairs) -> "RefVector":
+        acc: dict[int, Fraction] = {}
+        for pos, coeff in pairs:
+            coeff = Fraction(coeff)
+            acc[pos] = acc[pos] + coeff if pos in acc else coeff
+        return RefVector(tuple((p, c) for p, c in sorted(acc.items()) if c != 0))
+
+    def scale(self, factor) -> "RefVector":
+        factor = Fraction(factor)
+        if factor == 0:
+            return RefVector()
+        return RefVector(tuple((p, factor * c) for p, c in self.entries))
+
+    def dot(self, other: "RefVector") -> Fraction:
+        mine = dict(self.entries)
+        return sum((mine[p] * c for p, c in other.entries if p in mine), Fraction(0))
+
+    def shift(self, offset: int = 1) -> "RefVector":
+        return RefVector(tuple((p + offset, c) for p, c in self.entries))
+
+
+def ref_combine(coeffs, vectors) -> RefVector:
+    pairs = []
+    for a, v in zip(coeffs, vectors):
+        a = Fraction(a)
+        if a != 0:
+            pairs.extend((p, a * c) for p, c in v.entries)
+    return RefVector.from_pairs(pairs)
+
+
+def _ref_enclose(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    if lo == hi:
+        value = float(lo)
+        return value, abs(value) * 1e-15 + 1e-300
+    value = float((lo + hi) / 2)
+    slack = abs(value) * 1e-15 + 1e-300
+    return value, float(hi - lo) / 2 + slack
+
+
+def ref_norm(space: SpaceModel, v: RefVector) -> spaces.NormValue:
+    """The norm of v as `spaces.norm` computed it on Fraction entries."""
+    bits = spaces.BRACKET_BITS
+    if space.kind == "c0":
+        m = max((abs(c) for _, c in v.entries), default=Fraction(0))
+        return spaces.NormValue(*_ref_enclose(m, m), m, m, exact=m)
+    p = space.p
+    if p == 1:
+        s = sum((abs(c) for _, c in v.entries), Fraction(0))
+        return spaces.NormValue(*_ref_enclose(s, s), s, s, exact=s)
+    if p == 2:
+        sq = sum((c * c for _, c in v.entries), Fraction(0))
+        lo, hi = linalg.sqrt_lower(sq, bits), linalg.sqrt_upper(sq, bits)
+        return spaces.NormValue(*_ref_enclose(lo, hi), lo, hi, exact_sq=sq)
+    a, b = p.numerator, p.denominator
+    slo = shi = Fraction(0)
+    for _, c in v.entries:
+        t = abs(c) ** a
+        if b == 1:
+            slo += t
+            shi += t
+        else:
+            tlo, thi = linalg.nthroot_brackets(t, b, bits)
+            slo += tlo
+            shi += thi
+    if shi == 0:
+        return spaces.NormValue(0.0, 0.0, Fraction(0), Fraction(0))
+    lo, _ = linalg.nthroot_brackets(slo**b, a, bits)
+    _, hi = linalg.nthroot_brackets(shi**b, a, bits)
+    return spaces.NormValue(*_ref_enclose(lo, hi), lo, hi)

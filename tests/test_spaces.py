@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,6 +58,141 @@ def test_vector_builds_no_fraction_for_fraction_inputs_or_absent_positions(monke
     assert v.entries == ((0, third), (3, half)) and v.entries[1][1] is half
     assert zeros == [0, 0, 0] and all(type(z) is Fraction for z in zeros)
     assert w.entries == ((1, Fraction(2)),) and type(w.entries[0][1]) is Fraction
+
+
+def test_norms_and_pairings_build_one_fraction_each(monkeypatch):
+    """A vector holds int numerators over one denominator, so a norm or a
+    pairing builds a Fraction only for its result: one for an l1 or sup norm
+    and for `dot`, three for an l2 norm (its exact square and the two root
+    brackets of NormValue), and none for a combination or an exact
+    comparison."""
+    v = Vector.from_pairs([(0, Fraction(3, 4)), (2, Fraction(-5, 6)), (7, Fraction(1, 9))])
+    w = Vector.from_pairs([(2, Fraction(2, 3)), (7, Fraction(-3)), (9, Fraction(1, 2))])
+    half, threshold = Fraction(1, 2), Fraction(7, 5)
+    built = []
+    fraction_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: built.append(a) or fraction_new(cls, *a, **k))
+
+    def builds(call) -> int:
+        built.clear()
+        call()
+        return len(built)
+
+    assert builds(lambda: norm(L1, v)) <= 1
+    assert builds(lambda: norm(C0, v)) <= 1
+    assert builds(lambda: norm(L2, v)) <= 3
+    assert builds(lambda: v.dot(w)) <= 1
+    for call in (lambda: combine([half, threshold], [v, w]), lambda: v + w, lambda: v - w,
+                 lambda: -v, lambda: v.scale(half), lambda: v.shift(2), lambda: v == w,
+                 lambda: [norm_cmp(space, v, threshold) for space in (L1, C0, L2)]):
+        assert builds(call) == 0
+
+
+def test_vector_refuses_coefficients_that_are_not_ints_or_fractions():
+    """A float would pass through the norms unconverted and be reported as an
+    exact value, so only ints and Fractions are coefficients."""
+    for bad in (0.5, 2.0, "1/2", Decimal("0.5")):
+        with pytest.raises(ValueError, match="neither an int nor a Fraction"):
+            Vector(((0, bad),))
+        with pytest.raises(ValueError, match="neither an int nor a Fraction"):
+            Vector.from_pairs([(0, bad)])
+    assert Vector(((0, 2),)) == Vector.from_pairs([(0, Fraction(2))])
+
+
+def test_from_ints_reduces_to_lowest_terms():
+    v = Vector.from_ints([1, 4, 6], [6, 0, -9], 12)
+    assert (v.support, v.nums, v.den) == ((1, 6), (2, -3), 4)
+    assert v == Vector.from_pairs([(1, Fraction(1, 2)), (6, Fraction(-3, 4))])
+    assert Vector.from_ints([], [], 5) == Vector() and Vector().den == 1
+    for support, nums, den in (([1, 1], [1, 1], 1), ([2, 1], [1, 1], 1), ([0], [1], 0),
+                               ([0], [1, 2], 1), ([-1], [1], 1)):
+        with pytest.raises(ValueError):
+            Vector.from_ints(support, nums, den)
+
+
+# a thousand seeded vectors, each against the Fraction reference; the check
+# prints its failures rather than asserting, so that it also runs under `-O`
+DIFFERENTIAL_CHECK = """
+import random
+from fractions import Fraction as F
+from oracles import RefVector, ref_combine, ref_norm
+from wctree.spaces import C0, L1, L2, Vector, combine, lp_space, norm, norm_cmp
+
+rng = random.Random(21)
+SPACES = [L1, C0, L2, lp_space(F(3, 2)), lp_space(F(3))]
+failures = []
+
+def check(ok, what):
+    if not ok:
+        failures.append(what)
+
+def rational(num, den):
+    return F(rng.randint(-num, num), rng.randint(1, den))
+
+def ref_cmp(space, r, t):
+    if t < 0:
+        return 1
+    if space.exactness == "square":
+        sq = ref_norm(space, r).exact_sq
+        return (sq > t * t) - (sq < t * t)
+    nv = ref_norm(space, r)
+    if nv.exact is not None:
+        return (nv.exact > t) - (nv.exact < t)
+    return 1 if nv.lo > t else -1 if nv.hi < t else None
+
+try:
+    Vector(((0, 0.5),))
+    failures.append("a float coefficient was accepted")
+except ValueError:
+    pass
+prev = prev_ref = None
+for i in range(1000):
+    # repeated positions are summed, and some sums cancel
+    pairs = [(rng.randint(0, 12), rational(30, 40)) for _ in range(rng.randint(0, 7))]
+    v, r = Vector.from_pairs(pairs), RefVector.from_pairs(pairs)
+    check(v.entries == r.entries, ("from_pairs", i))
+    check(hash(v) == hash((r.entries,)), ("hash", i))
+    twin = Vector(r.entries)
+    check(twin == v and hash(twin) == hash(v) and twin.entries is r.entries, ("rebuild", i))
+    for space in SPACES:
+        check(norm(space, v) == ref_norm(space, r), ("norm", space.ident, i))
+        for t in (rational(6, 5), ref_norm(space, r).hi):
+            check(norm_cmp(space, v, t) == ref_cmp(space, r, t), ("norm_cmp", space.ident, i))
+    t = rational(9, 9)
+    check(v.scale(t).entries == r.scale(t).entries, ("scale", i))
+    if t:
+        check(v.scale(t).scale(1 / t) == v, ("scale back", i))
+    check(v.shift(3).entries == r.shift(3).entries, ("shift", i))
+    check((-v).entries == r.scale(-1).entries, ("neg", i))
+    if prev is not None:
+        a, b = rational(5, 7), rational(5, 7)
+        check(v.dot(prev) == r.dot(prev_ref), ("dot", i))
+        check(combine([a, b], [v, prev]).entries
+              == ref_combine([a, b], [r, prev_ref]).entries, ("combine", i))
+        check((v + prev).entries == ref_combine([1, 1], [r, prev_ref]).entries, ("add", i))
+        check((v - prev).entries == ref_combine([1, -1], [r, prev_ref]).entries, ("sub", i))
+        check((v == prev) == (r.entries == prev_ref.entries), ("equality", i))
+    # every third vector is followed by itself, built from its pairs reversed
+    prev, prev_ref = (v, r) if i % 3 else (Vector.from_pairs(pairs[::-1]), r)
+print(failures or "ok")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_vector_matches_the_fraction_reference(flags):
+    """Norms (l1, sup, the l2 square and brackets, lp:3/2 and lp:3 brackets,
+    their floats included), norm comparisons, `dot`, `combine`, `scale`,
+    `shift`, `from_pairs`, equality and hash of the int form agree with
+    `oracles.RefVector`, the Fraction form it replaced."""
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(wctree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", DIFFERENTIAL_CHECK],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "ok"
 
 
 # one vector built four ways; the check prints its verdict rather than

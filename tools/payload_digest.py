@@ -4,14 +4,16 @@
 
 Run from anywhere; the program is imported from the `src/` directory next to
 this file's directory, and the benchmark commands are read from the
-`perfbench/` directory there.  Each command runs in a fresh interpreter, once
-plainly and once under `python -O`, and one line is printed per run:
+`perfbench/` directory there.  Each command runs in a fresh interpreter, in
+that directory, once plainly and once under `python -O`, and one line is
+printed per run:
 
     <sha256>  <plain|-O>  <command>
 
 The digest covers the report envelope without its `timing_ms`, with keys
-sorted; a command that exits nonzero is digested by its exit code and
-standard error instead.  Diffing the output of two checkouts shows which
+sorted; a `--format text` report is digested as printed, without its
+`elapsed` line; a command that exits nonzero is digested by its exit code
+and standard error instead.  Diffing the output of two checkouts shows which
 payloads a change moved; `--dump DIR` also writes every digested text to
 DIR, one numbered file per run, so that the moved ones can be read.
 
@@ -29,6 +31,9 @@ lower end, where the upper end is needed.
 Then `fixed-point`, averaged and saturating, with every registered map, and
 `poset-demo`, on the default poset and on given ones, so that each result
 record of `fixedpoint` reaches some payload.
+Last, three paths that the lists above miss: a failing exact-gram report at
+M >= 1, a set read from `tools/digest_set.json` (points with non-unit
+denominators), and one report rendered with `--format text`.
 """
 
 from __future__ import annotations
@@ -149,6 +154,15 @@ FIXED_POINT = [
     "poset-demo --elements a,b --covers a-b",
 ]
 
+OTHER_PATHS = [
+    # the PSD witness fails the bound M = 1: its margin comes from its prefix ratio
+    "predicate --space l2 --set summing-hull --node 0,4 --eps 1/2 --bigm 1",
+    # the path is relative to the directory the commands run in
+    "analyze-tree --space l1 --set @tools/digest_set.json --eps 1/4 --bigm 2 --depth 3"
+    " --index-bound 4",
+    "predicate --space l2 --set summing-hull --node 0,4,8 --eps 1/2 --bigm 2 --format text",
+]
+
 
 def commands() -> list[list[str]]:
     cmds = [cli_args(w, draw_params(w, 5)) for w in WORKLOADS.values()]
@@ -166,6 +180,7 @@ def commands() -> list[list[str]]:
                     cmds.append(["predicate", "--space", space, "--set", kind,
                                  "--node", node, "--eps", eps, "--bigm", "2"])
     cmds += [s.split() for s in FIXED_POINT]
+    cmds += [s.split() for s in OTHER_PATHS]
     return cmds
 
 
@@ -173,9 +188,12 @@ def digested_text(args: list[str], optimize: bool) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     flags = ["-O"] if optimize else []
     proc = subprocess.run([sys.executable, *flags, "-m", "wctree.cli", *args],
-                          capture_output=True, text=True, env=env, check=False)
+                          capture_output=True, text=True, env=env, check=False, cwd=ROOT)
     if proc.returncode != 0:
         return f"exit {proc.returncode}\n{proc.stderr}"
+    if "--format" in args and args[args.index("--format") + 1] == "text":
+        return "\n".join(line for line in proc.stdout.splitlines()
+                         if not line.startswith("  elapsed = "))
     envelope = json.loads(proc.stdout)
     envelope.pop("timing_ms")
     return json.dumps(envelope, indent=1, sort_keys=True)
