@@ -385,68 +385,76 @@ def _add_search_args(sp):
     sp.add_argument("--node-budget", type=int, default=200_000, dest="node_budget")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of the CLI.  Every subcommand is listed, but only the one
+    that argv names first gets its arguments, since no other one parses
+    any; with none named (--help, --version, a misspelt command or no argv)
+    every one does, so help and errors read as from a full build."""
     parser = argparse.ArgumentParser(
         prog="wctree",
         description="Tree-based weak-compactness analyses on countable set models",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, func, text in (
+            ("predicate", cmd_predicate, "evaluate both node predicates on one node"),
+            ("wf-scan", cmd_wf_scan, "exhaustive bounded well-foundedness scan"),
+            ("branch-hunt", cmd_branch_hunt, "beam search for a certified branch"),
+            ("analyze-tree", cmd_analyze_tree, "level statistics, rank, characteristic bits"),
+            ("fixed-point", cmd_fixed_point, "averaged iteration or orbit saturation"),
+            ("poset-demo", cmd_poset_demo, "maximal element by ascending orbit"),
+            ("export-dot", cmd_export_dot, "render the explored region as DOT")):
+        sub.add_parser(name, help=text).set_defaults(func=func)
+    named = argv[0] if argv and argv[0] in sub.choices else None
+    built = {name: sp for name, sp in sub.choices.items() if named in (None, name)}
 
-    sp = sub.add_parser("predicate", help="evaluate both node predicates on one node")
-    _add_model_args(sp)
-    sp.add_argument("--node", required=True, help="comma-separated selector indices")
-    sp.set_defaults(func=cmd_predicate)
+    if sp := built.get("predicate"):
+        _add_model_args(sp)
+        sp.add_argument("--node", required=True, help="comma-separated selector indices")
 
-    sp = sub.add_parser("wf-scan", help="exhaustive bounded well-foundedness scan")
-    _add_model_args(sp)
-    _add_search_args(sp)
-    sp.set_defaults(func=cmd_wf_scan)
+    if sp := built.get("wf-scan"):
+        _add_model_args(sp)
+        _add_search_args(sp)
 
-    sp = sub.add_parser("branch-hunt", help="beam search for a certified branch")
-    _add_model_args(sp)
-    _add_search_args(sp)
-    sp.add_argument("--beam-width", type=int, default=4, dest="beam_width")
-    sp.set_defaults(func=cmd_branch_hunt)
+    if sp := built.get("branch-hunt"):
+        _add_model_args(sp)
+        _add_search_args(sp)
+        sp.add_argument("--beam-width", type=int, default=4, dest="beam_width")
 
-    sp = sub.add_parser("analyze-tree", help="level statistics, rank, characteristic bits")
-    _add_model_args(sp)
-    _add_search_args(sp)
-    sp.add_argument("--stacked", action="store_true",
-                    help="analyze the all-parameter stacked tree instead")
-    sp.add_argument("--char-count", type=int, default=32, dest="char_count",
-                    help="how many canonically coded nodes to classify")
-    sp.set_defaults(func=cmd_analyze_tree)
+    if sp := built.get("analyze-tree"):
+        _add_model_args(sp)
+        _add_search_args(sp)
+        sp.add_argument("--stacked", action="store_true",
+                        help="analyze the all-parameter stacked tree instead")
+        sp.add_argument("--char-count", type=int, default=32, dest="char_count",
+                        help="how many canonically coded nodes to classify")
 
-    sp = sub.add_parser("fixed-point", help="averaged iteration or orbit saturation")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--set", default=None, help="optional domain model for checks")
-    sp.add_argument("--map", required=True,
-                    help="registered map: identity, shift, halving, constant")
-    sp.add_argument("--point", default=None, help="constant map target, pos:coeff list")
-    sp.add_argument("--steps", type=int, default=1000)
-    sp.add_argument("--weight", default="1/2", help="averaging weight in (0, 1)")
-    sp.add_argument("--start", default=None, help="start point, pos:coeff list")
-    sp.add_argument("--saturate", action="store_true",
-                    help="close the start point under the map instead of iterating")
-    sp.add_argument("--max-points", type=int, default=1024, dest="max_points")
-    sp.set_defaults(func=cmd_fixed_point)
+    if sp := built.get("fixed-point"):
+        sp.add_argument("--space", required=True)
+        sp.add_argument("--set", default=None, help="optional domain model for checks")
+        sp.add_argument("--map", required=True,
+                        help="registered map: identity, shift, halving, constant")
+        sp.add_argument("--point", default=None, help="constant map target, pos:coeff list")
+        sp.add_argument("--steps", type=int, default=1000)
+        sp.add_argument("--weight", default="1/2", help="averaging weight in (0, 1)")
+        sp.add_argument("--start", default=None, help="start point, pos:coeff list")
+        sp.add_argument("--saturate", action="store_true",
+                        help="close the start point under the map instead of iterating")
+        sp.add_argument("--max-points", type=int, default=1024, dest="max_points")
 
-    sp = sub.add_parser("poset-demo", help="maximal element by ascending orbit")
-    sp.add_argument("--elements", default=None, help="comma-separated names")
-    sp.add_argument("--covers", default=None, help="comma-separated a<b pairs")
-    sp.set_defaults(func=cmd_poset_demo)
+    if sp := built.get("poset-demo"):
+        sp.add_argument("--elements", default=None, help="comma-separated names")
+        sp.add_argument("--covers", default=None, help="comma-separated a<b pairs")
 
-    sp = sub.add_parser("export-dot", help="render the explored region as DOT")
-    _add_model_args(sp)
-    sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--index-bound", type=int, default=8, dest="index_bound")
-    sp.add_argument("--node-budget", type=int, default=5000, dest="node_budget")
-    sp.add_argument("--out-dot", default=None, dest="out_dot",
-                    help="also write the DOT text to this file")
-    sp.set_defaults(func=cmd_export_dot)
+    if sp := built.get("export-dot"):
+        _add_model_args(sp)
+        sp.add_argument("--depth", type=int, default=3)
+        sp.add_argument("--index-bound", type=int, default=8, dest="index_bound")
+        sp.add_argument("--node-budget", type=int, default=5000, dest="node_budget")
+        sp.add_argument("--out-dot", default=None, dest="out_dot",
+                        help="also write the DOT text to this file")
 
-    for sp in sub.choices.values():
+    for sp in built.values():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--out", default=None, help="write the JSON report here")
@@ -475,8 +483,8 @@ def _render_text(envelope: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     config = _config_dict(args)
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     started = time.perf_counter()

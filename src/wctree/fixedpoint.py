@@ -14,8 +14,9 @@ and, when a domain model is supplied, against exact set membership.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from . import spaces
 from .errors import ConfigurationError, ContractViolation
@@ -124,9 +125,10 @@ def uniformize_relation(
     return {a: uniformize_least(poset, pool) for a, pool in pools.items()}
 
 
-class AscentResult(NamedTuple):
-    fixed_point: Element
-    orbit: tuple[Element, ...]
+class AscentResult(namedtuple("AscentResult", "fixed_point orbit")):
+    """The fixed point an ascent reached, and its orbit up to it."""
+
+    __slots__ = ()
 
     @property
     def steps(self) -> int:
@@ -186,17 +188,15 @@ def maximal_via_uniformization(poset: FinitePoset) -> AscentResult:
 # nonexpansive maps and averaged iteration
 
 
-class NonexpMapHandle(NamedTuple):
+class NonexpMapHandle(namedtuple("NonexpMapHandle", "name apply_vec apply_arr description",
+                                 defaults=("",))):
     """A named nonexpansive map with exact and dense-float implementations.
 
     apply_vec acts on sparse rational vectors; apply_arr acts on dense float
     arrays indexed from coordinate 0 (and may lengthen them).
     """
 
-    name: str
-    apply_vec: Callable[[Vector], Vector]
-    apply_arr: Callable[[np.ndarray], np.ndarray]
-    description: str = ""
+    __slots__ = ()
 
 
 def _shift_arr(arr: np.ndarray) -> np.ndarray:
@@ -283,20 +283,17 @@ def _float_norm(space: SpaceModel, arr: np.ndarray) -> float:
     return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
 
 
-class KmChecks(NamedTuple):
-    residual_monotone: bool
-    shadow_deviation: float
-    shadow_steps: int
-    domain_ok: bool | None
+class KmChecks(namedtuple("KmChecks",
+                          "residual_monotone shadow_deviation shadow_steps domain_ok")):
+    """The checks run on an averaged iteration (domain_ok None without a domain)."""
+
+    __slots__ = ()
 
 
-class KmResult(NamedTuple):
+class KmResult(namedtuple("KmResult", "residuals final weight checks")):
     """residuals[n] is ||x_n - T x_n||; the last entry describes `final`."""
 
-    residuals: tuple[float, ...]
-    final: np.ndarray
-    weight: float
-    checks: KmChecks
+    __slots__ = ()
 
     @property
     def final_residual(self) -> float:
@@ -370,10 +367,11 @@ def km_iterate(
 # invariant-set saturation
 
 
-class SaturationResult(NamedTuple):
-    points: tuple[Vector, ...]
-    rounds: int
-    exhausted: bool  # budget hit while new points were still appearing
+class SaturationResult(namedtuple("SaturationResult", "points rounds exhausted")):
+    """The orbit's points, the rounds run, and whether the budget was hit
+    while new points were still appearing."""
+
+    __slots__ = ()
 
     @property
     def closed(self) -> bool:

@@ -18,10 +18,11 @@ Remaining exponents run in bracket mode: certified lower bounds come from
 exactly solvable comparison norms, each solved only when its norm at the
 uniform combination could raise the best one so far; upper bounds (computed
 only when the lower bound does not decide) from exact evaluation at rational
-points that a float descent over the nonzero coefficients finds; and
-verdicts degrade to "inconclusive" when the enclosure straddles the
-threshold.  A domination verdict that does not fail depends on the set of
-the vectors alone, so a `trees.WcTree` asks for it once per set.  A sampled
+points that a float descent over the nonzero coefficients finds, stopped by
+its Frank-Wolfe gap; and verdicts degrade to "inconclusive" when the
+enclosure straddles the threshold.  A domination verdict depends on the
+set of the vectors alone, up to the order of a failing witness's weights
+(`reordered`), so a `trees.WcTree` asks for it once per set.  A sampled
 probe can certify failure but never success.
 """
 
@@ -30,9 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
 
 from . import linalg, lp, spaces
 from .errors import ConfigurationError, ContractViolation
@@ -40,6 +41,7 @@ from .spaces import FrozenRecord, Functional, SpaceModel, Vector
 
 POLYHEDRAL_BUDGET = 250_000
 MARGIN_GRID_BITS = 12  # basis constants are bracketed on the 2^-12 grid
+FW_GAP_STOP = 2.0 ** -40  # a descent ends once its Frank-Wolfe gap is this share of f
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)  # shared: immutable
 
@@ -48,19 +50,17 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-class Verdict3(NamedTuple):
+class Verdict3(namedtuple("Verdict3", "kind margin exact_margin witness detail",
+                          defaults=(None, None, None, ""))):
     """Three-valued decision with a signed slack and supporting evidence.
 
     margin is the certified slack of the decision in the direction of the
     verdict (how far above eps the minimum sits, how much room is left under
-    M); None when the path taken does not quantify it.
+    M), a float, with exact_margin its Fraction; None when the path taken
+    does not quantify it.
     """
 
-    kind: str
-    margin: float | None = None
-    exact_margin: Fraction | None = None
-    witness: object | None = None
-    detail: str = ""
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -75,22 +75,20 @@ class Verdict3(NamedTuple):
         return self.kind == INCONCLUSIVE
 
 
-class SimplexWitness(NamedTuple):
-    weights: tuple[Fraction, ...]
-    combo: Vector
-    norm: spaces.NormValue
+class SimplexWitness(namedtuple("SimplexWitness", "weights combo norm")):
+    """Simplex weights (Fractions), the `Vector` they combine to, and its norm."""
+
+    __slots__ = ()
 
 
-class DualCertificate(NamedTuple):
+class DualCertificate(namedtuple("DualCertificate", "functional lower_bound gap")):
     """Functional of dual norm <= 1 with <g, x_n> >= lower_bound for all n.
 
     Pairing any simplex combination against g shows its norm is at least
     lower_bound, so the certificate is checkable without re-optimizing.
     """
 
-    functional: Functional
-    lower_bound: Fraction
-    gap: Fraction
+    __slots__ = ()
 
 
 class SimplexMinResult(FrozenRecord):  # not a tuple: it never equals one
@@ -113,7 +111,7 @@ def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ..
     depends on the set of distinct vectors alone, so one entry serves every
     order and every repetition of them: it solves the distinct vectors in
     the order first seen, and each call gets the witness weights in its own
-    order (`_reordered`).  A bracket minimum whose upper end
+    order (`reordered`).  A bracket minimum whose upper end
     `is_eps_dominating` has not needed yet sits in the memo as its lower end
     alone; the first call here fills in the upper end.  Without a memo the
     call uses one of its own, so it is a plain solve.
@@ -141,7 +139,10 @@ def _served(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, key: tuple,
     if isinstance(known, Fraction):
         known = _simplex_min_bracket_upper(space, solved, known)
         memo[key] = (solved, known)
-    return known if solved == vs else _reordered(known, solved, vs)
+    if solved == vs:
+        return known
+    return SimplexMinResult(known.lo, known.hi, reordered(known.witness, solved, vs),
+                            known.method, known.exact, known.exact_sq, known.certificate)
 
 
 def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
@@ -152,14 +153,13 @@ def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinR
     return _simplex_min_bracket_upper(space, vs, _simplex_min_bracket_lower(space, vs))
 
 
-def _reordered(res: SimplexMinResult, solved: tuple[Vector, ...],
-               vs: tuple[Vector, ...]) -> SimplexMinResult:
-    """`res`, solved for the distinct vectors `solved`, with its weights moved
-    to the order of vs: each on its first occurrence there, 0 on every copy."""
-    pop = dict(zip(solved, res.witness.weights))
-    weights = tuple(pop.pop(v, _ZERO) for v in vs)
-    return SimplexMinResult(res.lo, res.hi, res.witness._replace(weights=weights),
-                            res.method, res.exact, res.exact_sq, res.certificate)
+def reordered(witness: SimplexWitness, solved: tuple[Vector, ...],
+              vs: tuple[Vector, ...]) -> SimplexWitness:
+    """`witness`, found for the distinct vectors `solved`, with its weights
+    moved to the order of vs: each on its first occurrence there, 0 on every
+    copy.  The combination and its norm stay as they are."""
+    pop = dict(zip(solved, witness.weights))
+    return witness._replace(weights=tuple(pop.pop(v, _ZERO) for v in vs))
 
 
 def _coordinate_rows(vectors: tuple[Vector, ...]) -> list[int]:
@@ -497,9 +497,12 @@ def _simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
     """The enclosure of a bracket minimum whose lower end is `lo`.
 
     Upper end: the exact norm bracket at the best rational candidate that
-    projected subgradient descent finds (m + 1 starts, snapped to the 2^-12
-    grid), or at a vertex when one is tighter.  This float work is what the
-    lazy path of `is_eps_dominating` skips whenever `lo` alone decides.
+    projected subgradient descent finds, snapped to the 2^-12 grid, or at a
+    vertex when one is tighter.  The descent runs m + 1 starts of 120 steps,
+    but ends at the first point whose Frank-Wolfe gap, a bound on its excess
+    over the minimum, is at most `FW_GAP_STOP` times its norm (Jaggi, ICML
+    2013).  This float work is what the lazy path of `is_eps_dominating`
+    skips whenever `lo` alone decides.
     """
     m = len(vs)
     at = {r: j for j, r in enumerate(_coordinate_rows(vs))}
@@ -523,25 +526,25 @@ def _simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
         gz = [math.copysign(abs(t) ** (pf - 1), t) / f ** (pf - 1) for t in z]
         return f, [sum(gz[j] * c for j, c in col) for col in cols]
 
-    starts = [[1.0 / m] * m]
-    for i in range(m):
-        e = [0.0] * m
-        e[i] = 1.0
-        starts.append(e)
+    def iterates():  # each point of every start, with its value and gradient
+        for k in range(-1, m):  # the uniform point, then each vertex
+            cur = [1.0 / m] * m if k < 0 else [float(j == k) for j in range(m)]
+            for t in range(1, 121):
+                f, grad = fval_grad(cur)
+                yield cur, f, grad
+                gn = math.sqrt(sum(g * g for g in grad)) or 1.0
+                step = 0.3 / (gn * math.sqrt(t))
+                cur = _project_simplex([cur[i] - step * grad[i] for i in range(m)])
+            yield cur, *fval_grad(cur)
+
     best_pt: list[float] | None = None
     best_f = math.inf
-    for a in starts:
-        cur = a[:]
-        for t in range(1, 121):
-            f, grad = fval_grad(cur)
-            if f < best_f:
-                best_f, best_pt = f, cur[:]
-            gn = math.sqrt(sum(g * g for g in grad)) or 1.0
-            step = 0.3 / (gn * math.sqrt(t))
-            cur = _project_simplex([cur[i] - step * grad[i] for i in range(m)])
-        f, _ = fval_grad(cur)
+    for cur, f, grad in iterates():
         if f < best_f:
-            best_f, best_pt = f, cur[:]
+            best_f, best_pt = f, cur
+        # the Frank-Wolfe gap bounds f(cur) - min f, since f is convex
+        if sum(g * w for g, w in zip(grad, cur)) - min(grad) <= f * FW_GAP_STOP:
+            break
     if best_pt is None:
         raise ContractViolation("the descent found no point with a finite norm")
     grid = 1 << MARGIN_GRID_BITS
@@ -653,24 +656,24 @@ def _bracket_domination(space: SpaceModel, vs: tuple[Vector, ...], eps: Fraction
 # Schauder prefix bounds
 
 
-class PrefixWitness(NamedTuple):
+class PrefixWitness(namedtuple("PrefixWitness",
+                               "prefix coefficients prefix_norm full_norm")):
     """Coefficients whose prefix combination beats M times the full one.
 
     A structural failure ships a kernel vector, whose full sum is exactly 0,
     and no norms: both are None."""
 
-    prefix: int
-    coefficients: tuple[Fraction, ...]
-    prefix_norm: spaces.NormValue | None
-    full_norm: spaces.NormValue | None
+    __slots__ = ()
 
 
-class SchauderReport(NamedTuple):
-    verdict: Verdict3
-    method: str  # "exact-structural" | "exact-polyhedral" | "exact-gram" | "sampled"
-    constant_lo: Fraction | None = None
-    constant_hi: Fraction | None = None
-    unbounded: bool = False
+class SchauderReport(namedtuple("SchauderReport",
+                                "verdict method constant_lo constant_hi unbounded",
+                                defaults=(None, None, False))):
+    """A prefix-bound verdict, its method ("exact-structural" |
+    "exact-polyhedral" | "exact-gram" | "sampled") and the basis constant's
+    bracket."""
+
+    __slots__ = ()
 
 
 def is_M_schauder(

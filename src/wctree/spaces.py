@@ -16,9 +16,10 @@ or a coefficient read through ``Vector.coeff`` or ``Vector.entries``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import enumeration, linalg
 from .errors import ConfigurationError
@@ -30,8 +31,8 @@ _ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 class Record:
     """A record whose fields, named in `_fields`, live in `__slots__`: for the
     records that validate, are mutable or must not be tuples (the others are
-    `typing.NamedTuple`s).  Like a dataclass, it compares equal by its field
-    values, prints them by name, and is unhashable."""
+    `collections.namedtuple`s).  Like a dataclass, it compares equal by its
+    field values, prints them by name, and is unhashable."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -96,9 +97,11 @@ class Vector(FrozenRecord):
     def __init__(self, entries: tuple[tuple[int, Fraction], ...] = ()):
         prev = -1
         for pos, coeff in entries:
+            if pos < 0:
+                raise ValueError("positions are naturals")
             if pos <= prev:
                 raise ValueError("entries must have strictly increasing positions")
-            if not isinstance(coeff, (int, Fraction)):
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
                 raise ValueError(f"coefficient {coeff!r} is neither an int nor a Fraction")
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
@@ -136,7 +139,7 @@ class Vector(FrozenRecord):
         for pos, coeff in pairs:
             if pos < 0:
                 raise ValueError("positions are naturals")
-            if not isinstance(coeff, (int, Fraction)):
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
                 raise ValueError(f"coefficient {coeff!r} is neither an int nor a Fraction")
             acc[pos] = acc[pos] + coeff if pos in acc else coeff
         entries = tuple((p, c) for p, c in sorted(acc.items()) if c != 0)
@@ -337,20 +340,16 @@ C0 = sup_space()
 BUILTIN_SPACES = {"l1": L1, "l2": L2, "c0": C0, "sup": C0}
 
 
-class NormValue(NamedTuple):
+class NormValue(namedtuple("NormValue", "value error lo hi exact exact_sq",
+                           defaults=(None, None))):
     """A norm evaluation with a certified enclosure.
 
     value/error are floats for reporting; lo <= true norm <= hi always holds
     with exact rational endpoints.  When the norm itself is rational, `exact`
-    is set; for l2 the exact square is set instead.
+    is set; for l2 the exact square is set instead (both Fraction | None).
     """
 
-    value: float
-    error: float
-    lo: Fraction
-    hi: Fraction
-    exact: Fraction | None = None
-    exact_sq: Fraction | None = None
+    __slots__ = ()
 
 
 def _enclose(lo: Fraction, hi: Fraction) -> tuple[float, float]:

@@ -21,7 +21,7 @@ per depth and finds the certified rank in one pass, of which `rank_within`
 is a view, so `analyze-tree` evaluates each node once.
 
 Membership depends on the selected vectors alone, so a tree memoizes its
-evaluations by them, and every domination verdict that is not a failure by
+evaluations by them, and every domination verdict, failures included, by
 their set.  It also owns the simplex-minimum memo of its domination tests,
 one entry for every order and repetition of the same vectors, so all a
 command has computed lives as long as its tree; no state outlives it.
@@ -34,8 +34,8 @@ the whole parameter sweep, and its sections share one simplex memo.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import enumeration, predicates
 from .errors import ConfigurationError, ContractViolation
@@ -44,12 +44,11 @@ from .sets import SetModel
 from .spaces import Record, Vector
 
 
-class NodeEvaluation(NamedTuple):
+class NodeEvaluation(namedtuple("NodeEvaluation", "verdict domination schauder",
+                                defaults=(None, None))):
     """Joint verdict of the two node predicates, with per-predicate detail."""
 
-    verdict: Verdict3
-    domination: Verdict3 | None = None
-    schauder: SchauderReport | None = None
+    __slots__ = ()
 
 
 def _combine(domination: Verdict3, schauder: SchauderReport | None) -> Verdict3:
@@ -78,14 +77,14 @@ class WcTree:
     """Tree of finite selector-index tuples passing both node predicates.
 
     Evaluations are memoized by the selected vectors in order, so nodes that
-    select the same vectors share one.  A domination verdict that holds or is
-    undecided carries nothing that follows the order of the vectors, so one
-    serves every order and repetition of the same vectors; a failing one
-    carries witness weights in the node's order, and each order asks for its
-    own.  `simplex_memo`, the simplex-minimum memo of every domination test,
-    has one entry for every order and every repetition of the same vectors
-    (and every section of a `StackedTree`, whose verdicts differ in eps).
-    All three live as long as the tree.
+    select the same vectors share one.  A domination verdict is asked for
+    once per set of vectors, on them in the order first seen; it serves every
+    order and repetition of them, a failing one with its witness weights
+    moved to the node's order (`predicates.reordered`).  `simplex_memo`, the
+    simplex-minimum memo of every domination test, has one entry for every
+    order and every repetition of the same vectors (and every section of a
+    `StackedTree`, whose verdicts differ in eps).  All three live as long as
+    the tree.
     """
 
     def __init__(self, family: SetModel, eps: Fraction, big_m: Fraction,
@@ -100,7 +99,7 @@ class WcTree:
         self.big_m = big_m
         self.tol = Fraction(tol)
         self._cache: dict[tuple[Vector, ...], NodeEvaluation] = {}
-        self._dominations: dict[frozenset[Vector], Verdict3] = {}
+        self._dominations: dict[frozenset[Vector], tuple[tuple[Vector, ...], Verdict3]] = {}
         self.simplex_memo = {} if simplex_memo is None else simplex_memo
 
     def vectors(self, node: tuple[int, ...]) -> tuple[Vector, ...]:
@@ -115,13 +114,14 @@ class WcTree:
             ev = NodeEvaluation(Verdict3(HOLDS, None, None, None, "root"))
         else:
             key = frozenset(vs)
-            dom = self._dominations.get(key)
-            if dom is None:
-                dom = predicates.is_eps_dominating(self.family.space, vs, self.eps,
-                                                   self.tol, self.simplex_memo)
-                if not dom.fails:  # a failure's witness weights follow vs
-                    self._dominations[key] = dom
-            if dom.fails:
+            kept = self._dominations.get(key)
+            if kept is None:
+                distinct = tuple(dict.fromkeys(vs))
+                kept = self._dominations[key] = (distinct, predicates.is_eps_dominating(
+                    self.family.space, distinct, self.eps, self.tol, self.simplex_memo))
+            solved, dom = kept
+            if dom.fails:  # its witness weights follow the node's order
+                dom = dom._replace(witness=predicates.reordered(dom.witness, solved, vs))
                 ev = NodeEvaluation(_combine(dom, None), dom, None)
             else:
                 sch = predicates.is_M_schauder(self.family.space, vs, self.big_m)
@@ -273,19 +273,19 @@ def levels(tree, depth: int, index_bound: int,
 # bounded searches
 
 
-class SearchStats(NamedTuple):
-    evaluated: int
-    holds: int
-    fails: int
-    inconclusive: int
-    exhausted: bool = False
+class SearchStats(namedtuple("SearchStats", "evaluated holds fails inconclusive exhausted",
+                             defaults=(False,))):
+    """Nodes evaluated, by verdict, and whether the budget cut the search."""
+
+    __slots__ = ()
 
 
 WELL_FOUNDED = "well-founded-within"
 BRANCH_FOUND = "branch-found"
 
 
-class WfVerdict(NamedTuple):
+class WfVerdict(namedtuple("WfVerdict", "kind depth index_bound branch stats detail",
+                           defaults=("",))):
     """Outcome of an exhaustive bounded search.
 
     well-founded-within: no path that could lie in the tree reaches the
@@ -294,12 +294,7 @@ class WfVerdict(NamedTuple):
     is inconclusive — an unknown node never supports a claim.
     """
 
-    kind: str
-    depth: int
-    index_bound: int
-    branch: tuple[int, ...] | None
-    stats: SearchStats
-    detail: str = ""
+    __slots__ = ()
 
 
 def bounded_wf_search(
@@ -348,25 +343,21 @@ def bounded_wf_search(
                      "every candidate path dies before the target depth")
 
 
-class PrefixRecord(NamedTuple):
-    node: tuple[int, ...]
-    kind: str
-    margin: float | None
+class PrefixRecord(namedtuple("PrefixRecord", "node kind margin")):
+    """One prefix of a branch, its verdict kind and its margin (or None)."""
+
+    __slots__ = ()
 
 
-class BranchCertificate(NamedTuple):
+class BranchCertificate(namedtuple(
+        "BranchCertificate", "branch depth index_bound prefixes generator min_margin")):
     """A depth-long all-holds path with per-prefix margins.
 
     `generator` describes the index pattern when one is recognized, e.g.
     ("affine", step, offset) for u_n = step*n + offset (0-based positions).
     """
 
-    branch: tuple[int, ...]
-    depth: int
-    index_bound: int
-    prefixes: tuple[PrefixRecord, ...]
-    generator: tuple | None
-    min_margin: float | None
+    __slots__ = ()
 
 
 def _detect_generator(branch: tuple[int, ...]) -> tuple | None:

@@ -968,13 +968,15 @@ def _ref_project_simplex(a: list[float]) -> list[float]:
 
 
 def ref_simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
-                                  lo: Fraction) -> SimplexMinResult:
+                                  lo: Fraction, visits: list | None = None) -> SimplexMinResult:
     """The enclosure of a bracket minimum whose lower end is `lo`.
 
     Upper end: the exact norm bracket at the best rational candidate that
-    projected subgradient descent finds (m + 1 starts, snapped to the 2^-12
-    grid), or at a vertex when one is tighter.  The descent multiplies out
-    every coefficient of the dense coordinate matrix, zeros included.
+    projected subgradient descent finds (m + 1 starts of 120 steps, the full
+    schedule, snapped to the 2^-12 grid), or at a vertex when one is
+    tighter.  The descent multiplies out every coefficient of the dense
+    coordinate matrix, zeros included.  `visits`, when given, receives the
+    (point, value, gradient) of every evaluation in order.
     """
     m = len(vs)
     rows = _ref_coordinate_rows(vs)
@@ -1001,12 +1003,16 @@ def ref_simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
         cur = a[:]
         for t in range(1, 121):
             f, grad = fval_grad(cur)
+            if visits is not None:
+                visits.append((cur, f, grad))
             if f < best_f:
                 best_f, best_pt = f, cur[:]
             gn = math.sqrt(sum(g * g for g in grad)) or 1.0
             step = 0.3 / (gn * math.sqrt(t))
             cur = _ref_project_simplex([cur[i] - step * grad[i] for i in range(m)])
-        f, _ = fval_grad(cur)
+        f, grad = fval_grad(cur)
+        if visits is not None:
+            visits.append((cur, f, grad))
         if f < best_f:
             best_f, best_pt = f, cur[:]
     if best_pt is None:

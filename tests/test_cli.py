@@ -13,7 +13,7 @@ import pytest
 
 import wctree
 from wctree import trees
-from wctree.cli import main
+from wctree.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -188,6 +188,35 @@ def test_usage_errors_exit_2(capsys):
     assert main(["predicate", "--space", "l1", "--set", "no-such-model",
                  "--node", "0", "--eps", "1", "--bigm", "1"]) == 2
     capsys.readouterr()
+
+
+COMMANDS = ["predicate", "wf-scan", "branch-hunt", "analyze-tree", "fixed-point",
+            "poset-demo", "export-dot"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["wf-scn", "--depth", "3"],
+                                  *([cmd, "--help"] for cmd in COMMANDS)],
+                         ids=lambda argv: " ".join(argv))
+def test_parser_built_for_one_command_prints_what_a_full_build_prints(capsys, argv):
+    """`main` builds the arguments of the command that argv names alone;
+    help, the version and an unknown command's error read as from a full
+    build, byte for byte."""
+    printed = []
+    for built in (build_parser(argv), build_parser()):
+        with pytest.raises(SystemExit) as exit_:
+            built.parse_args(argv)
+        printed.append((exit_.value.code, capsys.readouterr()))
+    assert printed[0] == printed[1] and printed[0][1].out + printed[0][1].err
+
+
+def test_parser_for_one_command_gives_the_others_no_arguments(capsys):
+    parser = build_parser(["wf-scan"])
+    args = parser.parse_args(["wf-scan", "--space", "l1", "--set", "dense-space"])
+    assert (args.depth, args.seed, args.format) == (4, 0, "json")
+    with pytest.raises(SystemExit):
+        parser.parse_args(["predicate", "--space", "l1", "--set", "dense-space", "--node", "0"])
+    assert "unrecognized arguments: --space l1 --set dense-space --node 0" in \
+        capsys.readouterr().err
 
 
 def test_unreadable_set_file_exits_2(tmp_path, capsys):

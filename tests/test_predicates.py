@@ -17,7 +17,7 @@ from oracles import (brute_l2_simplex_min, grid_simplex_min, ref_schauder_analyz
                      ref_simplex_min_qp, sampled_basis_constant)
 from wctree import linalg, predicates, sets
 from wctree.errors import ConfigurationError, ContractViolation
-from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
+from wctree.predicates import (FAILS, FW_GAP_STOP, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
                                DualCertificate, basis_constant_estimate,
                                is_M_schauder, is_eps_dominating, mazur_combination,
                                simplex_min_norm)
@@ -789,12 +789,23 @@ def test_pruned_lower_end_matches_the_unpruned_reference(monkeypatch):
     assert 0 < solved[C0] < nodes and 0 < solved[L2] < below_two, solved
 
 
+def _affinely_dependent(vs) -> bool:
+    rows = sorted({r for v in vs for r in v.support})
+    diffs = [[(v - vs[0]).coeff(r) for r in rows] for v in vs[1:]]
+    return linalg.rank(diffs) < len(diffs) if diffs else False
+
+
 def test_sparse_descent_is_bit_identical_to_the_dense_reference(monkeypatch):
     """The descent multiplies out nonzero coefficients only, in the order of
     the dense sums, so it projects the same floats bit for bit (float.hex
-    tells signed zeros apart) and snaps the same weights to the same upper
-    end.  unit-ball and dense-space have negative coefficients, whose
-    products with a zero weight are -0.0."""
+    tells signed zeros apart) as the full-schedule dense reference, until
+    the first point whose Frank-Wolfe gap is at most FW_GAP_STOP times its
+    norm, where it stops.  On 600 nodes it finds the same enclosure, method
+    and minimizing combination; the weights are the reference's, moved to
+    the node's order, wherever they are unique (affinely independent
+    vectors).  The nodes mix in negative coefficients (unit-ball and
+    dense-space, whose products with a zero weight are -0.0), a repeated
+    vector, and a vector beside its negation, whose minimum is 0."""
     traces: dict[str, list] = {"sparse": [], "dense": []}
 
     def traced(real, trace):
@@ -805,16 +816,39 @@ def test_sparse_descent_is_bit_identical_to_the_dense_reference(monkeypatch):
     monkeypatch.setattr(oracles, "_ref_project_simplex",
                         traced(oracles._ref_project_simplex, traces["dense"]))
     rng = random.Random(1819)
-    negative = 0
-    for space, vs in _seeded_nodes(rng, 5):
+    seen = Counter()
+    for space, vs in _seeded_nodes(rng, 25):
+        extra = rng.choice(vs)
+        node = vs + rng.choice([(), (extra,), (-extra,)])
+        distinct = tuple(dict.fromkeys(node))
         traces["sparse"].clear()
         traces["dense"].clear()
-        got = predicates._simplex_min_bracket_upper(space, vs, F(0))
-        want = ref_simplex_min_bracket_upper(space, vs, F(0))
-        assert (got.witness, got.hi) == (want.witness, want.hi), (space, vs)
-        assert traces["sparse"] == traces["dense"], (space, vs)
-        negative += any(c < 0 for v in vs for _, c in v.entries)
-    assert negative >= 10
+        visits: list = []
+        got = simplex_min_norm(space, node)
+        want = ref_simplex_min_bracket_upper(space, distinct, got.lo, visits)
+        assert (got.hi, got.method, got.witness.combo, got.witness.norm) == \
+            (want.hi, want.method, want.witness.combo, want.witness.norm), (space, node)
+        assert combine(got.witness.weights, node) == got.witness.combo
+        pop = dict(zip(distinct, want.witness.weights))
+        moved = tuple(pop.pop(v, F(0)) for v in node)
+        if _affinely_dependent(distinct):
+            seen["dependent"] += 1
+            seen["other weights"] += got.witness.weights != moved
+        else:
+            assert got.witness.weights == moved, (space, node)
+        stop = next((i for i, (a, f, grad) in enumerate(visits)
+                     if sum(g * w for g, w in zip(grad, a)) - min(grad) <= f * FW_GAP_STOP),
+                    None)
+        # each start projects 120 times between its 121 evaluations
+        cut = len(traces["dense"]) if stop is None else stop - stop // 121
+        assert traces["sparse"] == traces["dense"][:cut], (space, node)
+        seen["nodes"] += 1
+        seen["negative"] += any(c < 0 for v in node for _, c in v.entries)
+        seen["repeat"] += len(distinct) < len(node)
+        seen["zero"] += want.hi == 0
+        seen["at once" if stop == 0 else "full" if stop is None else "midway"] += 1
+    assert seen["nodes"] == 600
+    assert min(n for k, n in seen.items() if k != "other weights") >= 30, seen
 
 
 def test_no_module_asserts():

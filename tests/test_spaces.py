@@ -100,6 +100,28 @@ def test_vector_refuses_coefficients_that_are_not_ints_or_fractions():
     assert Vector(((0, 2),)) == Vector.from_pairs([(0, Fraction(2))])
 
 
+def test_accepted_vectors_round_trip_through_json_and_bad_entries_are_refused():
+    """`to_json` writes each coefficient with str(), so a bool coefficient,
+    an int to isinstance, would be written as "True", which `from_json`
+    refuses; both constructors refuse bools, and name a negative position as
+    such rather than as out of order.  The checks raise, so they hold under
+    `python -O` too."""
+    for entries in ((), ((0, 1),), ((0, Fraction(-3, 4)), (7, 2)), ((2, Fraction(5, 3)),)):
+        v = Vector(entries)
+        assert Vector.from_json(v.to_json()) == v
+        assert Vector.from_json(Vector.from_pairs(entries).to_json()) == v
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="neither an int nor a Fraction"):
+            Vector(((0, bad),))
+        with pytest.raises(ValueError, match="neither an int nor a Fraction"):
+            Vector.from_pairs([(0, bad)])
+    for make in (Vector, Vector.from_pairs):
+        with pytest.raises(ValueError, match="positions are naturals"):
+            make(((-1, 1),))
+        with pytest.raises(ValueError, match="positions are naturals"):
+            make(((-2, 1), (-1, 1)))
+
+
 def test_from_ints_reduces_to_lowest_terms():
     v = Vector.from_ints([1, 4, 6], [6, 0, -9], 12)
     assert (v.support, v.nums, v.den) == ((1, 6), (2, -3), 4)

@@ -268,20 +268,25 @@ def test_exhaustive_scan_fails_repeat_nodes_without_elimination_or_norms(monkeyp
 def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
     """The work of `wf-scan --space lp:3/2 --set unit-vector-family --eps 3/5
     --bigm 2 --depth 5 --index-bound 5`: one domination test per set of
-    distinct vectors that holds, one per order of each failing one.  Every
-    comparison minimum a lower end solves, l1 and sup alike, is certified at
-    a vertex of the unit vectors without an LP, and no l2 QP is solved."""
+    distinct vectors, 31 in all, failing ones included.  Every comparison
+    minimum a lower end solves, l1 and sup alike, is certified at a vertex of
+    the unit vectors without an LP, and no l2 QP is solved.  The one upper
+    end, of the failing e0..e4, stops its descent at its first gradient
+    evaluation, the uniform point, so it projects nothing."""
     calls = Counter()
     for owner, name in ((predicates, "is_eps_dominating"), (predicates.lp, "solve_lp"),
                         (predicates, "_simplex_min_qp"),
-                        (predicates, "_simplex_min_polyhedral")):
+                        (predicates, "_simplex_min_polyhedral"),
+                        (predicates, "_simplex_min_bracket_upper"),
+                        (predicates, "_project_simplex")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k: (
             calls.update([_name]) or _real(*a, **k)))
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 5)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
-    assert calls == {"is_eps_dominating": 150, "_simplex_min_polyhedral": 36}
+    assert calls == {"is_eps_dominating": 31, "_simplex_min_polyhedral": 36,
+                     "_simplex_min_bracket_upper": 1}
 
 
 @pytest.mark.parametrize("space, set_name, eps, index_bound, solver", [
@@ -353,9 +358,9 @@ def test_set_verdicts_leave_every_evaluation_unchanged(monkeypatch, family, eps,
 
 
 def test_failing_domination_witness_follows_each_nodes_order():
-    """A failing verdict is asked for again in each order of its vectors, so
-    its witness weights combine that node's own vectors; the verdicts that
-    hold are kept, one per set."""
+    """Every verdict is kept, one per set, failures included; a failing one
+    serves each order and repetition of its vectors with its witness weights
+    moved to that node's order, so they combine the node's own vectors."""
     cases = [
         # e0 and -e0 cancel, so every order fails at any eps
         (WcTree(dense_space(L1), F(1, 2), F(2)), [(1, 4), (4, 1), (4, 1, 4), (2, 4, 1)]),
@@ -373,9 +378,14 @@ def test_failing_domination_witness_follows_each_nodes_order():
                                                    tree.simplex_memo).witness
             weights.add(dom.witness.weights)
         assert len(weights) > 1  # the orders differ in their weights
-        assert not tree._dominations
+        sets_asked = {frozenset(tree.vectors(node)) for node in nodes}
+        assert set(tree._dominations) == sets_asked
+        for key in sets_asked:
+            solved, kept = tree._dominations[key]
+            assert kept.fails and set(solved) == key and len(solved) == len(key)
+        single = tree.vectors(nodes[0][:1])
         assert tree.member(nodes[0][:1]).domination is \
-            tree._dominations[frozenset(tree.vectors(nodes[0][:1]))]
+            tree._dominations[frozenset(single)][1]
 
 
 def _scan(tree, depth, index_bound):

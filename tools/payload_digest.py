@@ -20,7 +20,9 @@ DIR, one numbered file per run, so that the moved ones can be read.
 The list: the four benchmark workloads at seed 5, the CLI scenarios of the
 acceptance criteria and of README, traversals on every kind of space
 (`analyze-tree` also with undecided nodes below an all-holds path, and
-under node budgets that cut it), and `predicate` on nodes that repeat an index, in l1, c0, l2, lp:3/2 and lp:3,
+under node budgets that cut it, and a `branch-hunt` in lp:3/2 whose 25
+float descents mostly run for a while before their Frank-Wolfe gap stops
+them), and `predicate` on nodes that repeat an index, in l1, c0, l2, lp:3/2 and lp:3,
 over every built-in set, at an eps that the lower end of a bracket minimum
 decides and at one that needs its upper end.  On some sets node 1,2,3,1 is
 dependent before its repeat, so its structural witness is not e_j - e_i.
@@ -118,6 +120,10 @@ SCENARIOS = [
     " --index-bound 8",
     "branch-hunt --space lp:3/2 --set unit-vector-family --eps 3/5 --bigm 2"
     " --depth 4 --index-bound 6",
+    # 25 float descents: 3 stop at their first point, 15 later in their first
+    # start, 7 after it
+    "branch-hunt --space lp:3/2 --set hilbert-cube --eps 1/4 --bigm 3 --depth 4"
+    " --index-bound 8 --beam-width 4",
     "export-dot --space l2 --set summing-hull --eps 1/2 --bigm 3 --depth 3"
     " --index-bound 5",
     "export-dot --space lp:3/2 --set unit-vector-family --eps 3/5 --bigm 2"
