@@ -120,8 +120,9 @@ class WcTree:
                 kept = self._dominations[key] = (distinct, predicates.is_eps_dominating(
                     self.family.space, distinct, self.eps, self.tol, self.simplex_memo))
             solved, dom = kept
-            if dom.fails:  # its witness weights follow the node's order
-                dom = dom._replace(witness=predicates.reordered(dom.witness, solved, vs))
+            if dom.fails:
+                if solved != vs:  # its witness weights follow the node's order
+                    dom = dom._replace(witness=predicates.reordered(dom.witness, solved, vs))
                 ev = NodeEvaluation(_combine(dom, None), dom, None)
             else:
                 sch = predicates.is_M_schauder(self.family.space, vs, self.big_m)

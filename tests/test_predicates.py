@@ -800,12 +800,14 @@ def test_sparse_descent_is_bit_identical_to_the_dense_reference(monkeypatch):
     the dense sums, so it projects the same floats bit for bit (float.hex
     tells signed zeros apart) as the full-schedule dense reference, until
     the first point whose Frank-Wolfe gap is at most FW_GAP_STOP times its
-    norm, where it stops.  On 600 nodes it finds the same enclosure, method
-    and minimizing combination; the weights are the reference's, moved to
-    the node's order, wherever they are unique (affinely independent
-    vectors).  The nodes mix in negative coefficients (unit-ball and
-    dense-space, whose products with a zero weight are -0.0), a repeated
-    vector, and a vector beside its negation, whose minimum is 0."""
+    norm, where it stops.  On 600 nodes it finds the same enclosure, method,
+    minimizing combination and weights, moved to the node's order, but on
+    two of the affinely dependent nodes, whose minimizing weights are not
+    unique: there the stopped descent keeps the uniform weights, while the
+    full schedule ends on the vertex (e0 + e1)/2.  The nodes mix in negative
+    coefficients (unit-ball and dense-space, whose products with a zero
+    weight are -0.0), a repeated vector, and a vector beside its negation,
+    whose minimum is 0."""
     traces: dict[str, list] = {"sparse": [], "dense": []}
 
     def traced(real, trace):
@@ -817,6 +819,7 @@ def test_sparse_descent_is_bit_identical_to_the_dense_reference(monkeypatch):
                         traced(oracles._ref_project_simplex, traces["dense"]))
     rng = random.Random(1819)
     seen = Counter()
+    other = {}
     for space, vs in _seeded_nodes(rng, 25):
         extra = rng.choice(vs)
         node = vs + rng.choice([(), (extra,), (-extra,)])
@@ -831,11 +834,8 @@ def test_sparse_descent_is_bit_identical_to_the_dense_reference(monkeypatch):
         assert combine(got.witness.weights, node) == got.witness.combo
         pop = dict(zip(distinct, want.witness.weights))
         moved = tuple(pop.pop(v, F(0)) for v in node)
-        if _affinely_dependent(distinct):
-            seen["dependent"] += 1
-            seen["other weights"] += got.witness.weights != moved
-        else:
-            assert got.witness.weights == moved, (space, node)
+        if got.witness.weights != moved:
+            other[space, node] = got.witness.weights, moved
         stop = next((i for i, (a, f, grad) in enumerate(visits)
                      if sum(g * w for g, w in zip(grad, a)) - min(grad) <= f * FW_GAP_STOP),
                     None)
@@ -846,9 +846,13 @@ def test_sparse_descent_is_bit_identical_to_the_dense_reference(monkeypatch):
         seen["negative"] += any(c < 0 for v in node for _, c in v.entries)
         seen["repeat"] += len(distinct) < len(node)
         seen["zero"] += want.hi == 0
+        seen["dependent"] += _affinely_dependent(distinct)
         seen["at once" if stop == 0 else "full" if stop is None else "midway"] += 1
     assert seen["nodes"] == 600
-    assert min(n for k, n in seen.items() if k != "other weights") >= 30, seen
+    assert min(seen.values()) >= 30, seen
+    mid, third = Vector(((0, F(1, 2)), (1, F(1, 2)))), (F(1, 3),) * 3
+    assert other == {(lp_space(F(4, 3)), (E(1), E(0), mid)): (third, (F(0), F(0), F(1))),
+                     (lp_space(F(3)), (E(1), mid, E(0))): (third, (F(0), F(1), F(0)))}, other
 
 
 def test_no_module_asserts():
