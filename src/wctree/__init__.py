@@ -9,16 +9,14 @@ for it.  A small order-theoretic engine (ascending orbits in finite posets)
 and an averaged fixed-point iteration round out the toolkit.
 """
 
-from .enumeration import (pair, rational_decode, rational_encode, seq_decode,
-                          seq_encode, support_decode, support_encode, unpair)
-from .errors import (ConfigurationError, ContractViolation, ModelIntegrityError,
-                     UnsupportedModelError)
+from .enumeration import rational_decode, seq_decode, support_decode, unpair
+from .errors import ConfigurationError, ContractViolation, ModelIntegrityError
 from .spaces import (BUILTIN_SPACES, C0, L1, L2, Functional, NormValue,
-                     SpaceModel, Vector, combine, conjugate_norm, dense_index,
-                     dense_point, lp_space, norm, norm_cmp, pairing, sup_space)
+                     SpaceModel, Vector, combine, conjugate_norm, dense_point,
+                     lp_space, norm, norm_cmp, pairing, sup_space)
 from .sets import (SetModel, build_set, dense_space, explicit_list, hilbert_cube,
                    set_from_json, summing_hull, summing_vector, unit_ball,
-                   unit_ball_model, unit_vector_family, unit_vector_hull)
+                   unit_vector_family, unit_vector_hull)
 from .predicates import (DualCertificate, PrefixWitness, SchauderReport,
                          SimplexMinResult, SimplexWitness, Verdict3,
                          is_M_schauder, is_eps_dominating, mazur_combination,
@@ -43,18 +41,16 @@ __all__ = [
     "ModelIntegrityError", "NodeEvaluation", "NonexpMapHandle", "NormValue",
     "PrefixWitness", "SaturationResult", "SchauderReport", "SearchBudget",
     "SearchStats", "SetModel", "SimplexMinResult", "SimplexWitness",
-    "SpaceModel", "StackedTree", "UnsupportedModelError", "Vector",
-    "Verdict3", "WcTree", "WfVerdict", "bounded_wf_search", "branch_search",
-    "build_map", "build_set", "combine", "conjugate_norm", "dense_index",
-    "dense_point", "dense_space", "encode_characteristic", "expand",
-    "explicit_list", "hilbert_cube", "invariant_set_saturate",
+    "SpaceModel", "StackedTree", "Vector", "Verdict3", "WcTree", "WfVerdict",
+    "bounded_wf_search", "branch_search", "build_map", "build_set", "combine",
+    "conjugate_norm", "dense_point", "dense_space", "encode_characteristic",
+    "expand", "explicit_list", "hilbert_cube", "invariant_set_saturate",
     "is_M_schauder", "is_eps_dominating", "km_iterate", "levels", "lp_space",
     "maximal_via_uniformization", "mazur_combination", "norm", "norm_cmp",
-    "pair", "pairing", "rank_within", "rational_decode", "rational_encode",
-    "seq_decode", "seq_encode", "set_from_json", "simplex_min_norm",
-    "summing_hull", "summing_vector", "sup_space", "support_decode",
-    "support_encode", "uniformize_least", "uniformize_relation", "unit_ball",
-    "unit_ball_model", "unit_vector_family", "unit_vector_hull", "unpair",
+    "pairing", "rank_within", "rational_decode", "seq_decode",
+    "set_from_json", "simplex_min_norm", "summing_hull", "summing_vector",
+    "sup_space", "support_decode", "uniformize_least", "uniformize_relation",
+    "unit_ball", "unit_vector_family", "unit_vector_hull", "unpair",
     "validate_certificate", "verify_nonexpansive", "walk", "zermelo_iterate",
     "__version__",
 ]

@@ -7,7 +7,8 @@ Envelope layout: schema tag, package version, the resolved configuration and
 its sha256 hash (timing excluded, so identical configurations hash
 identically), the seed, wall time, and a command-specific payload.  Exit
 status: 0 for a completed analysis (whatever its verdict), 2 for usage or
-malformed-input errors, 1 for semantic configuration or model failures.
+malformed-input errors, 1 for semantic configuration or model failures and
+for a report whose reader closed standard output before it was written.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -25,8 +27,7 @@ except ImportError:  # Python 3.12 renamed it _sha2
     from hashlib import sha256
 
 from . import __version__, fixedpoint, predicates, sets, spaces, trees
-from .errors import (ConfigurationError, ContractViolation, ModelIntegrityError,
-                     UnsupportedModelError)
+from .errors import ConfigurationError, ContractViolation, ModelIntegrityError
 from .predicates import (DualCertificate, PrefixWitness, SchauderReport,
                          SimplexWitness, Verdict3)
 from .spaces import SpaceModel, Vector
@@ -493,8 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigurationError, UnsupportedModelError, ModelIntegrityError,
-            ContractViolation) as exc:
+    except (ConfigurationError, ModelIntegrityError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     envelope = {
@@ -511,10 +511,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered + "\n")
-    if args.format == "text":
-        print(_render_text(envelope))
-    else:
-        print(rendered)
+    try:
+        print(_render_text(envelope) if args.format == "text" else rendered)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # exit cannot fail again, and report the cut-off output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -1,21 +1,22 @@
-"""Bijective codes linking naturals, nonzero rationals, and sparse rational vectors.
+"""Decoders from naturals onto nonzero rationals and sparse rational vectors.
 
-Everything downstream (dense families of set models, tree node indices, report
-reproducibility) depends on one fixed enumeration of all finitely supported
-rational coefficient sequences.  The scheme composes three bijections:
+Every countable model (the dense families of the set models, hence tree node
+indices and report reproducibility) rests on one fixed enumeration of all
+finitely supported rational coefficient sequences.  The scheme composes three
+bijections, each given here by its decoder:
 
-* Cantor pairing  ``pair(a, b) = (a+b)(a+b+1)/2 + b``.
-* The Calkin-Wilf walk over positive rationals, extended to all nonzero
+* the inverse of the Cantor pairing ``pair(a, b) = (a+b)(a+b+1)/2 + b``;
+* the Calkin-Wilf walk over positive rationals, extended to all nonzero
   rationals: code 0 is +1, even codes are positive, odd codes the negative
-  mirror.
-* A list code for finite sequences of naturals: 0 is the empty list and
+  mirror;
+* a list code for finite sequences of naturals: 0 is the empty list, and
   ``1 + pair(head, code(tail))`` otherwise.
 
-A vector with support ``i_1 < ... < i_k`` and coefficients ``c_1 .. c_k`` is
-coded as the list ``[pair(gap_j, rational_code(c_j))]`` where ``gap_1 = i_1``
-and ``gap_j = i_j - i_{j-1} - 1`` for ``j >= 2``.  Consequently index 0 is the
-zero vector and index 1 is the first unit vector ``e_0``.  Every decode
-re-encodes to its own index, which the test suite checks over a large prefix.
+A vector with support ``i_1 < ... < i_k`` and coefficients ``c_1 .. c_k`` has
+the list ``[pair(gap_j, rational_code(c_j))]`` as its code, where
+``gap_1 = i_1`` and ``gap_j = i_j - i_{j-1} - 1`` for ``j >= 2``.
+Consequently index 0 is the zero vector and index 1 is the first unit vector
+``e_0``, and every vector has exactly one index.
 """
 
 from __future__ import annotations
@@ -24,13 +25,8 @@ from fractions import Fraction
 from math import isqrt
 
 
-def pair(a: int, b: int) -> int:
-    """Cantor pairing of two naturals."""
-    return (a + b) * (a + b + 1) // 2 + b
-
-
 def unpair(z: int) -> tuple[int, int]:
-    """Inverse of :func:`pair`."""
+    """The naturals (a, b) whose Cantor pairing (a+b)(a+b+1)/2 + b is z."""
     w = (isqrt(8 * z + 1) - 1) // 2
     b = z - w * (w + 1) // 2
     return w - b, b
@@ -50,39 +46,10 @@ def calkin_wilf(n: int) -> Fraction:
     return q
 
 
-def calkin_wilf_index(q: Fraction) -> int:
-    """Position of a positive rational in the Calkin-Wilf enumeration.
-
-    Runs the subtractive Euclid walk in run-length batches so extreme ratios
-    (whose indices have ~a/b bits regardless) at least assemble quickly.
-    """
-    if q <= 0:
-        raise ValueError("only positive rationals are enumerated")
-    chunks: list[str] = []
-    a, b = q.numerator, q.denominator
-    while a != b:
-        if a < b:
-            k = (b - 1) // a
-            chunks.append("0" * k)
-            b -= k * a
-        else:
-            k = (a - 1) // b
-            chunks.append("1" * k)
-            a -= k * b
-    return int("1" + "".join(reversed(chunks)), 2)
-
-
 def rational_decode(k: int) -> Fraction:
     """Nonzero rational with code k (0 -> +1, 1 -> -1, 2 -> +1/2, ...)."""
     mag = calkin_wilf(k // 2 + 1)
     return mag if k % 2 == 0 else -mag
-
-
-def rational_encode(q: Fraction) -> int:
-    if q == 0:
-        raise ValueError("zero has no code; zero coefficients are never stored")
-    n = calkin_wilf_index(abs(q))
-    return 2 * (n - 1) + (0 if q > 0 else 1)
 
 
 def seq_decode(code: int) -> tuple[int, ...]:
@@ -92,13 +59,6 @@ def seq_decode(code: int) -> tuple[int, ...]:
         head, code = unpair(code - 1)
         out.append(head)
     return tuple(out)
-
-
-def seq_encode(seq: tuple[int, ...]) -> int:
-    code = 0
-    for head in reversed(seq):
-        code = 1 + pair(head, code)
-    return code
 
 
 def support_decode(index: int) -> tuple[tuple[int, Fraction], ...]:
@@ -113,15 +73,3 @@ def support_decode(index: int) -> tuple[tuple[int, Fraction], ...]:
         pos = gap if pos < 0 else pos + 1 + gap
         entries.append((pos, rational_decode(rat)))
     return tuple(entries)
-
-
-def support_encode(entries: tuple[tuple[int, Fraction], ...]) -> int:
-    items: list[int] = []
-    prev = -1
-    for pos, coeff in entries:
-        if pos <= prev:
-            raise ValueError("support positions must be strictly increasing")
-        gap = pos if prev < 0 else pos - prev - 1
-        items.append(pair(gap, rational_encode(Fraction(coeff))))
-        prev = pos
-    return seq_encode(tuple(items))

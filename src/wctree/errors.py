@@ -15,10 +15,6 @@ class ModelIntegrityError(RuntimeError):
     """A set model violated its own declared bound or structure."""
 
 
-class UnsupportedModelError(ValueError):
-    """An operation needs a model capability that was not declared."""
-
-
 class ContractViolation(RuntimeError):
     """A claimed analytic property failed a spot check; carries a counterexample."""
 

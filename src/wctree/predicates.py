@@ -689,19 +689,10 @@ def is_M_schauder(
     return _schauder_analyze(space, tuple(vectors), big_m, rng_seed)
 
 
-def basis_constant_estimate(
-    space: SpaceModel,
-    vectors: list[Vector] | tuple[Vector, ...],
-    rng_seed: int = 0,
-) -> SchauderReport:
-    """Bracket the basis constant of the finite sequence (no threshold)."""
-    return _schauder_analyze(space, tuple(vectors), None, rng_seed)
-
-
 def _schauder_analyze(
     space: SpaceModel,
     vs: tuple[Vector, ...],
-    big_m: Fraction | None,
+    big_m: Fraction,
     rng_seed: int,
 ) -> SchauderReport:
     if any(v.is_zero for v in vs):
@@ -782,14 +773,11 @@ def _prefix_ratio(
 def _constant_report(
     c_lo: Fraction,
     c_hi: Fraction,
-    big_m: Fraction | None,
+    big_m: Fraction,
     method: str,
     detail: str = "",
     witness: PrefixWitness | None = None,
 ) -> SchauderReport:
-    if big_m is None:
-        verdict = Verdict3(INCONCLUSIVE, None, None, None, detail or "estimate only")
-        return SchauderReport(verdict, method, c_lo, c_hi)
     if c_hi <= big_m:
         margin = big_m - c_hi
         verdict = Verdict3(HOLDS, float(margin), margin, witness, detail)
@@ -803,7 +791,7 @@ def _constant_report(
     return SchauderReport(verdict, method, c_lo, c_hi)
 
 
-def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderReport:
+def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction) -> SchauderReport:
     """Exact l2 decision: prefix bounds are PSD conditions on the Gram matrix.
 
     Since G is PSD, t^2 G - G_k only gains the PSD matrix (t'^2 - t^2) G as
@@ -828,25 +816,24 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction | None) -> SchauderRe
                 return False, k, w
         return True, None, None
 
-    if big_m is not None:
-        ok, bad_k, w = psd_all(big_m)
-        if not ok:
-            witness = PrefixWitness(
-                bad_k, tuple(w), spaces.norm(spaces.L2, spaces.combine(w[:bad_k], vs[:bad_k])),
-                spaces.norm(spaces.L2, spaces.combine(w, vs)))
-            # w^T (M^2 G - G_k) w < 0: the witness's exact prefix ratio exceeds M,
-            # and so does a lower root of it taken fine enough; no constant is below 1
-            ratio_sq = witness.prefix_norm.exact_sq / witness.full_norm.exact_sq
-            if ratio_sq <= big_m * big_m:
-                raise ContractViolation("the PSD witness does not escape the bound")
-            bits = MARGIN_GRID_BITS
-            while (c_lo := linalg.sqrt_lower(ratio_sq, bits)) <= big_m:
-                bits *= 2
-            c_lo = max(c_lo, _ONE)
-            margin = big_m - c_lo
-            verdict = Verdict3(FAILS, float(margin), margin, witness,
-                               detail=f"prefix {bad_k} escapes the bound (PSD witness)")
-            return SchauderReport(verdict, "exact-gram", constant_lo=c_lo)
+    ok, bad_k, w = psd_all(big_m)
+    if not ok:
+        witness = PrefixWitness(
+            bad_k, tuple(w), spaces.norm(spaces.L2, spaces.combine(w[:bad_k], vs[:bad_k])),
+            spaces.norm(spaces.L2, spaces.combine(w, vs)))
+        # w^T (M^2 G - G_k) w < 0: the witness's exact prefix ratio exceeds M,
+        # and so does a lower root of it taken fine enough; no constant is below 1
+        ratio_sq = witness.prefix_norm.exact_sq / witness.full_norm.exact_sq
+        if ratio_sq <= big_m * big_m:
+            raise ContractViolation("the PSD witness does not escape the bound")
+        bits = MARGIN_GRID_BITS
+        while (c_lo := linalg.sqrt_lower(ratio_sq, bits)) <= big_m:
+            bits *= 2
+        c_lo = max(c_lo, _ONE)
+        margin = big_m - c_lo
+        verdict = Verdict3(FAILS, float(margin), margin, witness,
+                           detail=f"prefix {bad_k} escapes the bound (PSD witness)")
+        return SchauderReport(verdict, "exact-gram", constant_lo=c_lo)
 
     # doubling phase: find a grid point where every prefix condition holds
     hi_units = grid  # t = 1
@@ -871,7 +858,7 @@ def _schauder_polyhedral(
     vs: tuple[Vector, ...],
     mat: list[list[int]],
     d: int,
-    big_m: Fraction | None,
+    big_m: Fraction,
 ) -> SchauderReport | None:
     """Exact l1 / sup basis constant via extreme points of the unit ball.
 
@@ -926,7 +913,7 @@ def _schauder_polyhedral(
 def _schauder_sampled(
     space: SpaceModel,
     vs: tuple[Vector, ...],
-    big_m: Fraction | None,
+    big_m: Fraction,
     rng_seed: int,
 ) -> SchauderReport:
     """Probe coefficient patterns; can refute a prefix bound, never confirm it."""
@@ -940,7 +927,7 @@ def _schauder_sampled(
     for _ in range(64):
         patterns.append([Fraction(round(rng.gauss(0, 1) * grid), grid) for _ in range(m)])
     c_lo, witness = _prefix_ratio(space, vs, patterns)
-    if big_m is not None and c_lo > big_m:
+    if c_lo > big_m:
         verdict = Verdict3(FAILS, float(big_m - c_lo), big_m - c_lo, witness,
                            detail="sampled coefficients certify a violating prefix")
         return SchauderReport(verdict, "sampled", constant_lo=c_lo)

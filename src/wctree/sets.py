@@ -4,20 +4,18 @@ A set is represented by a *selector*: a total function from naturals onto a
 dense sequence in the set.  Analyses never see the abstract set, only the
 selector, so every built-in model documents what its enumeration hits.
 
-Convex built-ins (hulls, balls, the cube, the whole space) additionally
-expose ``combo_index``: given indices n, m and a sixteenth q16/16, it returns
-an index that is *guaranteed* to select exactly q*sel(n) + (1-q)*sel(m).
-For the hull and ball models this works by interleaving a rational convex
-combination stream with the base enumeration:
+The hull and ball models interleave a rational convex combination stream
+with their base enumeration:
 
     selector(2j)   = base(j)
     selector(2j+1) = q*selector(n) + (1-q)*selector(m)
-                     where unpair(j) = (pair(n, m), q16), q = (q16 mod 17)/16
+                     where unpair(j) = (c, q16), unpair(c) = (n, m),
+                     q = (q16 mod 17)/16
 
-The references n, m never exceed j, so the recursion is well founded, and
-every rational 16th-grid combination of earlier points appears at a
-computable odd index.  Models whose points are stable under combination
-(the cube, the whole space) instead locate combinations by exact encoding.
+with `unpair` the inverse Cantor pairing of :mod:`wctree.enumeration`.  The
+references n, m never exceed j, so the recursion is well founded, and every
+16th-grid combination q*sel(n) + (1-q)*sel(m), 0 <= q <= 1, is selected at
+the odd index 2*pair(pair(n, m), 16q) + 1.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from math import lcm
 from typing import Callable
 
 from . import enumeration, spaces
-from .errors import ConfigurationError, ModelIntegrityError, UnsupportedModelError
+from .errors import ConfigurationError, ModelIntegrityError
 from .spaces import SpaceModel, Vector
 
 
@@ -54,23 +52,17 @@ class SetModel:
         kind: str,
         base: Callable[[int], Vector],
         *,
-        params: dict | None = None,
         interleave: bool = False,
         bound: Fraction | None = None,
         membership: Callable[[Vector], bool | None] | None = None,
-        encode: Callable[[Vector], int] | None = None,
-        whole_space: bool = False,
     ):
         self.ident = ident
         self.space = space
         self.kind = kind
-        self.params = dict(params or {})
         self.bound = bound
-        self.whole_space = whole_space
         self._base = base
         self._interleave = interleave
         self._membership = membership
-        self._encode = encode
         self._cache: dict[int, Vector] = {}
 
     def selector(self, index: int) -> Vector:
@@ -96,31 +88,11 @@ class SetModel:
         self._cache[index] = point
         return point
 
-    def combo_index(self, n: int, m: int, q16: int) -> int | None:
-        """Index selecting exactly (q16/16)*sel(n) + (1-q16/16)*sel(m), if known."""
-        if not 0 <= q16 <= 16:
-            raise ValueError("q16 must lie in 0..16")
-        if self._interleave:
-            return 2 * enumeration.pair(enumeration.pair(n, m), q16) + 1
-        if self._encode is not None:
-            q = Fraction(q16, 16)
-            z = spaces.combine([q, 1 - q], [self.selector(n), self.selector(m)])
-            return self._encode(z)
-        return None
-
     def exact_contains(self, v: Vector) -> bool | None:
         """Exact membership in the represented closed set, when decidable."""
         if self._membership is None:
             return None
         return self._membership(v)
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.ident,
-            "kind": self.kind,
-            "space": self.space.to_json(),
-            "params": self.params,
-        }
 
     def __repr__(self):
         return f"SetModel({self.ident!r}, kind={self.kind!r}, space={self.space.ident!r})"
@@ -209,28 +181,23 @@ def dense_space(space: SpaceModel, ident: str = "dense-space") -> SetModel:
     """The whole space, enumerated by the universal dense sequence."""
     return SetModel(
         ident, space, "dense-space", spaces.dense_point,
-        membership=lambda v: True, encode=spaces.dense_index, whole_space=True,
+        membership=lambda v: True,
     )
 
 
-def unit_ball_model(source: SetModel, ident: str = "unit-ball") -> SetModel:
-    """Closed unit ball derived from a whole-space dense model by rescaling.
+def unit_ball(space: SpaceModel, ident: str = "unit-ball") -> SetModel:
+    """Closed unit ball, from the universal dense sequence by rescaling.
 
-    Index i unpairs to (n, k); the source point v = source(n) is scaled by
+    Index i unpairs to (n, k); the dense point v = dense_point(n) is scaled by
     s = min(1, (1 - 2^-(k+1)) / r) where r is a certified rational upper
     bound on ||v|| (the exact norm when it is rational).  Every output lands
     strictly inside the ball and the outputs are dense there, so the model
     presents the closed ball as the closure of its open interior.
     """
-    if not source.whole_space:
-        raise UnsupportedModelError(
-            "unit-ball rescaling needs a model marked as enumerating the whole space"
-        )
-    space = source.space
 
     def base(i: int) -> Vector:
         n, k = enumeration.unpair(i)
-        v = source.selector(n)
+        v = spaces.dense_point(n)
         if v.is_zero:
             return v
         nv = spaces.norm(space, v)
@@ -245,20 +212,14 @@ def unit_ball_model(source: SetModel, ident: str = "unit-ball") -> SetModel:
     return SetModel(
         ident, space, "unit-ball", base,
         interleave=True, bound=Fraction(1), membership=member,
-        params={"source": source.kind},
     )
-
-
-def unit_ball(space: SpaceModel, ident: str = "unit-ball") -> SetModel:
-    return unit_ball_model(dense_space(space), ident)
 
 
 def hilbert_cube(space: SpaceModel, ident: str = "hilbert-cube") -> SetModel:
     """Points with |x_j| <= 2^-(j+1); dense via clamping the universal stream.
 
     Clamping is idempotent and every rational point of the cube clamps to
-    itself, so the enumeration hits each of them and combinations can be
-    located by exact re-encoding.
+    itself, so the enumeration hits each of them, combinations included.
     """
 
     def clamp(v: Vector) -> Vector:
@@ -277,7 +238,7 @@ def hilbert_cube(space: SpaceModel, ident: str = "hilbert-cube") -> SetModel:
 
     return SetModel(
         ident, space, "hilbert-cube", base,
-        bound=Fraction(1), membership=member, encode=spaces.dense_index,
+        bound=Fraction(1), membership=member,
     )
 
 
@@ -302,7 +263,6 @@ def explicit_list(space: SpaceModel, points: list[Vector], ident: str = "explici
         ident, space, "explicit-list",
         lambda i: pts[i % len(pts)],
         membership=lambda v: v in pts,
-        params={"points": [p.to_json() for p in pts]},
     )
 
 

@@ -10,12 +10,11 @@ rational exponent p >= 1 is supported in bracket mode: the norm is returned
 as a float together with a guaranteed error bound derived from dyadic root
 brackets.  Norms, pairings, combinations and norm comparisons are int
 arithmetic; a ``Fraction`` is built only for a result, such as a norm value
-or a coefficient read through ``Vector.coeff`` or ``Vector.entries``.
+or a coefficient read through ``Vector.entries``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -172,12 +171,6 @@ class Vector(FrozenRecord):
     def unit(i: int) -> "Vector":
         return Vector(((i, _ONE),))
 
-    def coeff(self, pos: int) -> Fraction:
-        i = bisect_left(self.support, pos)
-        if i < len(self.support) and self.support[i] == pos:
-            return Fraction(self.nums[i], self.den)
-        return _ZERO
-
     @property
     def is_zero(self) -> bool:
         return not self.nums
@@ -307,9 +300,6 @@ class SpaceModel(FrozenRecord):
         if self.p == 2:  # self-dual
             return "lp", self.p
         return "lp", self.p / (self.p - 1)
-
-    def to_json(self) -> dict:
-        return {"id": self.ident, "kind": self.kind, "p": None if self.p is None else str(self.p)}
 
     @staticmethod
     def from_json(data) -> "SpaceModel":
@@ -507,8 +497,3 @@ def dense_point(index: int) -> Vector:
     if index < 0:
         raise ValueError("enumeration indices are naturals")
     return Vector(enumeration.support_decode(index))
-
-
-def dense_index(v: Vector) -> int:
-    """Inverse of :func:`dense_point`."""
-    return enumeration.support_encode(v.entries)

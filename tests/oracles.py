@@ -27,6 +27,11 @@ from wctree.spaces import Functional, SpaceModel, Vector
 Matrix = list[list[Fraction]]  # the dense Fraction matrices of the reference copies
 
 
+def coordinate(v: Vector, pos: int) -> Fraction:
+    """The coefficient of v at a position, 0 where v has none."""
+    return dict(v.entries).get(pos, Fraction(0))
+
+
 def densify(vectors) -> np.ndarray:
     """Stack sparse rational vectors into a dense float matrix (m x dim)."""
     dim = 1 + max((pos for v in vectors for pos, _ in v.entries), default=0)
@@ -446,7 +451,7 @@ def ref_schauder_analyze(space, vectors, big_m, rng_seed):
         return _ref_constant_report(Fraction(1), Fraction(1), big_m, "exact-structural",
                                     "single vector, prefix equals whole")
     rows = sorted({pos for v in vs for pos in v.support})
-    mat = [[v.coeff(r) for v in vs] for r in rows]
+    mat = [[coordinate(v, r) for v in vs] for r in rows]
     kernel = linalg.nullspace(mat)
     if kernel:
         return ("fails", math.inf, None,
@@ -479,9 +484,6 @@ def _ref_first_live_prefix(space, vs, kernel):
 
 
 def _ref_constant_report(c_lo, c_hi, big_m, method, detail="", witness=None):
-    if big_m is None:
-        return ("inconclusive", None, None, detail or "estimate only", None, method,
-                c_lo, c_hi, False)
     if c_hi <= big_m:
         margin = big_m - c_hi
         return ("holds", float(margin), margin, detail, witness, method, c_lo, c_hi, False)
@@ -507,24 +509,23 @@ def _ref_schauder_gram(vs, big_m):
                 return False, k, w
         return True, None, None
 
-    if big_m is not None:
-        ok, bad_k, w = psd_all(big_m)
-        if not ok:
-            prefix = spaces.combine(w[:bad_k] + [Fraction(0)] * (m - bad_k), vs)
-            witness = (bad_k, tuple(w), spaces.norm(spaces.L2, prefix),
-                       spaces.norm(spaces.L2, spaces.combine(w, vs)))
-            # the floor of the witness's prefix ratio on the 2^-bits grid, for
-            # the first of 12, 24, 48, ... bits where that floor exceeds M
-            ratio_sq = witness[2].exact_sq / witness[3].exact_sq
-            if ratio_sq <= big_m * big_m:
-                raise AssertionError("the PSD witness does not escape the bound")
-            bits = 12
-            while (c_lo := Fraction(isqrt(math.floor(ratio_sq * 4 ** bits)), 2 ** bits)) <= big_m:
-                bits *= 2
-            c_lo = max(c_lo, Fraction(1))
-            return ("fails", float(big_m - c_lo), big_m - c_lo,
-                    f"prefix {bad_k} escapes the bound (PSD witness)", witness,
-                    "exact-gram", c_lo, None, False)
+    ok, bad_k, w = psd_all(big_m)
+    if not ok:
+        prefix = spaces.combine(w[:bad_k] + [Fraction(0)] * (m - bad_k), vs)
+        witness = (bad_k, tuple(w), spaces.norm(spaces.L2, prefix),
+                   spaces.norm(spaces.L2, spaces.combine(w, vs)))
+        # the floor of the witness's prefix ratio on the 2^-bits grid, for
+        # the first of 12, 24, 48, ... bits where that floor exceeds M
+        ratio_sq = witness[2].exact_sq / witness[3].exact_sq
+        if ratio_sq <= big_m * big_m:
+            raise AssertionError("the PSD witness does not escape the bound")
+        bits = 12
+        while (c_lo := Fraction(isqrt(math.floor(ratio_sq * 4 ** bits)), 2 ** bits)) <= big_m:
+            bits *= 2
+        c_lo = max(c_lo, Fraction(1))
+        return ("fails", float(big_m - c_lo), big_m - c_lo,
+                f"prefix {bad_k} escapes the bound (PSD witness)", witness,
+                "exact-gram", c_lo, None, False)
     hi_units = REF_GRID
     while not psd_all(Fraction(hi_units, REF_GRID))[0]:
         hi_units *= 2
@@ -607,7 +608,7 @@ def _ref_schauder_sampled(space, vs, big_m, rng_seed):
             if nk.lo > c_lo * nf.hi:
                 c_lo = nk.lo / nf.hi
                 witness = (k, tuple(a), nk, nf)
-    if big_m is not None and c_lo > big_m:
+    if c_lo > big_m:
         return ("fails", float(big_m - c_lo), big_m - c_lo,
                 "sampled coefficients certify a violating prefix", witness, "sampled",
                 c_lo, None, False)
@@ -980,7 +981,7 @@ def ref_simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
     """
     m = len(vs)
     rows = _ref_coordinate_rows(vs)
-    cols = [[float(v.coeff(r)) for r in rows] for v in vs]
+    cols = [[float(coordinate(v, r)) for r in rows] for v in vs]
     pf = float(space.p)
 
     def fval_grad(a: list[float]) -> tuple[float, list[float]]:

@@ -235,6 +235,26 @@ def test_semantic_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_report_to_a_closed_pipe_exits_1_without_a_traceback():
+    """A reader that has gone, as in `wctree ... | head -c 300`, ends the
+    command with exit 1 and nothing on stderr, whether the report fails while
+    it is printed (a long one) or at the flush after it (a short one)."""
+    src = str(Path(wctree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (["fixed-point", "--space", "l2", "--map", "shift", "--steps", "20",
+                  "--set", "unit-vector-hull"],
+                 ["poset-demo", "--elements", "x"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "wctree.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env={**os.environ, "PYTHONPATH": path}, check=False)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b""), argv
+
+
 def test_tol_is_parsed_once_and_must_be_nonnegative(capsys):
     for command in (["predicate", "--node", "0,1"],
                     ["wf-scan", "--depth", "2", "--index-bound", "4"],

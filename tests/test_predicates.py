@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (brute_l2_simplex_min, grid_simplex_min, ref_schauder_analyze,
+from oracles import (brute_l2_simplex_min, coordinate, grid_simplex_min, ref_schauder_analyze,
                      ref_simplex_min_bracket_lower, ref_simplex_min_bracket_upper,
                      ref_simplex_min_qp, sampled_basis_constant)
 from wctree import linalg, predicates, sets
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, FW_GAP_STOP, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
-                               DualCertificate, basis_constant_estimate,
-                               is_M_schauder, is_eps_dominating, mazur_combination,
+                               DualCertificate, is_M_schauder, is_eps_dominating, mazur_combination,
                                simplex_min_norm)
 from wctree.sets import build_set, hilbert_cube
 from wctree.spaces import (C0, L1, L2, Functional, Vector, combine, conjugate_norm, lp_space,
@@ -791,7 +790,7 @@ def test_pruned_lower_end_matches_the_unpruned_reference(monkeypatch):
 
 def _affinely_dependent(vs) -> bool:
     rows = sorted({r for v in vs for r in v.support})
-    diffs = [[(v - vs[0]).coeff(r) for r in rows] for v in vs[1:]]
+    diffs = [[coordinate(v - vs[0], r) for r in rows] for v in vs[1:]]
     return linalg.rank(diffs) < len(diffs) if diffs else False
 
 
@@ -869,6 +868,11 @@ def test_no_module_asserts():
 # ---------------------------------------------------------------------------
 # prefix-boundedness predicate
 
+# above the basis constant of every node these tests build, so a report at
+# this bound brackets the constant as it would at any larger one (the l2
+# doubling phase gives up past 2^40)
+ABOVE_EVERY_CONSTANT = F(1 << 40)
+
 
 def test_schauder_disjoint_supports_is_exactly_one():
     rep = is_M_schauder(L2, [E(0), E(1), E(2)], F(1))
@@ -894,6 +898,11 @@ def test_schauder_known_constants():
     assert float(rep.constant_lo) <= root2 <= float(rep.constant_hi)
     assert rep.constant_hi - rep.constant_lo <= F(1, 2**(MARGIN_GRID_BITS - 1))
     assert is_M_schauder(L2, pair, F(7, 5)).verdict.fails  # 7/5 < sqrt 2
+    # sqrt 2 < M below the grid point above it: the bracket straddles M
+    straddled = F(14143, 10000)
+    rep = is_M_schauder(L2, pair, straddled)
+    assert rep.verdict.inconclusive and rep.constant_lo < straddled < rep.constant_hi
+    _assert_matches_reference(rep, pair, ref_schauder_analyze(L2, pair, straddled, 0))
 
 
 def _assert_kernel_witness(vs, w):
@@ -912,7 +921,7 @@ def _kernel_as_reference(vs):
     if first is None:
         return True
     rows = sorted({p for v in vs[:first] for p in v.support})
-    return linalg.rank([[v.coeff(r) for v in vs[:first]] for r in rows]) == first
+    return linalg.rank([[coordinate(v, r) for v in vs[:first]] for r in rows]) == first
 
 
 def test_schauder_repeats_are_unbounded():
@@ -950,7 +959,7 @@ def test_schauder_sampled_oracle_never_exceeds_reported_constant():
                            for p in rng.sample(range(5), rng.randint(1, 3))]
                 v = Vector.from_pairs([(p, c) for p, c in entries if c != 0])
                 vs.append(v if not v.is_zero else E(rng.randint(0, 4)))
-            rep = basis_constant_estimate(space, vs)
+            rep = is_M_schauder(space, vs, ABOVE_EVERY_CONSTANT)
             if rep.unbounded:
                 continue
             sampled = sampled_basis_constant(space, vs, np_rng, trials=150)
@@ -963,7 +972,7 @@ def test_schauder_input_validation():
     with pytest.raises(ValueError):
         is_M_schauder(L2, [E(0)], F(0))
     with pytest.raises(ValueError):
-        basis_constant_estimate(L2, [E(0), Vector.zero()])
+        is_M_schauder(L2, [E(0), Vector.zero()], F(1))
 
 
 def test_failing_gram_report_bounds_the_constant_by_its_witness_ratio():
@@ -1011,7 +1020,7 @@ def test_every_failing_gram_report_has_a_negative_margin():
 
 # the lp:P nodes run the sampled probe, whose bracket norms cost the most
 SCHAUDER_SPACES = [L1, L2, C0] * 3 + [lp_space(F(3, 2)), lp_space(3)]
-SCHAUDER_BOUNDS = [None, F(1), F(3, 2), F(2), F(5, 2), F(7, 3)]
+SCHAUDER_BOUNDS = [ABOVE_EVERY_CONSTANT, F(1), F(3, 2), F(2), F(5, 2), F(7, 3)]
 
 
 def _schauder_tuple(rep):
@@ -1052,8 +1061,12 @@ def _schauder_node(rng, space):
 
 def test_schauder_reports_match_the_reference_engine():
     """Every report equals the reference copy of the four-method engine in
-    `oracles`, for every method and verdict; a structural failure's witness
-    is checked as `_assert_matches_reference` says."""
+    `oracles`, for every method and verdict it can give; a structural failure's
+    witness is checked as `_assert_matches_reference` says.  Structural and
+    polyhedral constants are exact (c_lo = c_hi), so they never straddle M,
+    sampling never certifies a bound, and a straddling Gram bracket needs an
+    M closer to the constant than these nodes meet (see
+    `test_schauder_known_constants`)."""
     rng = random.Random(1701)
     seen = Counter()
     for trial in range(1500):
@@ -1061,10 +1074,7 @@ def test_schauder_reports_match_the_reference_engine():
         vs = _schauder_node(rng, space)
         big_m = rng.choice(SCHAUDER_BOUNDS)
         seed = rng.randint(0, 9)
-        if big_m is None:
-            rep = basis_constant_estimate(space, vs, rng_seed=seed)
-        else:
-            rep = is_M_schauder(space, vs, big_m, rng_seed=seed)
+        rep = is_M_schauder(space, vs, big_m, rng_seed=seed)
         try:
             _assert_matches_reference(rep, vs, ref_schauder_analyze(space, vs, big_m, seed))
         except AssertionError as exc:
@@ -1072,7 +1082,10 @@ def test_schauder_reports_match_the_reference_engine():
         seen[rep.method, rep.verdict.kind] += 1
     possible = set(itertools.product(
         ("exact-structural", "exact-polyhedral", "exact-gram", "sampled"),
-        (HOLDS, FAILS, INCONCLUSIVE))) - {("sampled", HOLDS)}
+        (HOLDS, FAILS, INCONCLUSIVE))) - {("exact-structural", INCONCLUSIVE),
+                                          ("exact-polyhedral", INCONCLUSIVE),
+                                          ("exact-gram", INCONCLUSIVE),
+                                          ("sampled", HOLDS)}
     assert set(seen) == possible, seen
 
 
@@ -1094,8 +1107,7 @@ def test_repeat_nodes_fail_on_sight_as_the_reference_engine_fails_them():
     other_kernel = 0
     for space, vs in cases:
         big_m = rng.choice(SCHAUDER_BOUNDS)
-        rep = (basis_constant_estimate(space, vs) if big_m is None
-               else is_M_schauder(space, vs, big_m))
+        rep = is_M_schauder(space, vs, big_m)
         assert rep.verdict.fails and rep.unbounded
         _assert_matches_reference(rep, vs, ref_schauder_analyze(space, vs, big_m, 0))
         other_kernel += not _kernel_as_reference(vs)

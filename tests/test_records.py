@@ -1,7 +1,7 @@
 """Value semantics of the records that memo keys, node caches and sets hold.
 
-The records are `typing.NamedTuple`s or `__slots__` classes on
-`spaces.FrozenRecord`; either way they must compare equal by value, hash as
+The records are `collections.namedtuple` subclasses or `__slots__` classes
+on `spaces.FrozenRecord`; either way they must compare equal by value, hash as
 the tuple of their field values (the value a frozen dataclass had, so memo
 keys and set orders stay the same), and refuse assignment.  The checks run
 in a fresh interpreter, plainly and under `python -O`, and use no `assert`,

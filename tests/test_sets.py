@@ -4,25 +4,31 @@ from fractions import Fraction
 
 import pytest
 
-from wctree.errors import ConfigurationError, ModelIntegrityError, UnsupportedModelError
+from wctree.errors import ConfigurationError, ModelIntegrityError
 from wctree.sets import (build_set, dense_space, explicit_list, hilbert_cube,
                          set_from_json, summing_hull, summing_vector, unit_ball,
-                         unit_ball_model, unit_vector_family, unit_vector_hull)
-from wctree.spaces import C0, L1, L2, Vector, combine, lp_space, norm
+                         unit_vector_family, unit_vector_hull)
+from wctree.spaces import C0, L1, L2, Vector, combine, dense_point, lp_space, norm
 
 F = Fraction
 
 
+def _pair(a, b):
+    """Cantor pairing, the map whose inverse the interleaved selectors unpair."""
+    return (a + b) * (a + b + 1) // 2 + b
+
+
 def assert_combinations_select_exactly(model, depth):
-    """combo_index(n, m, q16) selects exactly q*sel(n) + (1-q)*sel(m), q = q16/16,
-    for every pair among the first `depth` points and every inner 16th."""
+    """An interleaved model's selector(2 * pair(pair(n, m), q16) + 1) is exactly
+    q*sel(n) + (1-q)*sel(m), q = q16/16, for every pair among the first `depth`
+    points and every 16th from 0 to 1."""
     for n in range(depth):
         for m in range(n + 1, depth):
-            for q16 in range(1, 16):
+            for q16 in range(17):
                 q = F(q16, 16)
                 z = combine([q, 1 - q], [model.selector(n), model.selector(m)])
-                j = model.combo_index(n, m, q16)
-                assert j is not None and model.selector(j) == z, (model.ident, n, m, q16)
+                j = 2 * _pair(_pair(n, m), q16) + 1
+                assert model.selector(j) == z, (model.ident, n, m, q16)
 
 
 def test_summing_vector():
@@ -96,11 +102,6 @@ def test_unit_ball_rescales_whole_space():
     assert ball.exact_contains(Vector.unit(0).scale(F(3, 2))) is False
 
 
-def test_unit_ball_requires_whole_space_source():
-    with pytest.raises(UnsupportedModelError):
-        unit_ball_model(unit_vector_hull(L2))
-
-
 def test_unit_vector_family_is_bare_units():
     fam = unit_vector_family(L2)
     for i in range(10):
@@ -118,22 +119,25 @@ def test_explicit_list_cycles():
 
 def test_build_set_registry_and_json_roundtrip():
     model = build_set("unit-vector-hull", L1)
-    again = set_from_json(model.to_json())
+    again = set_from_json({"kind": "unit-vector-hull", "space": {"kind": "lp", "p": "1"},
+                           "params": {}})
     for i in range(32):
         assert model.selector(i) == again.selector(i)
+    points = [[[0, "1/3"], [2, "-2/5"]], [[1, "3/4"]]]
+    listed = set_from_json({"kind": "explicit-list", "space": {"kind": "c0"},
+                            "params": {"points": points}})
+    assert [listed.selector(i).to_json() for i in range(3)] == points + points[:1]
+    assert listed.space == C0 and listed.exact_contains(Vector.unit(1).scale(F(3, 4)))
     with pytest.raises(ConfigurationError):
         build_set("no-such-kind", L1)
 
 
 def test_dense_space_is_whole_space():
     ds = dense_space(lp_space(F(3, 2)))
-    assert ds.whole_space
     assert ds.exact_contains(Vector.from_pairs([(5, F(-7, 3))])) is True
-    # the encode hook locates every combination by its exact index
-    assert_combinations_select_exactly(ds, 6)
+    assert [ds.selector(i) for i in range(200)] == [dense_point(i) for i in range(200)]
 
 
-def test_cube_and_ball_combinations_select_exactly():
-    assert_combinations_select_exactly(hilbert_cube(L2), 6)  # by exact encoding
-    assert_combinations_select_exactly(unit_ball(L2), 6)  # by interleaving
+def test_ball_combinations_select_exactly():
+    assert_combinations_select_exactly(unit_ball(L2), 6)
 

@@ -32,7 +32,9 @@ decides (every such lower end is at least 1/16) and at 2, above every
 lower end, where the upper end is needed.
 Then `fixed-point`, averaged and saturating, with every registered map, and
 `poset-demo`, on the default poset and on given ones, so that each result
-record of `fixedpoint` reaches some payload.
+record of `fixedpoint` reaches some payload; the averaged shift also runs
+with `--set unit-vector-hull`, `summing-hull`, `hilbert-cube` and
+`unit-vector-family`, so that each of their membership tests is reached.
 Last, three paths that the lists above miss: a failing exact-gram report at
 M >= 1, a set read from `tools/digest_set.json` (points with non-unit
 denominators), and one report rendered with `--format text`.
@@ -148,6 +150,11 @@ FIXED_POINT = [
     "fixed-point --space lp:3 --map constant --point 2:-1 --steps 25 --weight 9/10",
     "fixed-point --space l2 --map shift --steps 0",
     "fixed-point --space l2 --map shift --steps 10 --weight 1",
+    # the membership test of every other set model with a decidable one
+    "fixed-point --space l2 --map shift --steps 20 --set unit-vector-hull",
+    "fixed-point --space l2 --map shift --steps 20 --set summing-hull",
+    "fixed-point --space l2 --map shift --steps 20 --set hilbert-cube",
+    "fixed-point --space l2 --map shift --steps 20 --set unit-vector-family",
     # orbit saturation: closed, closed at once, and cut by the point budget
     "fixed-point --space l2 --map constant --point 0:1 --saturate --start 3:1/2",
     "fixed-point --space l1 --map halving --saturate --start 0:1 --max-points 40",
