@@ -358,8 +358,11 @@ def cmd_export_dot(args) -> dict:
     dot = "\n".join(lines + edges + ["}"])
     payload = {"dot": dot, "nodes": len(edges), "budget_exhausted": budget.exhausted}
     if args.out_dot:
-        with open(args.out_dot, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
+        try:
+            with open(args.out_dot, "w", encoding="utf-8") as fh:
+                fh.write(dot + "\n")
+        except OSError as exc:
+            raise UsageError(f"--out-dot: {exc}") from exc
         payload["written"] = args.out_dot
     return payload
 
@@ -509,8 +512,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     rendered = json.dumps(envelope, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return 2
     try:
         print(_render_text(envelope) if args.format == "text" else rendered)
         sys.stdout.flush()

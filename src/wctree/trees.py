@@ -16,7 +16,9 @@ below the index bound at one `SearchBudget` unit each and stops at the first
 refused charge (`budget.exhausted` then says the traversal was cut).  The
 depth-first `walk` serves `bounded_wf_search` and the DOT export;
 `branch_search` and `levels` expand breadth-first instead, since under a
-budget cut the two orders evaluate different nodes.  `levels` counts verdicts
+budget cut the two orders evaluate different nodes.  A beam level stops once
+no unevaluated child can enter the beam, since a child's margin is at most
+its parent's; only evaluated children are charged.  `levels` counts verdicts
 per depth and finds the certified rank in one pass, of which `rank_within`
 is a view, so `analyze-tree` evaluates each node once.
 
@@ -34,6 +36,7 @@ the whole parameter sweep, and its sections share one simplex memo.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import namedtuple
 from fractions import Fraction
 
@@ -384,6 +387,13 @@ def branch_search(
     slack survives pruning, and exact ties resolve lexicographically, so the
     returned branch is reproducible.  Returns None when the beam dies or the
     budget runs out before the target depth.
+
+    Beam nodes are expanded in key order, and a child's margin is at most
+    its parent's, so a level stops once the beam is full and its worst key
+    is below (-parent margin, next sibling of the last evaluated child): no
+    unevaluated child could enter it.  The next beam is the one that
+    evaluating every child would give; the budget is charged for evaluated
+    children only.
     """
     _check_bounds(depth, index_bound)
     if beam_width < 1:
@@ -391,21 +401,28 @@ def branch_search(
     budget = budget or SearchBudget()
     beam: list[tuple[tuple[int, ...], float]] = [((), math.inf)]
     for _ in range(depth):
-        extensions: list[tuple[float, tuple[int, ...], float]] = []
+        kept: list[tuple[float, tuple[int, ...]]] = []  # the least keys, sorted
         for node, node_margin in beam:
             for child, ev in expand(tree, node, index_bound, budget):
-                if not ev.verdict.holds:
-                    continue
-                margin = ev.verdict.margin
-                child_margin = min(node_margin,
-                                   margin if margin is not None else math.inf)
-                extensions.append((-child_margin, child, child_margin))
-            if budget.exhausted:
-                return None
-        if not extensions:
+                if ev.verdict.holds:
+                    margin = ev.verdict.margin
+                    insort(kept, (-min(node_margin, math.inf if margin is None else margin),
+                                  child))
+                    del kept[beam_width:]
+                # every unevaluated child, of this node or of a later one, has
+                # a key at least (-node_margin, next sibling): the beam is
+                # sorted by key, and a child's margin is at most its parent's
+                if (len(kept) == beam_width
+                        and kept[-1] < (-node_margin, node + (child[-1] + 1,))):
+                    break
+            else:
+                if budget.exhausted:
+                    return None
+                continue
+            break
+        if not kept:
             return None
-        extensions.sort(key=lambda t: (t[0], t[1]))
-        beam = [(node, margin) for _, node, margin in extensions[:beam_width]]
+        beam = [(node, -key) for key, node in kept]
     branch = min(node for node, _ in beam)
     records = []
     worst: float | None = None
@@ -451,6 +468,8 @@ def encode_characteristic(tree, count: int,
     returned side list carries the indices whose membership stayed open,
     undecided or never evaluated because the budget refused its charge.
     """
+    if count < 0:
+        raise ConfigurationError("characteristic count must be nonnegative", "/char-count")
     bits = []
     open_indices: list[int] = []
     for c in range(count):

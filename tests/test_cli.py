@@ -76,6 +76,28 @@ def test_out_file(tmp_path, capsys):
     assert on_disk["schema"] == "wctree-report/1"
 
 
+UNWRITABLE_MODEL = ["--space", "l2", "--set", "unit-vector-family", "--eps", "3/5",
+                    "--bigm", "2"]
+
+
+def test_unwritable_out_file_exits_2_without_a_traceback(tmp_path, capsys):
+    """A report file that cannot be opened is a usage error, not a crash."""
+    path = tmp_path / "missing" / "x.json"
+    assert main(["predicate", *UNWRITABLE_MODEL, "--node", "0", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and str(path) in err
+
+
+def test_unwritable_out_dot_file_exits_2_without_a_traceback(tmp_path, capsys):
+    """So is a DOT file that cannot be opened; no report is printed."""
+    path = tmp_path / "missing" / "x.dot"
+    assert main(["export-dot", *UNWRITABLE_MODEL, "--depth", "2", "--index-bound", "3",
+                 "--out-dot", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out-dot: ") and str(path) in captured.err
+    assert captured.out == ""
+
+
 def test_export_dot_writes_file(tmp_path, capsys):
     path = tmp_path / "tree.dot"
     env = run_json(capsys, "export-dot", "--space", "l2", "--set",
@@ -281,6 +303,10 @@ def test_traversal_bounds_below_one_exit_1(capsys):
     payload = run_json(capsys, "wf-scan", *model, "--depth", "2",
                        "--node-budget", "0")["payload"]
     assert payload["stats"]["evaluated"] == 0 and payload["stats"]["exhausted"]
+    # a negative characteristic count is refused as a negative budget is
+    assert main(["analyze-tree", *model, "--depth", "2", "--index-bound", "2",
+                 "--char-count", "-3"]) == 1
+    assert "/char-count" in capsys.readouterr().err
 
 
 def _count_member_calls(monkeypatch) -> list[tuple[int, ...]]:

@@ -265,6 +265,16 @@ def test_exhaustive_scan_fails_repeat_nodes_without_elimination_or_norms(monkeyp
     assert len(inside) == 0 and eliminations == [] and schauder_norms == []
 
 
+def _count_calls(monkeypatch, hooks) -> Counter:
+    """Count the calls of each (owner, name) hook by name."""
+    calls = Counter()
+    for owner, name in hooks:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k: (
+            calls.update([_name]) or _real(*a, **k)))
+    return calls
+
+
 def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
     """The work of `wf-scan --space lp:3/2 --set unit-vector-family --eps 3/5
     --bigm 2 --depth 5 --index-bound 5`: one domination test per set of
@@ -273,15 +283,10 @@ def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
     the unit vectors without an LP, and no l2 QP is solved.  The one upper
     end, of the failing e0..e4, stops its descent at its first gradient
     evaluation, the uniform point, so it projects nothing."""
-    calls = Counter()
-    for owner, name in ((predicates, "is_eps_dominating"), (predicates.lp, "solve_lp"),
-                        (predicates, "_simplex_min_qp"),
-                        (predicates, "_simplex_min_polyhedral"),
-                        (predicates, "_simplex_min_bracket_upper"),
-                        (predicates, "_project_simplex")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k: (
-            calls.update([_name]) or _real(*a, **k)))
+    calls = _count_calls(monkeypatch, (
+        (predicates, "is_eps_dominating"), (predicates.lp, "solve_lp"),
+        (predicates, "_simplex_min_qp"), (predicates, "_simplex_min_polyhedral"),
+        (predicates, "_simplex_min_bracket_upper"), (predicates, "_project_simplex")))
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 5)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
@@ -289,28 +294,45 @@ def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
                      "_simplex_min_bracket_upper": 1}
 
 
-@pytest.mark.parametrize("space, set_name, eps, index_bound, solver", [
-    ("l1", "unit-vector-hull", "3/8", "32", "_simplex_min_polyhedral"),
-    ("l2", "unit-vector-family", "6/25", "8", "_simplex_min_qp"),
+@pytest.mark.parametrize("space, set_name, eps, index_bound, solver, solves, members", [
+    ("l1", "unit-vector-hull", "3/8", "32", "_simplex_min_polyhedral", 64, 363),
+    ("l2", "unit-vector-family", "6/25", "8", "_simplex_min_qp", 39, 109),
 ], ids=["l1-hull-branch", "l2-family-branch"])
 def test_seed5_branch_hunts_certify_every_minimum_without_a_solver(
-        monkeypatch, capsys, space, set_name, eps, index_bound, solver):
+        monkeypatch, capsys, space, set_name, eps, index_bound, solver, solves, members):
     """The seed-5 `branch-hunt` commands of the benchmark find and revalidate
     their branch with every simplex minimum certified in closed form: the
     l1 minima at a vertex, with no LP, and the l2 minima of orthogonal unit
-    vectors, with no `linalg.solve` of a Wolfe corral."""
-    calls = Counter()
-    for owner, name in ((predicates.lp, "solve_lp"), (predicates.linalg, "solve"),
-                        (predicates, solver)):
-        real = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k: (
-            calls.update([_name]) or _real(*a, **k)))
+    vectors, with no `linalg.solve` of a Wolfe corral.  Every beam level
+    stops once no unevaluated child can enter the beam, so `member` runs
+    363 and 109 times, prefix reads and the fresh tree's revalidation
+    included."""
+    calls = _count_calls(monkeypatch, ((predicates.lp, "solve_lp"),
+                                       (predicates.linalg, "solve"),
+                                       (predicates, solver), (WcTree, "member")))
     assert cli.main(["branch-hunt", "--space", space, "--set", set_name, "--eps", eps,
                      "--bigm", "1", "--depth", "8", "--index-bound", index_bound,
                      "--beam-width", "4", "--seed", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["found"] and payload["revalidated"]
-    assert calls == {solver: {"l1": 141, "l2": 90}[space]}
+    assert calls == {solver: solves, "member": members}
+
+
+def test_criterion_01_hunt_stops_each_beam_level_early(monkeypatch, capsys):
+    """Criterion 01's hunt calls `member` 377 times: below the first level,
+    each level stops after the few children that fill the beam at their
+    parent's margin.  Every minimum is certified at a vertex, with no LP."""
+    calls = _count_calls(monkeypatch, ((predicates.lp, "solve_lp"),
+                                       (predicates.linalg, "solve"),
+                                       (predicates, "_simplex_min_polyhedral"),
+                                       (WcTree, "member")))
+    assert cli.main(["branch-hunt", "--space", "l1", "--set", "unit-vector-hull",
+                     "--eps", "1", "--bigm", "1", "--depth", "10", "--index-bound", "64",
+                     "--beam-width", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["found"] and payload["revalidated"]
+    assert payload["generator"] == ["affine", 4, 0]
+    assert calls == {"_simplex_min_polyhedral": 94, "member": 377}
 
 
 class _NoVerdicts(dict):
@@ -491,9 +513,18 @@ class TableTree:
         return NodeEvaluation(Verdict3(kind, margin))
 
 
+def _beam_levels(calls, depth, found):
+    """The nodes a beam search evaluated, by level, without its prefix reads."""
+    by_level: dict[int, list] = {}
+    for node in calls[:len(calls) - depth] if found else calls:
+        by_level.setdefault(len(node), []).append(node)
+    return by_level
+
+
 def test_traversal_core_matches_reference_loops():
     """On seeded random table trees, every traversal evaluates the same nodes
-    in the same order as its reference loop and reaches the same result."""
+    in the same order as its reference loop and reaches the same result; the
+    beam search evaluates, at each level, a prefix of its reference's nodes."""
     seen = set()
     for case in range(200):
         rng = random.Random(case)
@@ -523,14 +554,33 @@ def test_traversal_core_matches_reference_loops():
         seen.add(("wf", verdict.kind))
         seen.add(("inconclusive", st.inconclusive > 0))
 
-        cert, want = run(
-            lambda t, b: branch_search(t, depth, index_bound, beam_width, b),
-            lambda t, b: ref_branch_search(t, depth, index_bound, beam_width, b))
-        if want is None:
-            assert cert is None, case
+        # the beam stops a level once no unevaluated child can enter it, so
+        # each level evaluates a prefix of the reference's nodes at that level
+        tree, budget = TableTree(case, weights), SearchBudget(max_nodes)
+        cert = branch_search(tree, depth, index_bound, beam_width, budget)
+        full = TableTree(case, weights)
+        want = ref_branch_search(full, depth, index_bound, beam_width, RefBudget(10**9))
+        got_levels = _beam_levels(tree.calls, depth, cert is not None)
+        want_levels = _beam_levels(full.calls, depth, want is not None)
+        for d in range(1, depth + 1):
+            got, ref = got_levels.get(d, []), want_levels.get(d, [])
+            assert got == ref[:len(got)], (case, d)
+            if not budget.exhausted and got:
+                seen.add(("beam level", "stopped early" if len(got) < len(ref)
+                          else "expanded fully"))
+        seen.add(("exhausted", budget.exhausted))
+        if budget.exhausted:  # pruned children are never charged
+            ref_budget = RefBudget(max_nodes)
+            ref_branch_search(TableTree(case, weights), depth, index_bound, beam_width,
+                              ref_budget)
+            assert cert is None and ref_budget.spent > ref_budget.max_nodes, case
         else:
-            prefixes = tuple((p.node, p.kind, p.margin) for p in cert.prefixes)
-            assert (cert.branch, prefixes, cert.min_margin) == want, case
+            assert budget.spent == sum(map(len, got_levels.values())), case
+            if want is None:
+                assert cert is None, case
+            else:
+                prefixes = tuple((p.node, p.kind, p.margin) for p in cert.prefixes)
+                assert (cert.branch, prefixes, cert.min_margin) == want, case
         seen.add(("beam", cert is not None))
 
         # the rank is a view of the breadth-first levels: their nodes, in their order
@@ -566,5 +616,6 @@ def test_traversal_core_matches_reference_loops():
     assert seen >= {("exhausted", True), ("exhausted", False),
                     ("wf", BRANCH_FOUND), ("wf", WELL_FOUNDED), ("wf", INCONCLUSIVE),
                     ("inconclusive", True), ("beam", True), ("beam", False),
+                    ("beam level", "stopped early"), ("beam level", "expanded fully"),
                     ("rank complete", True), ("rank complete", False),
                     ("rank above 0, cut", True, True), ("rank above 0, cut", False, True)}

@@ -20,10 +20,12 @@ DIR, one numbered file per run, so that the moved ones can be read.
 The list: the four benchmark workloads at seed 5, the CLI scenarios of the
 acceptance criteria and of README, traversals on every kind of space
 (`analyze-tree` also with undecided nodes below an all-holds path, and
-under node budgets that cut it, and a `branch-hunt` in lp:3/2 whose 25
+under node budgets that cut it, a `branch-hunt` in lp:3/2 whose 25
 float descents mostly run for a while before their Frank-Wolfe gap stops
-them), and `predicate` on nodes that repeat an index, in l1, c0, l2, lp:3/2 and lp:3,
-over every built-in set, at an eps that the lower end of a bracket minimum
+them, and the seed-5 l1 `branch-hunt` under node budgets, one that cuts its
+beam search and two that cover the children it evaluates), and `predicate`
+on nodes that repeat an index, in l1, c0, l2, lp:3/2 and lp:3, over every
+built-in set, at an eps that the lower end of a bracket minimum
 decides and at one that needs its upper end.  On some sets node 1,2,3,1 is
 dependent before its repeat, so its structural witness is not e_j - e_i.
 Then `predicate` on nodes of 2-4 distinct nonzero vectors, in lp:4/3 and
@@ -126,6 +128,14 @@ SCENARIOS = [
     # start, 7 after it
     "branch-hunt --space lp:3/2 --set hilbert-cube --eps 1/4 --bigm 3 --depth 4"
     " --index-bound 8 --beam-width 4",
+    # the seed-5 l1-hull-branch hunt under node budgets: 200 cuts its beam
+    # search, 400 and 900 cover the children it evaluates but not every child
+    "branch-hunt --space l1 --set unit-vector-hull --eps 3/8 --bigm 1 --depth 8"
+    " --index-bound 32 --beam-width 4 --seed 5 --node-budget 200",
+    "branch-hunt --space l1 --set unit-vector-hull --eps 3/8 --bigm 1 --depth 8"
+    " --index-bound 32 --beam-width 4 --seed 5 --node-budget 400",
+    "branch-hunt --space l1 --set unit-vector-hull --eps 3/8 --bigm 1 --depth 8"
+    " --index-bound 32 --beam-width 4 --seed 5 --node-budget 900",
     "export-dot --space l2 --set summing-hull --eps 1/2 --bigm 3 --depth 3"
     " --index-bound 5",
     "export-dot --space lp:3/2 --set unit-vector-family --eps 3/5 --bigm 2"
