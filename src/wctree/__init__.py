@@ -25,12 +25,6 @@ from .trees import (BranchCertificate, NodeEvaluation, SearchBudget,
                     SearchStats, StackedTree, WcTree, WfVerdict,
                     bounded_wf_search, branch_search, encode_characteristic,
                     expand, levels, rank_within, validate_certificate, walk)
-from .fixedpoint import (AscentResult, FinitePoset, KmResult, MAP_REGISTRY,
-                         NonexpMapHandle, SaturationResult, build_map,
-                         invariant_set_saturate, km_iterate,
-                         maximal_via_uniformization, uniformize_least,
-                         uniformize_relation, verify_nonexpansive,
-                         zermelo_iterate)
 
 __version__ = "0.1.0"
 
@@ -54,3 +48,12 @@ __all__ = [
     "validate_certificate", "verify_nonexpansive", "walk", "zermelo_iterate",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Load `fixedpoint` on first use of one of its names (PEP 562), which
+    the tree commands never make."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import fixedpoint
+    return getattr(fixedpoint, name)

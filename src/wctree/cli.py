@@ -26,7 +26,7 @@ try:  # the builtin module; hashlib would load the OpenSSL bindings at start-up
 except ImportError:  # Python 3.12 renamed it _sha2
     from hashlib import sha256
 
-from . import __version__, fixedpoint, predicates, sets, spaces, trees
+from . import __version__, predicates, sets, spaces, trees
 from .errors import ConfigurationError, ContractViolation, ModelIntegrityError
 from .predicates import (DualCertificate, PrefixWitness, SchauderReport,
                          SimplexWitness, Verdict3)
@@ -256,6 +256,8 @@ def cmd_analyze_tree(args) -> dict:
 
 
 def cmd_fixed_point(args) -> dict:
+    from . import fixedpoint  # loaded here: no other command uses it
+
     space = parse_space(args.space)
     point = parse_point(args.point) if args.point else None
     handle = fixedpoint.build_map(args.map, point)
@@ -305,6 +307,8 @@ def cmd_fixed_point(args) -> dict:
 
 
 def cmd_poset_demo(args) -> dict:
+    from . import fixedpoint
+
     if args.elements:
         elements = [e.strip() for e in args.elements.split(",")]
         covers = []

@@ -205,20 +205,24 @@ def sqrt_upper(s: Fraction, bits: int = 64) -> Fraction:
 
 
 def int_nthroot_floor(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0, k >= 1, by Newton iteration on ints."""
+    """floor(x ** (1/k)) for x >= 0, k >= 1: `isqrt` for k = 2, else integer
+    Newton steps ((k-1) g + x // g^(k-1)) // k, which fall to the root from
+    any g at or above it (AM-GM) and stop there.  The first g is a float root
+    of y = x >> s (s a multiple of k), within 2^-45 of y^(1/k), padded by
+    2^-40 of itself and by 2, times 2^(s/k): above (y^(1/k) + 1) 2^(s/k)."""
     if x < 0:
         raise ValueError("negative radicand")
-    if x == 0 or k == 1:
-        return x if k == 1 else 0
-    guess = 1 << ((x.bit_length() + k - 1) // k)
+    if k == 1 or x < 2:
+        return x
+    if k == 2:
+        return isqrt(x)
+    s = max(0, -(-(x.bit_length() - 1000) // k) * k)  # y = x >> s is below 2^1000
+    guess = (int(float(x >> s) ** (1.0 / k) * (1 + 2.0 ** -40)) + 2) << (s // k)
     while True:
         nxt = ((k - 1) * guess + x // guess ** (k - 1)) // k
         if nxt >= guess:
-            break
+            return guess
         guess = nxt
-    while guess ** k > x:
-        guess -= 1
-    return guess
 
 
 def nthroot_brackets(t: Fraction, k: int, bits: int = 64) -> tuple[Fraction, Fraction]:

@@ -464,8 +464,9 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fra
     the sup LP and the l2 QP are solved only when their norm at the uniform
     combination exceeds the best candidate so far; a skipped one could not
     have raised it.  Every vertex is a feasible point, so no vertex norm may
-    fall below the lower end; that is checked here, where it costs m norm
-    brackets.
+    fall below the lower end; that is checked here.  Since the p-norm is at
+    least the sup norm, a vertex whose exact sup norm reaches the lower end
+    passes by an int comparison, and only the others cost a norm bracket.
     """
     p = space.p
     if p is None:
@@ -487,8 +488,10 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fra
         lo = max(lo, sup_min.exact)
     if p < 2 and spaces.norm_cmp(spaces.L2, u, lo) == 1:
         lo = max(lo, simplex_min_norm(spaces.L2, vs).lo)
-    if any(spaces.norm(space, v).hi < lo for v in vs):
-        raise ContractViolation("bracket bounds crossed; comparison-norm reasoning is wrong")
+    ln, ld = lo.numerator, lo.denominator
+    for v in vs:  # ||v||_p >= ||v||_sup = max|nums| / den, which settles most
+        if max(map(abs, v.nums), default=0) * ld < ln * v.den and spaces.norm(space, v).hi < lo:
+            raise ContractViolation("bracket bounds crossed; comparison-norm reasoning is wrong")
     return lo
 
 
@@ -684,7 +687,7 @@ def is_M_schauder(
 ) -> SchauderReport:
     """Is every prefix combination bounded by M times the full combination?"""
     big_m = spaces.as_fraction(big_m)
-    if big_m <= 0:
+    if big_m.numerator <= 0:
         raise ValueError("the prefix bound must be positive")
     return _schauder_analyze(space, tuple(vectors), big_m, rng_seed)
 
@@ -695,33 +698,31 @@ def _schauder_analyze(
     big_m: Fraction,
     rng_seed: int,
 ) -> SchauderReport:
-    if any(v.is_zero for v in vs):
+    if not all([v.nums for v in vs]):
         raise ValueError("prefix bounds are undefined for zero vectors")
     m = len(vs)
     if m == 0:
-        verdict = Verdict3(HOLDS, None, None, detail="empty sequence")
-        return SchauderReport(verdict, "exact-structural", _ONE, _ONE)
+        return SchauderReport(Verdict3(HOLDS, None, None, None, "empty sequence"),
+                              "exact-structural", _ONE, _ONE)
     if m == 1:
-        return _constant_report(_ONE, _ONE, big_m, "exact-structural",
-                                detail="single vector, prefix equals whole")
+        return _unit_constant_report(big_m, "single vector, prefix equals whole")
     first: dict[Vector, int] = {}
     for j, v in enumerate(vs):
         i = first.setdefault(v, j)
         if i < j:  # x_j = x_i: the kernel vector e_j - e_i needs no elimination
             z = [_ZERO] * m
             z[i], z[j] = _MINUS_ONE, _ONE
-            return _dependent_report(z)
+            return _dependent_report(z, i + 1)
 
     rows = _coordinate_rows(vs)
     # the supports are pairwise disjoint exactly when their sizes add up to the
     # size of their union, and such nonzero vectors need no elimination
-    if len(rows) == sum(len(v.support) for v in vs):
-        return _constant_report(_ONE, _ONE, big_m, "exact-structural",
-                                detail="disjoint supports: prefixes only drop terms")
+    if len(rows) == sum([len(v.support) for v in vs]):
+        return _unit_constant_report(big_m, "disjoint supports: prefixes only drop terms")
     mat, d = _matrix(vs, rows)
     kernel = linalg.nullspace(mat)  # non-empty exactly when the rank is below m
     if kernel:
-        return _dependent_report(kernel[0])
+        return _dependent_report(kernel[0], 1 + next(i for i, c in enumerate(kernel[0]) if c))
 
     if space.exactness == "square":
         return _schauder_gram(vs, big_m)
@@ -732,14 +733,20 @@ def _schauder_analyze(
     return _schauder_sampled(space, vs, big_m, rng_seed)
 
 
-def _dependent_report(z: list[Fraction]) -> SchauderReport:
-    """Failure on a kernel vector z: its full sum is exactly 0, so it carries no
-    norm brackets, and its first nonzero coefficient opens a nonzero prefix."""
-    k = 1 + next(i for i, c in enumerate(z) if c)
+def _dependent_report(z: list[Fraction], k: int) -> SchauderReport:
+    """Failure on a kernel vector z with first nonzero z[k-1]: its full sum is
+    exactly 0, so it carries no norm brackets, and its k-prefix is nonzero."""
     verdict = Verdict3(FAILS, math.inf, None, PrefixWitness(k, tuple(z), None, None),
-                       detail="linearly dependent: a cancelling combination "
-                              "has a nonzero prefix")
-    return SchauderReport(verdict, "exact-structural", unbounded=True)
+                       "linearly dependent: a cancelling combination has a nonzero prefix")
+    return SchauderReport(verdict, "exact-structural", None, None, True)
+
+
+def _unit_constant_report(big_m: Fraction, detail: str) -> SchauderReport:
+    """`_constant_report` for a basis constant of exactly 1, from ints."""
+    n, d = big_m.numerator, big_m.denominator
+    margin = Fraction(n - d, d)
+    verdict = Verdict3(HOLDS if n >= d else FAILS, (n - d) / d, margin, None, detail)
+    return SchauderReport(verdict, "exact-structural", _ONE, _ONE)
 
 
 def _prefix_ratio(

@@ -22,9 +22,10 @@ its parent's; only evaluated children are charged.  `levels` counts verdicts
 per depth and finds the certified rank in one pass, of which `rank_within`
 is a view, so `analyze-tree` evaluates each node once.
 
-Membership depends on the selected vectors alone, so a tree memoizes its
-evaluations by them, and every domination verdict, failures included, by
-their set.  It also owns the simplex-minimum memo of its domination tests,
+Membership depends on the selected vectors alone, so a tree gives each
+distinct vector one id, memoizes its evaluations by the node's tuple of ids,
+and keeps every domination verdict, failures included, by the set of
+vectors.  It also owns the simplex-minimum memo of its domination tests,
 one entry for every order and repetition of the same vectors, so all a
 command has computed lives as long as its tree; no state outlives it.
 
@@ -55,39 +56,38 @@ class NodeEvaluation(namedtuple("NodeEvaluation", "verdict domination schauder",
 
 
 def _combine(domination: Verdict3, schauder: SchauderReport | None) -> Verdict3:
-    if domination.fails:
+    if domination.kind == FAILS:
         return Verdict3(FAILS, domination.margin, domination.exact_margin,
                         domination.witness, "domination: " + domination.detail)
     if schauder is None:
         raise ContractViolation("a node that passes domination needs a prefix-bound report")
     sv = schauder.verdict
-    if sv.fails:
+    if sv.kind == FAILS:
         return Verdict3(FAILS, sv.margin, sv.exact_margin, sv.witness,
                         "prefix bound: " + sv.detail)
-    if domination.inconclusive or sv.inconclusive:
-        which = "domination" if domination.inconclusive else "prefix bound"
+    if domination.kind == INCONCLUSIVE or sv.kind == INCONCLUSIVE:
+        which = "domination" if domination.kind == INCONCLUSIVE else "prefix bound"
         return Verdict3(INCONCLUSIVE, None, None, None, f"{which} undecided")
-    margins = [m for m in (domination.margin, sv.margin) if m is not None]
-    exacts = [domination.exact_margin, sv.exact_margin]
-    exact = None
-    if all(e is not None for e in exacts):
-        exact = min(e for e in exacts if e is not None)
-    return Verdict3(HOLDS, min(margins) if margins else None, exact,
+    dm, sm = domination.margin, sv.margin
+    de, se = domination.exact_margin, sv.exact_margin
+    return Verdict3(HOLDS, sm if dm is None else dm if sm is None else min(dm, sm),
+                    None if de is None or se is None else min(de, se),
                     None, "both predicates hold")
 
 
 class WcTree:
     """Tree of finite selector-index tuples passing both node predicates.
 
-    Evaluations are memoized by the selected vectors in order, so nodes that
-    select the same vectors share one.  A domination verdict is asked for
-    once per set of vectors, on them in the order first seen; it serves every
-    order and repetition of them, a failing one with its witness weights
-    moved to the node's order (`predicates.reordered`).  `simplex_memo`, the
-    simplex-minimum memo of every domination test, has one entry for every
-    order and every repetition of the same vectors (and every section of a
-    `StackedTree`, whose verdicts differ in eps).  All three live as long as
-    the tree.
+    Each selector index is read once, and equal vectors share one id, so
+    evaluations memoized by the node's tuple of ids serve every node that
+    selects the same vectors, at other indices too.  A domination verdict is
+    asked for once per set of vectors, on them in the order first seen; it
+    serves every order and repetition of them, a failing one with its
+    witness weights moved to the node's order (`predicates.reordered`).
+    `simplex_memo`, the simplex-minimum memo of every domination test, has
+    one entry for every order and every repetition of the same vectors (and
+    every section of a `StackedTree`, whose verdicts differ in eps).  All of
+    them live as long as the tree.
     """
 
     def __init__(self, family: SetModel, eps: Fraction, big_m: Fraction,
@@ -101,36 +101,51 @@ class WcTree:
         self.eps = eps
         self.big_m = big_m
         self.tol = Fraction(tol)
-        self._cache: dict[tuple[Vector, ...], NodeEvaluation] = {}
+        self._ids: dict[int, int] = {}  # selector index -> id of its vector
+        self._interned: dict[Vector, int] = {}  # vector -> its id
+        self._by_id: list[Vector] = []
+        self._cache: dict[tuple[int, ...], NodeEvaluation] = {}
         self._dominations: dict[frozenset[Vector], tuple[tuple[Vector, ...], Verdict3]] = {}
         self.simplex_memo = {} if simplex_memo is None else simplex_memo
 
+    def _key(self, node: tuple[int, ...]) -> tuple[int, ...]:
+        ids = self._ids
+        for i in node:
+            if i not in ids:  # first sight: intern its vector
+                v = self.family.selector(i)
+                k = ids[i] = self._interned.setdefault(v, len(self._by_id))
+                if k == len(self._by_id):
+                    self._by_id.append(v)
+        return tuple([ids[i] for i in node])
+
     def vectors(self, node: tuple[int, ...]) -> tuple[Vector, ...]:
-        return tuple(self.family.selector(i) for i in node)
+        return tuple([self._by_id[k] for k in self._key(node)])
 
     def member(self, node: tuple[int, ...]) -> NodeEvaluation:
-        vs = self.vectors(node)
-        hit = self._cache.get(vs)
+        key = self._key(node)
+        hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if not vs:
+        if not key:
             ev = NodeEvaluation(Verdict3(HOLDS, None, None, None, "root"))
         else:
-            key = frozenset(vs)
-            kept = self._dominations.get(key)
+            by_id = self._by_id
+            vs = tuple([by_id[k] for k in key])
+            distinct = tuple([by_id[k] for k in dict.fromkeys(key)])
+            vset = frozenset(distinct)
+            kept = self._dominations.get(vset)
             if kept is None:
-                distinct = tuple(dict.fromkeys(vs))
-                kept = self._dominations[key] = (distinct, predicates.is_eps_dominating(
+                kept = self._dominations[vset] = (distinct, predicates.is_eps_dominating(
                     self.family.space, distinct, self.eps, self.tol, self.simplex_memo))
             solved, dom = kept
-            if dom.fails:
+            if dom.kind == FAILS:
                 if solved != vs:  # its witness weights follow the node's order
                     dom = dom._replace(witness=predicates.reordered(dom.witness, solved, vs))
                 ev = NodeEvaluation(_combine(dom, None), dom, None)
             else:
                 sch = predicates.is_M_schauder(self.family.space, vs, self.big_m)
                 ev = NodeEvaluation(_combine(dom, sch), dom, sch)
-        self._cache[vs] = ev
+        self._cache[key] = ev
         return ev
 
     def params(self) -> dict:
@@ -222,17 +237,23 @@ def walk(tree, depth: int, index_bound: int, budget: SearchBudget, descend):
     """Depth-first pre-order over `expand`, down to `depth`.
 
     Every evaluated (node, evaluation) is yielded before its children; a
-    node is expanded when `descend(evaluation)` is true.
+    node is expanded when `descend(evaluation)` is true.  A stack holds the
+    open expansions.
     """
     _check_bounds(depth, index_bound)
 
-    def visit(node):
-        for child, ev in expand(tree, node, index_bound, budget):
-            yield child, ev
-            if len(child) < depth and descend(ev):
-                yield from visit(child)
+    def visit():
+        stack = [expand(tree, (), index_bound, budget)]
+        while stack:
+            for child, ev in stack[-1]:
+                yield child, ev
+                if len(child) < depth and descend(ev):
+                    stack.append(expand(tree, child, index_bound, budget))
+                    break
+            else:
+                stack.pop()
 
-    return visit(())
+    return visit()
 
 
 def levels(tree, depth: int, index_bound: int,
@@ -319,11 +340,12 @@ def bounded_wf_search(
     tainted: set[tuple[int, ...]] = set()
     branch = unknown_at_depth = None
     for node, ev in walk(tree, depth, index_bound, budget,
-                         lambda ev: not ev.verdict.fails):
-        counts[ev.verdict.kind] += 1
-        if ev.verdict.fails:
+                         lambda ev: ev.verdict.kind != FAILS):
+        kind = ev.verdict.kind
+        counts[kind] += 1
+        if kind == FAILS:
             continue
-        if ev.verdict.inconclusive or node[:-1] in tainted:
+        if kind == INCONCLUSIVE or node[:-1] in tainted:
             tainted.add(node)
         if len(node) == depth:
             if node not in tainted:

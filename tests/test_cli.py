@@ -436,3 +436,20 @@ def test_cli_import_leaves_numpy_dataclasses_and_inspect_unloaded(flags):
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_leaves_fixedpoint_unloaded_and_every_name_resolves():
+    """Only fixed-point and poset-demo use `fixedpoint`, so `import wctree.cli`
+    leaves it unloaded; the package still resolves every name of `__all__`,
+    loading it on first use of one of its names."""
+    src = str(Path(wctree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    check = ("import sys, wctree.cli; loaded = 'wctree.fixedpoint' in sys.modules; "
+             "missing = [n for n in wctree.__all__ if not hasattr(wctree, n)]; "
+             "fp = sys.modules['wctree.fixedpoint']; "
+             "print(loaded, missing, wctree.MAP_REGISTRY is fp.MAP_REGISTRY)")
+    out = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False [] True"

@@ -6,6 +6,7 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import dense_rref, ref_psd_check
 from wctree.linalg import (column, dot, int_nthroot_floor, int_row, mat_vec,
@@ -205,6 +206,18 @@ def test_sqrt_exact_on_perfect_squares():
 def test_int_nthroot_floor():
     for n, k, want in [(26, 3, 2), (27, 3, 3), (28, 3, 3), (1, 5, 1), (0, 4, 0)]:
         assert int_nthroot_floor(n, k) == want
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 9), st.integers(0, 2**400 - 1), st.sampled_from([None, -1, 0, 1]))
+def test_int_nthroot_floor_is_the_floor_of_the_root(k, x, near):
+    """r^k <= x < (r+1)^k for x below 2^400; with `near` set, x is the
+    perfect power r^k + near of a root r below 2^(400 // k) instead, where a
+    Newton seed below the root would stop at once on a wrong answer."""
+    if near is not None:
+        x = max(0, (x % (1 << (400 // k))) ** k + near)
+    r = int_nthroot_floor(x, k)
+    assert r ** k <= x < (r + 1) ** k
 
 
 def test_nthroot_brackets_enclose():

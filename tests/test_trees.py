@@ -10,14 +10,14 @@ import pytest
 
 from oracles import (RefBudget, ref_branch_search, ref_certified_rank,
                      ref_dot_walk, ref_levels, ref_rank_within, ref_wf_search)
-from wctree import cli, predicates
-from wctree.enumeration import seq_decode
+from wctree import cli, predicates, spaces
+from wctree.enumeration import seq_decode, unpair
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, SimplexWitness,
                                Verdict3, is_M_schauder, is_eps_dominating,
                                simplex_min_norm)
-from wctree.sets import (dense_space, explicit_list, hilbert_cube, summing_hull,
-                         unit_vector_family, unit_vector_hull)
+from wctree.sets import (SetModel, dense_space, explicit_list, hilbert_cube,
+                         summing_hull, unit_vector_family, unit_vector_hull)
 from wctree.spaces import L1, L2, Vector, combine, lp_space
 from wctree.trees import (BRANCH_FOUND, WELL_FOUNDED, NodeEvaluation,
                           SearchBudget, StackedTree, WcTree, _combine,
@@ -294,6 +294,19 @@ def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
                      "_simplex_min_bracket_upper": 1}
 
 
+def test_seed5_lp32_scan_selects_each_index_once_and_brackets_few_norms(monkeypatch):
+    """The same scan reads each of its five selector indices once, since the
+    tree interns their vectors.  The vertex check of every lower end passes
+    each unit vector on its sup norm, 1, so the only norm brackets are the
+    11 of the one upper end, and `Vector.__hash__` runs 9,325 times."""
+    calls = _count_calls(monkeypatch, ((SetModel, "selector"), (spaces, "_bracket_norm"),
+                                       (Vector, "__hash__")))
+    tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
+    verdict = bounded_wf_search(tree, 5, 5)
+    assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
+    assert calls == {"selector": 5, "_bracket_norm": 11, "__hash__": 9325}
+
+
 @pytest.mark.parametrize("space, set_name, eps, index_bound, solver, solves, members", [
     ("l1", "unit-vector-hull", "3/8", "32", "_simplex_min_polyhedral", 64, 363),
     ("l2", "unit-vector-family", "6/25", "8", "_simplex_min_qp", 39, 109),
@@ -408,6 +421,16 @@ def test_failing_domination_witness_follows_each_nodes_order():
         single = tree.vectors(nodes[0][:1])
         assert tree.member(nodes[0][:1]).domination is \
             tree._dominations[frozenset(single)][1]
+
+
+def test_indices_that_select_equal_vectors_share_one_evaluation():
+    """Index 3 of the unit-vector hull is the interleaved point
+    q sel(n) + (1 - q) sel(m) with q = 0, which is e0, as index 0 is; nodes
+    that differ only there get the very same NodeEvaluation."""
+    tree = WcTree(unit_vector_hull(L1), F(1, 2), F(2))
+    assert unpair(1)[1] == 0 and tree.vectors((3,)) == tree.vectors((0,)) == (Vector.unit(0),)
+    for a, b in [((0,), (3,)), ((0, 4), (3, 4)), ((4, 0), (4, 3)), ((4, 0, 0), (4, 3, 0))]:
+        assert tree.member(a) is tree.member(b)
 
 
 def _scan(tree, depth, index_bound):
