@@ -102,6 +102,17 @@ class SimplexMinResult(FrozenRecord):  # not a tuple: it never equals one
         super().__init__(lo, hi, witness, method, exact, exact_sq, certificate)
 
 
+class SimplexMemo(dict):
+    """A simplex-minimum memo that also keeps, in `holder`, the upper end of
+    the Holder factor of every (p, support size) its bracket lower ends meet."""
+
+    __slots__ = ("holder",)
+
+    def __init__(self):
+        super().__init__()
+        self.holder: dict[tuple[Fraction, int], Fraction] = {}
+
+
 def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...],
                      memo: dict | None = None) -> SimplexMinResult:
     """Certified minimum of ||sum a_n x_n|| over the probability simplex.
@@ -129,7 +140,7 @@ def _memo_entry(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, start) ->
     key = (space.kind, space.p, frozenset(vs))
     if key not in memo:
         distinct = tuple(dict.fromkeys(vs))
-        memo[key] = (distinct, start(space, distinct))
+        memo[key] = (distinct, start(space, distinct, memo))
     return key, *memo[key]
 
 
@@ -145,12 +156,13 @@ def _served(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, key: tuple,
                             known.method, known.exact, known.exact_sq, known.certificate)
 
 
-def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
+def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...],
+                       memo: dict | None = None) -> SimplexMinResult:
     if space.exactness == "rational":
         return _simplex_min_polyhedral(space, vs)
     if space.exactness == "square":
         return _simplex_min_qp(space, vs)
-    return _simplex_min_bracket_upper(space, vs, _simplex_min_bracket_lower(space, vs))
+    return _simplex_min_bracket_upper(space, vs, _simplex_min_bracket_lower(space, vs, memo))
 
 
 def reordered(witness: SimplexWitness, solved: tuple[Vector, ...],
@@ -455,7 +467,8 @@ def _project_simplex(a: list[float]) -> list[float]:
     return [max(0.0, v - theta) for v in a]
 
 
-def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fraction:
+def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...],
+                               memo: dict | None = None) -> Fraction:
     """Certified lower end of a bracket minimum.
 
     The largest exact minimum of a comparison norm that the p-norm
@@ -467,6 +480,8 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fra
     fall below the lower end; that is checked here.  Since the p-norm is at
     least the sup norm, a vertex whose exact sup norm reaches the lower end
     passes by an int comparison, and only the others cost a norm bracket.
+    The Holder factor depends on p and d alone; a `SimplexMemo` keeps its
+    upper end for every lower end it serves.
     """
     p = space.p
     if p is None:
@@ -477,8 +492,11 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fra
         l1_min = simplex_min_norm(spaces.L1, vs)
         if l1_min.exact is None:
             raise ContractViolation("the l1 simplex minimum came back inexact")
-        a, b = p.numerator, p.denominator
-        _, holder_hi = linalg.nthroot_brackets(d ** (a - b), a, 64)
+        holder = getattr(memo, "holder", {})  # a plain dict memo keeps no factors
+        holder_hi = holder.get((p, d))
+        if holder_hi is None:
+            a, b = p.numerator, p.denominator
+            holder_hi = holder[p, d] = linalg.nthroot_brackets(d ** (a - b), a, 64)[1]
         lo = l1_min.exact / holder_hi
     u = spaces.combine([Fraction(1, len(vs))] * len(vs), vs)
     if spaces.norm_cmp(spaces.C0, u, lo) == 1:

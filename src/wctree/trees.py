@@ -86,8 +86,9 @@ class WcTree:
     witness weights moved to the node's order (`predicates.reordered`).
     `simplex_memo`, the simplex-minimum memo of every domination test, has
     one entry for every order and every repetition of the same vectors (and
-    every section of a `StackedTree`, whose verdicts differ in eps).  All of
-    them live as long as the tree.
+    every section of a `StackedTree`, whose verdicts differ in eps), and the
+    Holder factor of each (p, support size) of its bracket lower ends.  All
+    of them live as long as the tree.
     """
 
     def __init__(self, family: SetModel, eps: Fraction, big_m: Fraction,
@@ -106,7 +107,7 @@ class WcTree:
         self._by_id: list[Vector] = []
         self._cache: dict[tuple[int, ...], NodeEvaluation] = {}
         self._dominations: dict[frozenset[Vector], tuple[tuple[Vector, ...], Verdict3]] = {}
-        self.simplex_memo = {} if simplex_memo is None else simplex_memo
+        self.simplex_memo = predicates.SimplexMemo() if simplex_memo is None else simplex_memo
 
     def _key(self, node: tuple[int, ...]) -> tuple[int, ...]:
         ids = self._ids
@@ -169,7 +170,7 @@ class StackedTree:
         self.family = family
         self.tol = Fraction(tol)
         self._sections: dict[int, WcTree] = {}
-        self.simplex_memo: dict = {}
+        self.simplex_memo = predicates.SimplexMemo()
 
     def section(self, n: int) -> WcTree:
         if n < 0:

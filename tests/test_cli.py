@@ -1,12 +1,14 @@
 """CLI envelope, exit codes, reproducibility, file outputs."""
 
 import copy
+import gc
 import hashlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -396,6 +398,53 @@ def test_commands_leave_no_state_behind(capsys):
         runs.append(envelopes)
     assert runs[0] == runs[1]
     assert _module_containers() == before
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_benchmark_commands_report_at_exit_what_main_returns_in_process(
+        tmp_path, capsys, flags):
+    """Run as processes of their own, whose exit no longer scans the heap
+    that `main` froze, the benchmark commands exit 0, and both their
+    standard output and their --out file carry the envelope that `main`
+    prints in-process, timing aside."""
+    src = str(Path(wctree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "report.json"
+    for command in BENCHMARK_COMMANDS:
+        want = run_json(capsys, *command.split())
+        del want["timing_ms"]
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "wctree.cli", *command.split(), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            check=False)
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        for got in (json.loads(proc.stdout), json.loads(out.read_text(encoding="utf-8"))):
+            del got["timing_ms"]
+            assert got == want, command
+
+
+def test_main_freezes_the_heap_once_and_the_commands_trees_stay_collectable(
+        capsys, monkeypatch):
+    """`main` freezes the heap on its first call in a process and never
+    again; the trees a command builds come after the freeze, so the cycle
+    collector still frees them once `main` has returned."""
+    built = []
+    real = trees.WcTree
+
+    def build(*args, **kwargs):
+        tree = real(*args, **kwargs)
+        built.append(weakref.ref(tree))
+        return tree
+
+    monkeypatch.setattr(trees, "WcTree", build)
+    command = BENCHMARK_COMMANDS[1].split()
+    run_json(capsys, *command)
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    run_json(capsys, *command)
+    assert gc.get_freeze_count() == frozen
+    gc.collect()
+    assert len(built) == 4 and all(ref() is None for ref in built)
 
 
 def test_cover_syntax_error_exits_2(capsys):

@@ -82,7 +82,7 @@ def test_memo_hit_returns_weights_in_callers_order(monkeypatch, space, solver, a
     real = getattr(predicates, solver)
     solves = []
     monkeypatch.setattr(predicates, solver,
-                        lambda sp, vs: solves.append(vs) or real(sp, vs))
+                        lambda sp, vs, *memo: solves.append(vs) or real(sp, vs, *memo))
     memo: dict = {}
     forward = simplex_min_norm(space, [a, b], memo=memo)
     backward = simplex_min_norm(space, [b, a], memo=memo)

@@ -230,7 +230,7 @@ def test_exhaustive_scan_solves_each_set_of_distinct_vectors_once(monkeypatch):
     lower_ends = []
     real = predicates._simplex_min_bracket_lower
     monkeypatch.setattr(predicates, "_simplex_min_bracket_lower",
-                        lambda space, vs: lower_ends.append(vs) or real(space, vs))
+                        lambda space, vs, memo: lower_ends.append(vs) or real(space, vs, memo))
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 4)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 260
@@ -282,16 +282,18 @@ def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
     minimum a lower end solves, l1 and sup alike, is certified at a vertex of
     the unit vectors without an LP, and no l2 QP is solved.  The one upper
     end, of the failing e0..e4, stops its descent at its first gradient
-    evaluation, the uniform point, so it projects nothing."""
+    evaluation, the uniform point, so it projects nothing.  The tree's memo
+    keeps one Holder factor per support size, so five are computed."""
     calls = _count_calls(monkeypatch, (
         (predicates, "is_eps_dominating"), (predicates.lp, "solve_lp"),
         (predicates, "_simplex_min_qp"), (predicates, "_simplex_min_polyhedral"),
-        (predicates, "_simplex_min_bracket_upper"), (predicates, "_project_simplex")))
+        (predicates, "_simplex_min_bracket_upper"), (predicates, "_project_simplex"),
+        (predicates.linalg, "nthroot_brackets")))
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 5)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
     assert calls == {"is_eps_dominating": 31, "_simplex_min_polyhedral": 36,
-                     "_simplex_min_bracket_upper": 1}
+                     "_simplex_min_bracket_upper": 1, "nthroot_brackets": 5}
 
 
 def test_seed5_lp32_scan_selects_each_index_once_and_brackets_few_norms(monkeypatch):
