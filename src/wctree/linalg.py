@@ -8,10 +8,12 @@ return exact verdicts instead of float guesses.
 Elimination runs on integer rows.  A row is a list of int numerators
 followed by one positive denominator: [a_0, ..., a_(k-1), d] holds the
 rationals a_j / d.  `int_row` builds one from ints or Fractions with a
-single lcm.  Fractions appear again only where a caller reads entries back
-(`column`, the kernel vectors of `nullspace`, the witness of `psd_check`),
-so the update loop of `pivot` is int arithmetic alone.  Each row keeps its
-own denominator and is divided by the gcd of its entries after every update.
+single lcm.  Answers come back as integer rows too: each kernel vector of
+`nullspace` and the solution of `solve` is one row in lowest terms.
+Fractions appear only in the witness of `psd_check` and in the root
+brackets, which callers ship as values, so the update loop of `pivot` is
+int arithmetic alone.  Each row keeps its own denominator and is divided by
+the gcd of its entries after every update.
 One common (Bareiss) denominator for the whole matrix was slower, 1.42 s
 against 0.96 s on 964 simplex programs recorded from CLI runs, because every
 pivot then rescales every row, not only the rows it clears.
@@ -36,11 +38,6 @@ def int_row(values) -> Row:
     if den == 1:
         return [v.numerator for v in values] + [1]
     return [v.numerator * (den // q) for v, q in zip(values, dens)] + [den]
-
-
-def column(rows: list[Row], j: int) -> list[Fraction]:
-    """Entry j of each integer row, as Fractions."""
-    return [Fraction(row[j], row[-1]) for row in rows]
 
 
 def _reduced(row: Row) -> Row:
@@ -104,8 +101,10 @@ def rank(rows) -> int:
     return len(row_reduce(rows)[1])
 
 
-def nullspace(rows) -> list[list[Fraction]]:
-    """Basis of the kernel of the matrix (columns = unknowns)."""
+def nullspace(rows) -> list[Row]:
+    """Basis of the kernel of the matrix (columns = unknowns), one integer
+    row per vector in lowest terms; its free unknown's entry is the
+    denominator, so the vector holds 1 there."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -113,23 +112,26 @@ def nullspace(rows) -> list[list[Fraction]]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        den = lcm(*(row[-1] for row in red if row[fc]))
+        vec = [0] * ncols + [den]
+        vec[fc] = den
         for pc, row in zip(pivots, red):
-            vec[pc] = Fraction(-row[fc], row[-1])
-        basis.append(vec)
+            vec[pc] = -row[fc] * (den // row[-1])
+        basis.append(_reduced(vec))
     return basis
 
 
-def solve(rows, rhs) -> list[Fraction] | None:
-    """The exact solution of A x = b, or None when there is none or more than one."""
+def solve(rows, rhs) -> Row | None:
+    """The exact solution of A x = b as one integer row in lowest terms, or
+    None when there is none or more than one."""
     if not rows:
-        return [] if all(x == 0 for x in rhs) else None
+        return [1] if all(x == 0 for x in rhs) else None
     ncols = len(rows[0])
     red, pivots = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
     if pivots != list(range(ncols)):  # a free unknown, or inconsistent
         return None
-    return column(red[:ncols], ncols)
+    den = lcm(*(row[-1] for row in red[:ncols]))
+    return [row[ncols] * (den // row[-1]) for row in red[:ncols]] + [den]
 
 
 def mat_vec(rows, x) -> list[Fraction]:

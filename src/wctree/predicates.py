@@ -276,15 +276,12 @@ def _lp_minimum(space: SpaceModel, vs: tuple[Vector, ...]) -> tuple:
     # of rows leave Bland's pivots, x and the value alone; they divide the
     # rows' duals by d_j, which the functional multiplies back.
     nt = 1 if sup else r
-    coeffs = [[0] * m for _ in rows]
-    at = {pos: j for j, pos in enumerate(rows)}
-    for n, v in enumerate(vs):
-        for pos, c in zip(v.support, v.nums):
-            coeffs[at[pos]][n] = Fraction(c, v.den)
+    mat, big_d = _matrix(vs, rows)
     a_ub: list[list[int]] = []
     scales: list[int] = []
-    for j, row in enumerate(coeffs):
-        *nums, d = linalg.int_row(row)
+    for j, row in enumerate(mat):
+        k = math.gcd(big_d, *row)  # row j of A is nums / d in lowest terms
+        nums, d = [x // k for x in row], big_d // k
         t = [0] * nt
         t[0 if sup else j] = -d
         a_ub.extend([nums + t, [-v for v in nums] + t])
@@ -378,8 +375,10 @@ def _wolfe(q: list[list[int]], d: int) -> tuple[tuple[Fraction, ...], Fraction]:
     dot products, and every test compares both sides at the same positive
     scale, so every decision and tie is the one made on G.  The minor
     cycle's system goes to `linalg.solve` as int rows of Q and has the same
-    solution for the weights.  Fractions are built only for that solution,
-    the step-back ratios, the minimum and the returned weights.
+    solution for the weights, an int row whose one denominator also covers
+    the multiplier, so the weights and delta may share a factor that no
+    comparison sees.  Fractions are built only for the step-back ratios, the
+    minimum and the returned weights.
     """
     m = len(q)
     start = min(range(m), key=lambda i: q[i][i])
@@ -407,7 +406,7 @@ def _wolfe(q: list[list[int]], d: int) -> tuple[tuple[Fraction, ...], Fraction]:
             sol = linalg.solve(system, [0] * s + [1])
             if sol is None:
                 raise ContractViolation("Wolfe's corral is affinely dependent")
-            *v, e = linalg.int_row(sol[:s])  # the affine minimum is V / e
+            *v, _, e = sol  # the affine minimum is V / e, then the multiplier
             if all(x > 0 for x in v):
                 w, delta = dict(zip(corral, v)), e
                 break
@@ -740,7 +739,9 @@ def _schauder_analyze(
     mat, d = _matrix(vs, rows)
     kernel = linalg.nullspace(mat)  # non-empty exactly when the rank is below m
     if kernel:
-        return _dependent_report(kernel[0], 1 + next(i for i, c in enumerate(kernel[0]) if c))
+        *z, e = kernel[0]
+        k = 1 + next(i for i, x in enumerate(z) if x)
+        return _dependent_report([Fraction(x, e) for x in z], k)
 
     if space.exactness == "square":
         return _schauder_gram(vs, big_m)
@@ -918,14 +919,14 @@ def _schauder_polyhedral(
             for col in range(m, m + len(rhs)):
                 a = [row[col] * (e // row[-1]) for row in red]  # e times the solution
                 if all(abs(sum(x * y for x, y in zip(row, a))) <= d * e for row in mat):
-                    candidates.append(linalg.column(red, col))
+                    candidates.append([Fraction(x, e) for x in a])
     else:
         for rows_idx in itertools.combinations(range(r), m - 1):
             sub = [mat[j] for j in rows_idx]
             ker = linalg.nullspace(sub)
             if len(ker) != 1:
                 continue
-            *z, e = linalg.int_row(ker[0])  # the kernel vector is z / e
+            *z, e = ker[0]  # the kernel vector is z / e
             f = sum(abs(sum(x * y for x, y in zip(row, z))) for row in mat)  # D e ||A z / e||
             if f == 0:
                 continue

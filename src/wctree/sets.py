@@ -49,7 +49,6 @@ class SetModel:
         self,
         ident: str,
         space: SpaceModel,
-        kind: str,
         base: Callable[[int], Vector],
         *,
         interleave: bool = False,
@@ -58,7 +57,6 @@ class SetModel:
     ):
         self.ident = ident
         self.space = space
-        self.kind = kind
         self.bound = bound
         self._base = base
         self._interleave = interleave
@@ -95,7 +93,7 @@ class SetModel:
         return self._membership(v)
 
     def __repr__(self):
-        return f"SetModel({self.ident!r}, kind={self.kind!r}, space={self.space.ident!r})"
+        return f"SetModel({self.ident!r}, space={self.space.ident!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +132,7 @@ def unit_vector_hull(space: SpaceModel, ident: str = "unit-vector-hull") -> SetM
         return total == v.den if strict else total <= v.den
 
     return SetModel(
-        ident, space, "unit-vector-hull", base,
+        ident, space, base,
         interleave=True, bound=Fraction(1), membership=member,
     )
 
@@ -172,7 +170,7 @@ def summing_hull(space: SpaceModel, ident: str = "summing-hull") -> SetModel:
 
     bound = Fraction(1) if space.kind == "c0" else None
     return SetModel(
-        ident, space, "summing-hull", base,
+        ident, space, base,
         interleave=True, bound=bound, membership=member,
     )
 
@@ -180,7 +178,7 @@ def summing_hull(space: SpaceModel, ident: str = "summing-hull") -> SetModel:
 def dense_space(space: SpaceModel, ident: str = "dense-space") -> SetModel:
     """The whole space, enumerated by the universal dense sequence."""
     return SetModel(
-        ident, space, "dense-space", spaces.dense_point,
+        ident, space, spaces.dense_point,
         membership=lambda v: True,
     )
 
@@ -210,7 +208,7 @@ def unit_ball(space: SpaceModel, ident: str = "unit-ball") -> SetModel:
         return None if cmp is None else cmp <= 0
 
     return SetModel(
-        ident, space, "unit-ball", base,
+        ident, space, base,
         interleave=True, bound=Fraction(1), membership=member,
     )
 
@@ -237,7 +235,7 @@ def hilbert_cube(space: SpaceModel, ident: str = "hilbert-cube") -> SetModel:
         return all(abs(n) * (2 << p) <= v.den for p, n in zip(v.support, v.nums))
 
     return SetModel(
-        ident, space, "hilbert-cube", base,
+        ident, space, base,
         bound=Fraction(1), membership=member,
     )
 
@@ -249,7 +247,7 @@ def unit_vector_family(space: SpaceModel, ident: str = "unit-vector-family") -> 
         return v.nums == (1,) and v.den == 1
 
     return SetModel(
-        ident, space, "unit-vector-family", Vector.unit,
+        ident, space, Vector.unit,
         bound=Fraction(1), membership=member,
     )
 
@@ -260,8 +258,7 @@ def explicit_list(space: SpaceModel, points: list[Vector], ident: str = "explici
     if not pts:
         raise ConfigurationError("explicit-list needs at least one point", "/points")
     return SetModel(
-        ident, space, "explicit-list",
-        lambda i: pts[i % len(pts)],
+        ident, space, lambda i: pts[i % len(pts)],
         membership=lambda v: v in pts,
     )
 

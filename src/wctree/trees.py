@@ -119,9 +119,6 @@ class WcTree:
                     self._by_id.append(v)
         return tuple([ids[i] for i in node])
 
-    def vectors(self, node: tuple[int, ...]) -> tuple[Vector, ...]:
-        return tuple([self._by_id[k] for k in self._key(node)])
-
     def member(self, node: tuple[int, ...]) -> NodeEvaluation:
         key = self._key(node)
         hit = self._cache.get(key)

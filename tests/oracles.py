@@ -2,9 +2,9 @@
 
 Everything in this file is deliberately dumb: dense numpy grids, exhaustive
 scans, closed forms derived by hand, and reference copies of earlier code.
-None of it imports the library's decision logic (at most its exact linear
-algebra, its norms and its result records), so agreement is evidence
-rather than tautology.
+None of it imports the library's decision logic (at most its PSD test, its
+root brackets, its norms and its result records; kernels, solves and ranks
+run on `dense_rref` here), so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -104,6 +104,42 @@ def dense_rref(rows):
         if r == len(m):
             break
     return m, pivots
+
+
+def ref_rank(rows) -> int:
+    return len(dense_rref(rows)[1])
+
+
+def ref_nullspace(rows) -> Matrix:
+    """A kernel basis as Fraction vectors, one per free unknown, which holds 1."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = dense_rref([[Fraction(x) for x in row] for row in rows])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for pc, row in zip(pivots, red):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def ref_solve(rows, rhs) -> list[Fraction] | None:
+    """The solution of A x = b as Fractions, None when it is not unique or missing."""
+    if not rows:
+        return [] if all(x == 0 for x in rhs) else None
+    ncols = len(rows[0])
+    red, pivots = dense_rref([[Fraction(x) for x in row] + [Fraction(b)]
+                              for row, b in zip(rows, rhs)])
+    if pivots != list(range(ncols)):
+        return None
+    return [row[ncols] for row in red[:ncols]]
+
+
+def ref_mat_vec(rows, x) -> list[Fraction]:
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
 
 
 def ref_psd_check(sym):
@@ -452,7 +488,7 @@ def ref_schauder_analyze(space, vectors, big_m, rng_seed):
                                     "single vector, prefix equals whole")
     rows = sorted({pos for v in vs for pos in v.support})
     mat = [[coordinate(v, r) for v in vs] for r in rows]
-    kernel = linalg.nullspace(mat)
+    kernel = ref_nullspace(mat)
     if kernel:
         return ("fails", math.inf, None,
                 "linearly dependent: a cancelling combination has a nonzero prefix",
@@ -555,18 +591,18 @@ def _ref_schauder_polyhedral(space, vs, mat, big_m):
     if sup:
         for rows_idx in combinations(range(r), m):
             sub = [mat[j] for j in rows_idx]
-            if linalg.rank(sub) < m:
+            if ref_rank(sub) < m:
                 continue
             for signs in product((1, -1), repeat=m - 1):
-                a = linalg.solve(sub, [Fraction(1)] + [Fraction(s) for s in signs])
-                if a is not None and all(abs(t) <= 1 for t in linalg.mat_vec(mat, a)):
+                a = ref_solve(sub, [Fraction(1)] + [Fraction(s) for s in signs])
+                if a is not None and all(abs(t) <= 1 for t in ref_mat_vec(mat, a)):
                     candidates.append(a)
     else:
         for rows_idx in combinations(range(r), m - 1):
-            ker = linalg.nullspace([mat[j] for j in rows_idx])
+            ker = ref_nullspace([mat[j] for j in rows_idx])
             if len(ker) != 1:
                 continue
-            f = sum((abs(t) for t in linalg.mat_vec(mat, ker[0])), Fraction(0))
+            f = sum((abs(t) for t in ref_mat_vec(mat, ker[0])), Fraction(0))
             if f != 0:
                 candidates.append([zi / f for zi in ker[0]])
     best = Fraction(1)
@@ -856,7 +892,7 @@ def ref_simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinR
             s = len(corral)
             system = [[q[a][b] for b in corral] + [Fraction(1)] for a in corral]
             system.append([Fraction(1)] * s + [Fraction(0)])
-            sol = linalg.solve(system, [Fraction(0)] * s + [Fraction(1)])
+            sol = ref_solve(system, [Fraction(0)] * s + [Fraction(1)])
             if sol is None:
                 raise ContractViolation("Wolfe's corral is affinely dependent")
             v = dict(zip(corral, sol))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_rref, ref_psd_check
-from wctree.linalg import (column, dot, int_nthroot_floor, int_row, mat_vec,
-                           nthroot_brackets, nullspace, pivot, psd_check, rank,
-                           row_reduce, solve, sqrt_lower, sqrt_upper)
+from oracles import dense_rref, ref_nullspace, ref_psd_check, ref_solve
+from wctree.linalg import (dot, int_nthroot_floor, int_row, mat_vec, nthroot_brackets,
+                           nullspace, pivot, psd_check, rank, row_reduce, solve,
+                           sqrt_lower, sqrt_upper)
 
 
 def random_matrix(rng, rows, cols, den=6):
@@ -86,11 +86,10 @@ def test_pivot_is_one_dense_elimination_step_on_the_listed_rows():
                 assert m[i] is objects[i] and m[i] == before[i]
 
 
-def test_int_row_and_column_round_trip():
+def test_int_row_round_trip():
     values = [Fraction(1, 6), Fraction(-3, 4), 2, Fraction(0)]
     row = int_row(values)
     assert row == [2, -9, 24, 0, 12]
-    assert column([row], 1) == [Fraction(-3, 4)]
     assert as_fractions([row]) == [values]
 
 
@@ -102,18 +101,90 @@ def test_nullspace_vectors_annihilate():
         basis = nullspace(mat)
         assert len(basis) == cols - rank(mat)
         for vec in basis:
-            assert any(x != 0 for x in vec)
+            assert any(x != 0 for x in vec[:-1])
             assert all(sum(row[j] * vec[j] for j in range(cols)) == 0 for row in mat)
 
 
 def test_solve_consistent_and_inconsistent():
     a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    x = solve(a, [Fraction(5), Fraction(11)])
-    assert x == [Fraction(1), Fraction(2)]
+    assert solve(a, [Fraction(5), Fraction(11)]) == [1, 2, 1]
+    assert solve(a, [Fraction(1, 2), Fraction(0)]) == [-4, 3, 4]  # (-1, 3/4)
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert solve(singular, [Fraction(1), Fraction(3)]) is None
     # consistent but not unique
     assert solve(singular, [Fraction(1), Fraction(2)]) is None
+
+
+def _int_or_fraction_matrix(rng, rows, cols):
+    """Small int entries, zeros common, or the same over random denominators."""
+    ints = [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(cols)]
+            for _ in range(rows)]
+    if rng.random() < 0.5:
+        return ints
+    return [[Fraction(x, rng.randint(1, 6)) for x in row] for row in ints]
+
+
+def _assert_lowest_terms(row):
+    assert all(type(x) is int for x in row)
+    assert row[-1] > 0 and gcd(*row) == 1
+
+
+def test_nullspace_and_solve_match_dense_elimination():
+    """Each kernel vector is one int row in lowest terms, holding its
+    denominator at its free unknown; it annihilates the matrix and equals
+    the textbook Gauss-Jordan kernel vector as rationals.  Each solution is
+    one int row in lowest terms that solves the system and equals the
+    textbook one; both say None for the same systems."""
+    rng = random.Random(2808)
+    seen = {"kernel": 0, "solved": 0, "refused": 0}
+    for _ in range(400):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        mat = _int_or_fraction_matrix(rng, rows, cols)
+        basis = nullspace(mat)
+        want = ref_nullspace(mat)
+        assert len(basis) == len(want)
+        free = [c for c in range(cols) if c not in dense_rref(mat)[1]]
+        for vec, ref, fc in zip(basis, want, free):
+            _assert_lowest_terms(vec)
+            assert len(vec) == cols + 1 and vec[fc] == vec[-1]
+            assert as_fractions([vec]) == [ref]
+            assert all(sum(row[j] * vec[j] for j in range(cols)) == 0 for row in mat)
+            seen["kernel"] += 1
+
+        square = _int_or_fraction_matrix(rng, cols, cols)
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)]
+        x = solve(square, rhs)
+        want = ref_solve(square, rhs)
+        if want is None:
+            assert x is None
+            seen["refused"] += 1
+            continue
+        _assert_lowest_terms(x)
+        assert as_fractions([x]) == [want]
+        assert all(sum(a * v for a, v in zip(row, x[:-1])) == b * x[-1]
+                   for row, b in zip(square, rhs))
+        seen["solved"] += 1
+    assert all(count > 50 for count in seen.values()), seen
+
+
+def test_nullspace_and_solve_build_no_fraction(monkeypatch):
+    """Read from int or Fraction matrices, kernels and solutions are built
+    from ints alone: no call constructs a Fraction."""
+    rng = random.Random(2809)
+    cases = [(_int_or_fraction_matrix(rng, rng.randint(1, 5), n), n) for n in range(1, 6)
+             for _ in range(20)]
+    cases = [(mat, _int_or_fraction_matrix(rng, n, n),
+              [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
+             for mat, n in cases]
+    built = []
+    fraction_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: built.append(1) or fraction_new(cls, *a, **k))
+    answers = [(nullspace(mat), solve(square, rhs)) for mat, square, rhs in cases]
+    monkeypatch.undo()
+    assert not built
+    assert sum(len(basis) for basis, _ in answers) > 50
+    assert sum(x is not None for _, x in answers) > 50
 
 
 def test_psd_check_matches_eigenvalues():

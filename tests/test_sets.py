@@ -72,8 +72,7 @@ def test_every_selected_point_is_member():
 
 def test_selector_bound_is_enforced():
     from wctree.sets import SetModel
-    bad = SetModel("bad", L2, "explicit-list",
-                   lambda i: Vector.unit(0).scale(F(7)), bound=F(1))
+    bad = SetModel("bad", L2, lambda i: Vector.unit(0).scale(F(7)), bound=F(1))
     with pytest.raises(ModelIntegrityError):
         bad.selector(0)
 

@@ -409,18 +409,18 @@ def test_failing_domination_witness_follows_each_nodes_order():
         weights = set()
         for node in nodes:
             dom = tree.member(node).domination
-            vs = tree.vectors(node)
+            vs = tuple(tree.family.selector(i) for i in node)
             assert dom.fails and combine(dom.witness.weights, vs) == dom.witness.combo
             assert dom.witness == simplex_min_norm(tree.family.space, vs,
                                                    tree.simplex_memo).witness
             weights.add(dom.witness.weights)
         assert len(weights) > 1  # the orders differ in their weights
-        sets_asked = {frozenset(tree.vectors(node)) for node in nodes}
+        sets_asked = {frozenset(map(tree.family.selector, node)) for node in nodes}
         assert set(tree._dominations) == sets_asked
         for key in sets_asked:
             solved, kept = tree._dominations[key]
             assert kept.fails and set(solved) == key and len(solved) == len(key)
-        single = tree.vectors(nodes[0][:1])
+        single = (tree.family.selector(nodes[0][0]),)
         assert tree.member(nodes[0][:1]).domination is \
             tree._dominations[frozenset(single)][1]
 
@@ -430,7 +430,8 @@ def test_indices_that_select_equal_vectors_share_one_evaluation():
     q sel(n) + (1 - q) sel(m) with q = 0, which is e0, as index 0 is; nodes
     that differ only there get the very same NodeEvaluation."""
     tree = WcTree(unit_vector_hull(L1), F(1, 2), F(2))
-    assert unpair(1)[1] == 0 and tree.vectors((3,)) == tree.vectors((0,)) == (Vector.unit(0),)
+    hull = tree.family
+    assert unpair(1)[1] == 0 and hull.selector(3) == hull.selector(0) == Vector.unit(0)
     for a, b in [((0,), (3,)), ((0, 4), (3, 4)), ((4, 0), (4, 3)), ((4, 0, 0), (4, 3, 0))]:
         assert tree.member(a) is tree.member(b)
 
@@ -466,7 +467,7 @@ def test_cached_evaluations_match_fresh_predicates(tree, depth, index_bound):
         section, sub = _section(tree, node)
         if not sub:
             continue
-        space, vs = section.family.space, section.vectors(sub)
+        space, vs = section.family.space, tuple(map(section.family.selector, sub))
         dom = is_eps_dominating(space, vs, section.eps, section.tol)
         assert _same(ev.domination, dom), node
         memo = section.simplex_memo

@@ -22,8 +22,11 @@ acceptance criteria and of README, traversals on every kind of space
 (`analyze-tree` also with undecided nodes below an all-holds path, and
 under node budgets that cut it, a `branch-hunt` in lp:3/2 whose 25
 float descents mostly run for a while before their Frank-Wolfe gap stops
-them, and the seed-5 l1 `branch-hunt` under node budgets, one that cuts its
-beam search and two that cover the children it evaluates), and `predicate`
+them, the seed-5 l1 `branch-hunt` under node budgets, one that cuts its
+beam search and two that cover the children it evaluates, and `wf-scan` over
+dense-space in c0, l1 and l2 at eps 1/4, M = 3, depth 4 and index bound 8,
+which runs the polyhedral basis constants, the simplex LP and Wolfe's
+corral solves), and `predicate`
 on nodes that repeat an index, in l1, c0, l2, lp:3/2 and lp:3, over every
 built-in set, at an eps that the lower end of a bracket minimum
 decides and at one that needs its upper end.  On some sets node 1,2,3,1 is
@@ -121,6 +124,14 @@ SCENARIOS = [
     "wf-scan --space lp:4/3 --set summing-hull --eps 1/2 --bigm 2 --depth 3"
     " --index-bound 8",
     "wf-scan --space c0 --set unit-vector-hull --eps 1/2 --bigm 2 --depth 3"
+    " --index-bound 8",
+    # dense-space scans that run every exact solver of their space: the c0 and
+    # l1 polyhedral basis constants and simplex LPs, and l2's Wolfe solves
+    "wf-scan --space c0 --set dense-space --eps 1/4 --bigm 3 --depth 4"
+    " --index-bound 8",
+    "wf-scan --space l1 --set dense-space --eps 1/4 --bigm 3 --depth 4"
+    " --index-bound 8",
+    "wf-scan --space l2 --set dense-space --eps 1/4 --bigm 3 --depth 4"
     " --index-bound 8",
     "branch-hunt --space lp:3/2 --set unit-vector-family --eps 3/5 --bigm 2"
     " --depth 4 --index-bound 6",

@@ -39,8 +39,6 @@ ALLOWED = {
     "spaces:Record.__repr__": "a debugging view; no report prints a record",
     "sets:SetModel.__repr__": "a debugging view; no report prints a set model",
     "trees:WcTree.__repr__": "a debugging view; no report prints a tree",
-    "trees:WcTree.vectors": "a node's interned vectors, which `member` reads by id instead; "
-                            "tests/test_trees.py and tests/test_predicates.py read them",
     "spaces:Vector.__neg__": "the unary minus of the vector algebra",
     "errors:ContractViolation.__init__": "raised only when an analytic claim fails its check",
     "linalg:rank": "perfbench/spans.py wraps it by name, tests/test_benchmark_hooks.py pins it",
