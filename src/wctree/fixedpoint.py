@@ -188,8 +188,7 @@ def maximal_via_uniformization(poset: FinitePoset) -> AscentResult:
 # nonexpansive maps and averaged iteration
 
 
-class NonexpMapHandle(namedtuple("NonexpMapHandle", "name apply_vec apply_arr description",
-                                 defaults=("",))):
+class NonexpMapHandle(namedtuple("NonexpMapHandle", "name apply_vec apply_arr")):
     """A named nonexpansive map with exact and dense-float implementations.
 
     apply_vec acts on sparse rational vectors; apply_arr acts on dense float
@@ -220,21 +219,15 @@ def _constant_handle(point: Vector) -> NonexpMapHandle:
         out[: dense.size] = dense
         return out
 
-    return NonexpMapHandle(
-        "constant", lambda v: point, apply_arr,
-        "sends everything to one point",
-    )
+    return NonexpMapHandle("constant", lambda v: point, apply_arr)
 
 
 MAP_REGISTRY: dict[str, Callable[[Vector], NonexpMapHandle]] = {
-    "identity": lambda point: NonexpMapHandle(
-        "identity", lambda v: v, lambda a: a.copy(), "leaves every point fixed"),
-    "shift": lambda point: NonexpMapHandle(
-        "shift", lambda v: v.shift(1), _shift_arr,
-        "moves every coordinate one slot right (an isometry)"),
+    "identity": lambda point: NonexpMapHandle("identity", lambda v: v, lambda a: a.copy()),
+    # moves every coordinate one slot right (an isometry)
+    "shift": lambda point: NonexpMapHandle("shift", lambda v: v.shift(1), _shift_arr),
     "halving": lambda point: NonexpMapHandle(
-        "halving", lambda v: v.scale(Fraction(1, 2)), lambda a: a / 2.0,
-        "contracts toward the origin with factor 1/2"),
+        "halving", lambda v: v.scale(Fraction(1, 2)), lambda a: a / 2.0),
     "constant": _constant_handle,
 }
 
@@ -290,7 +283,7 @@ class KmChecks(namedtuple("KmChecks",
     __slots__ = ()
 
 
-class KmResult(namedtuple("KmResult", "residuals final weight checks")):
+class KmResult(namedtuple("KmResult", "residuals final checks")):
     """residuals[n] is ||x_n - T x_n||; the last entry describes `final`."""
 
     __slots__ = ()
@@ -360,7 +353,7 @@ def km_iterate(
         raise ContractViolation(
             f"float path diverged from the exact shadow by {shadow_dev}")
     checks = KmChecks(monotone, shadow_dev, run_shadow, domain_ok)
-    return KmResult(tuple(residuals), arr, t, checks)
+    return KmResult(tuple(residuals), arr, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +381,11 @@ def invariant_set_saturate(
     Breadth-first orbit closure: the result is the least invariant superset
     of the seeds when `exhausted` is False.
     """
-    seen: dict[tuple, Vector] = {}
+    seen: dict[Vector, None] = {}
     frontier: list[Vector] = []
     for v in seeds:
-        if v.entries not in seen:
-            seen[v.entries] = v
+        if v not in seen:
+            seen[v] = None
             frontier.append(v)
     if not seen:
         raise ValueError("need at least one seed point")
@@ -403,14 +396,14 @@ def invariant_set_saturate(
         nxt: list[Vector] = []
         for v in frontier:
             image = handle.apply_vec(v)
-            if image.entries not in seen:
+            if image not in seen:
                 if len(seen) >= max_points:
                     exhausted = True
                     nxt = []
                     break
-                seen[image.entries] = image
+                seen[image] = None
                 nxt.append(image)
         if exhausted:
             break
         frontier = nxt
-    return SaturationResult(tuple(seen.values()), rounds, exhausted)
+    return SaturationResult(tuple(seen), rounds, exhausted)

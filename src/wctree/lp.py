@@ -1,9 +1,11 @@
 """Exact linear programming over rationals: two-phase primal simplex with Bland's rule.
 
 Small problems only (tens of variables).  Used to minimize polyhedral norms
-over the probability simplex.  One solve returns both the optimal point and
-the optimal dual values of the inequality rows, read off the final tableau,
-so no second program is needed for a dual certificate.  The tableau is made
+over the probability simplex; every solve minimizes, and a maximum is the
+minimum of the negated cost.  One solve returns, as an `LpResult`
+namedtuple, both the optimal point and the optimal dual values of the
+inequality rows, read off the final tableau, so no second program is
+needed for a dual certificate.  The tableau is made
 of the integer rows of `linalg` (int numerators over one positive
 denominator per row), so the solve is exact and a primal/dual pair can be
 cross-checked by equality instead of tolerance.  Inputs, ints or Fractions,
@@ -15,30 +17,25 @@ are nonnegative; callers split free variables themselves.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import int_row, pivot
-from .spaces import Record
 
 
-class LpResult(Record):
+class LpResult(namedtuple("LpResult", "status x value duals pivots")):
     """Outcome of one solve.
 
-    x and value are the optimal point and objective value.  duals holds one
-    optimal dual value per a_ub row, in order: the rate of change of the
-    optimal value in that row's bound.  So value == b_ub . duals when there
-    are no equality rows, and duals <= 0 when minimizing, >= 0 when
-    maximizing.  x and duals are empty and value is None unless optimal.
+    status is "optimal", "infeasible" or "unbounded".  x and value are the
+    optimal point and objective value.  duals holds one optimal dual value
+    per a_ub row, in order: the rate of change of the optimal value in that
+    row's bound, so value == b_ub . duals when there are no equality rows,
+    and duals <= 0.  x and duals are empty and value is None unless optimal.
     pivots counts the basis changes over both phases: the simplex steps and
     the artificials pivoted out of the basis.
     """
 
-    __slots__ = _fields = ("status", "x", "value", "duals", "pivots")
-
-    def __init__(self, status: str,  # "optimal" | "infeasible" | "unbounded"
-                 x: list[Fraction], value: Fraction | None, duals: list[Fraction],
-                 pivots: int):
-        super().__init__(status, x, value, duals, pivots)
+    __slots__ = ()
 
 
 def _run_simplex(tableau, basis, ncols) -> tuple[str, int]:
@@ -72,12 +69,10 @@ def _run_simplex(tableau, basis, ncols) -> tuple[str, int]:
         steps += 1
 
 
-def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:
-    """min (or max) c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq, x >= 0."""
+def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LpResult:
+    """min c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq, x >= 0."""
     n = len(c)
     cost = int_row(c)
-    if maximize:
-        cost = [-v for v in cost[:-1]] + cost[-1:]
 
     # each row: its coefficients, then b, then the denominator
     rows = [(int_row([*row, b]), True) for row, b in zip(a_ub, b_ub)]
@@ -166,9 +161,8 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:
     # The objective row is cost minus pi times the stored rows, so its rhs is
     # -c.x, and the reduced cost of the slack of a_ub row i is -y_i, whether
     # or not the row was negated for b < 0 (the sign flip hits both the slack
-    # and pi_i).  Maximizing negated the cost, so both signs flip back.
+    # and pi_i).
     obj = tableau[-1]
-    sign = 1 if maximize else -1
-    value = Fraction(sign * obj[-2], obj[-1])
-    duals = [Fraction(sign * v, obj[-1]) for v in obj[n:total]]
+    value = Fraction(-obj[-2], obj[-1])
+    duals = [Fraction(-v, obj[-1]) for v in obj[n:total]]
     return LpResult("optimal", x, value, duals, pivots)

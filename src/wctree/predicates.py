@@ -37,7 +37,7 @@ from math import isqrt
 
 from . import linalg, lp, spaces
 from .errors import ConfigurationError, ContractViolation
-from .spaces import FrozenRecord, Functional, SpaceModel, Vector
+from .spaces import Functional, SpaceModel, Vector
 
 POLYHEDRAL_BUDGET = 250_000
 MARGIN_GRID_BITS = 12  # basis constants are bracketed on the 2^-12 grid
@@ -91,15 +91,14 @@ class DualCertificate(namedtuple("DualCertificate", "functional lower_bound gap"
     __slots__ = ()
 
 
-class SimplexMinResult(FrozenRecord):  # not a tuple: it never equals one
-    __slots__ = _fields = ("lo", "hi", "witness", "method", "exact", "exact_sq",
-                           "certificate")
+class SimplexMinResult(namedtuple("SimplexMinResult",
+                                  "lo hi witness method exact exact_sq certificate",
+                                  defaults=(None, None, None))):
+    """A certified enclosure lo <= min <= hi, its `SimplexWitness`, and the
+    method ("exact-lp" | "exact-qp" | "bracket"); an exact path also sets
+    `exact` (l1, sup) or `exact_sq` (l2) and a `DualCertificate`."""
 
-    def __init__(self, lo: Fraction, hi: Fraction, witness: SimplexWitness,
-                 method: str,  # "exact-lp" | "exact-qp" | "bracket"
-                 exact: Fraction | None = None, exact_sq: Fraction | None = None,
-                 certificate: DualCertificate | None = None):
-        super().__init__(lo, hi, witness, method, exact, exact_sq, certificate)
+    __slots__ = ()
 
 
 class SimplexMemo(dict):
@@ -114,15 +113,15 @@ class SimplexMemo(dict):
 
 
 def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...],
-                     memo: dict | None = None) -> SimplexMinResult:
+                     memo: SimplexMemo | None = None) -> SimplexMinResult:
     """Certified minimum of ||sum a_n x_n|| over the probability simplex.
 
-    `memo` is a dict that the caller owns and passes to every call it wants
-    to share results; a `WcTree` keeps one for its lifetime.  The minimum
-    depends on the set of distinct vectors alone, so one entry serves every
-    order and every repetition of them: it solves the distinct vectors in
-    the order first seen, and each call gets the witness weights in its own
-    order (`reordered`).  A bracket minimum whose upper end
+    `memo` is a `SimplexMemo` that the caller owns and passes to every call
+    it wants to share results; a `WcTree` keeps one for its lifetime.  The
+    minimum depends on the set of distinct vectors alone, so one entry
+    serves every order and every repetition of them: it solves the distinct
+    vectors in the order first seen, and each call gets the witness weights
+    in its own order (`reordered`).  A bracket minimum whose upper end
     `is_eps_dominating` has not needed yet sits in the memo as its lower end
     alone; the first call here fills in the upper end.  Without a memo the
     call uses one of its own, so it is a plain solve.
@@ -130,11 +129,12 @@ def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ..
     vs = tuple(vectors)
     if not vs:
         raise ValueError("simplex minimum needs at least one vector")
-    memo = {} if memo is None else memo
+    memo = SimplexMemo() if memo is None else memo
     return _served(space, vs, memo, *_memo_entry(space, vs, memo, _simplex_min_solve))
 
 
-def _memo_entry(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, start) -> tuple:
+def _memo_entry(space: SpaceModel, vs: tuple[Vector, ...], memo: SimplexMemo,
+                start) -> tuple:
     """The memo key of vs, its set of distinct vectors, and the entry there:
     those vectors in first-seen order and what `start` solved for them."""
     key = (space.kind, space.p, frozenset(vs))
@@ -144,7 +144,7 @@ def _memo_entry(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, start) ->
     return key, *memo[key]
 
 
-def _served(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, key: tuple,
+def _served(space: SpaceModel, vs: tuple[Vector, ...], memo: SimplexMemo, key: tuple,
             solved: tuple[Vector, ...], known) -> SimplexMinResult:
     """The minimum for vs from its memo entry, filling in a lone lower end first."""
     if isinstance(known, Fraction):
@@ -152,12 +152,11 @@ def _served(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, key: tuple,
         memo[key] = (solved, known)
     if solved == vs:
         return known
-    return SimplexMinResult(known.lo, known.hi, reordered(known.witness, solved, vs),
-                            known.method, known.exact, known.exact_sq, known.certificate)
+    return known._replace(witness=reordered(known.witness, solved, vs))
 
 
 def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...],
-                       memo: dict | None = None) -> SimplexMinResult:
+                       memo: SimplexMemo) -> SimplexMinResult:
     if space.exactness == "rational":
         return _simplex_min_polyhedral(space, vs)
     if space.exactness == "square":
@@ -467,7 +466,7 @@ def _project_simplex(a: list[float]) -> list[float]:
 
 
 def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...],
-                               memo: dict | None = None) -> Fraction:
+                               memo: SimplexMemo) -> Fraction:
     """Certified lower end of a bracket minimum.
 
     The largest exact minimum of a comparison norm that the p-norm
@@ -491,11 +490,10 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...],
         l1_min = simplex_min_norm(spaces.L1, vs)
         if l1_min.exact is None:
             raise ContractViolation("the l1 simplex minimum came back inexact")
-        holder = getattr(memo, "holder", {})  # a plain dict memo keeps no factors
-        holder_hi = holder.get((p, d))
+        holder_hi = memo.holder.get((p, d))
         if holder_hi is None:
             a, b = p.numerator, p.denominator
-            holder_hi = holder[p, d] = linalg.nthroot_brackets(d ** (a - b), a, 64)[1]
+            holder_hi = memo.holder[p, d] = linalg.nthroot_brackets(d ** (a - b), a, 64)[1]
         lo = l1_min.exact / holder_hi
     u = spaces.combine([Fraction(1, len(vs))] * len(vs), vs)
     if spaces.norm_cmp(spaces.C0, u, lo) == 1:
@@ -607,7 +605,7 @@ def is_eps_dominating(
     vectors: list[Vector] | tuple[Vector, ...],
     eps: Fraction,
     tol: Fraction = _ZERO,
-    memo: dict | None = None,
+    memo: SimplexMemo | None = None,
 ) -> Verdict3:
     """Does every simplex combination of the vectors have norm >= eps?
 
@@ -649,14 +647,14 @@ def is_eps_dominating(
 
 
 def _bracket_domination(space: SpaceModel, vs: tuple[Vector, ...], eps: Fraction,
-                        tol: Fraction, memo: dict | None) -> Verdict3:
+                        tol: Fraction, memo: SimplexMemo | None) -> Verdict3:
     """Domination on the bracket path, with the upper end computed lazily.
 
     The exact lower end decides `holds` by itself whenever it clears eps
     plus tol; only otherwise is the upper end computed, into the memo entry
     that the lower end started, for the distinct vectors that entry holds.
     """
-    memo = {} if memo is None else memo  # one of its own: the upper end reuses the lower
+    memo = SimplexMemo() if memo is None else memo  # the upper end reuses the lower
     key, solved, known = _memo_entry(space, vs, memo, _simplex_min_bracket_lower)
     lo = known if isinstance(known, Fraction) else known.lo
     if lo >= eps + tol:

@@ -276,7 +276,12 @@ _BUILDERS: dict[str, Callable[..., SetModel]] = {
 def build_set(kind: str, space: SpaceModel, params: dict | None = None, ident: str | None = None) -> SetModel:
     params = params or {}
     if kind == "explicit-list":
-        pts = [Vector.from_json(p) for p in params.get("points", [])]
+        if not isinstance(params, dict):
+            raise ConfigurationError("set parameters must be an object", "/params")
+        points = params.get("points", [])
+        if not isinstance(points, list):
+            raise ConfigurationError("points must be a list", "/params/points")
+        pts = [Vector.from_json(p) for p in points]
         return explicit_list(space, pts, ident or kind)
     builder = _BUILDERS.get(kind)
     if builder is None:

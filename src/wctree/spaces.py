@@ -10,7 +10,10 @@ rational exponent p >= 1 is supported in bracket mode: the norm is returned
 as a float together with a guaranteed error bound derived from dyadic root
 brackets.  Norms, pairings, combinations and norm comparisons are int
 arithmetic; a ``Fraction`` is built only for a result, such as a norm value
-or a coefficient read through ``Vector.entries``.
+or a coefficient read through ``Vector.entries``.  ``SpaceModel``,
+``Functional`` and ``NormValue`` are namedtuples, the first two checked in
+``__new__``; ``Vector`` is a ``__slots__`` class, not a tuple, that refuses
+assignment and is copied and pickled as ``Vector(entries)``.
 """
 
 from __future__ import annotations
@@ -27,57 +30,12 @@ BRACKET_BITS = 96
 _ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
 
-class Record:
-    """A record whose fields, named in `_fields`, live in `__slots__`: for the
-    records that validate, are mutable or must not be tuples (the others are
-    `collections.namedtuple`s).  Like a dataclass, it compares equal by its
-    field values, prints them by name, and is unhashable."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({body})"
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return type(self), self._values()
-
-
-class FrozenRecord(Record):
-    """A `Record` that refuses assignment once `__init__` has filled it, and
-    hashes as the tuple of its field values, like a frozen dataclass."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 def as_fraction(x) -> Fraction:
     """x itself when it is a Fraction, else x converted: a Fraction is immutable."""
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class Vector(FrozenRecord):
+class Vector:
     """Finitely supported rational vector, held as integers.
 
     `support` is the strictly increasing tuple of positions, `nums` the
@@ -91,7 +49,6 @@ class Vector(FrozenRecord):
     """
 
     __slots__ = ("support", "nums", "den", "_entries", "_hash")
-    _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, Fraction], ...] = ()):
         prev = -1
@@ -130,6 +87,15 @@ class Vector(FrozenRecord):
         except AttributeError:
             object.__setattr__(self, "_hash", hash((self.entries,)))
             return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through Vector(entries)
+        return Vector, (self.entries,)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, Fraction]]) -> "Vector":
@@ -261,7 +227,7 @@ def _combined(terms: list[tuple[int, int, Vector]]) -> Vector:
     return _reduced(support, tuple(acc[p] for p in support), den)
 
 
-class SpaceModel(FrozenRecord):
+class SpaceModel(namedtuple("SpaceModel", "ident kind p")):
     """A norm on the finitely supported rational vectors.
 
     kind "lp" with rational p >= 1, or "c0" for the sup norm.  The dense
@@ -269,9 +235,9 @@ class SpaceModel(FrozenRecord):
     shared by every space.
     """
 
-    __slots__ = _fields = ("ident", "kind", "p")
+    __slots__ = ()
 
-    def __init__(self, ident: str, kind: str, p: Fraction | None = None):
+    def __new__(cls, ident: str, kind: str, p: Fraction | None = None):
         if kind == "lp":
             if p is None or Fraction(p) < 1:
                 raise ConfigurationError("lp spaces need rational p >= 1", "/p")
@@ -280,7 +246,7 @@ class SpaceModel(FrozenRecord):
                 raise ConfigurationError("c0 takes no exponent", "/p")
         else:
             raise ConfigurationError(f"unknown space kind {kind!r}", "/kind")
-        super().__init__(ident, kind, p)
+        return super().__new__(cls, ident, kind, p)
 
     @property
     def exactness(self) -> str:
@@ -448,22 +414,22 @@ def pairing(f: "Functional", v: Vector) -> Fraction:
     return f.vec.dot(v)
 
 
-class Functional(FrozenRecord):
+class Functional(namedtuple("Functional", "space vec bound")):
     """A dual-space element in the conjugate-norm representation.
 
     `bound` is the claimed dual norm bound; construction verifies it, and
     refuses a bound that the certified conjugate norm cannot decide either way.
     """
 
-    __slots__ = _fields = ("space", "vec", "bound")
+    __slots__ = ()
 
-    def __init__(self, space: SpaceModel, vec: Vector, bound: Fraction = _ONE):
+    def __new__(cls, space: SpaceModel, vec: Vector, bound: Fraction = _ONE):
         cmp = _dual_norm_cmp(space, vec, as_fraction(bound))
         if cmp == 1:
             raise ConfigurationError("functional exceeds its claimed dual-norm bound")
         if cmp is None:
             raise ConfigurationError("the dual-norm bound cannot be decided")
-        super().__init__(space, vec, bound)
+        return super().__new__(cls, space, vec, bound)
 
     def to_json(self) -> dict:
         return {"vector": self.vec.to_json(), "bound": str(self.bound)}

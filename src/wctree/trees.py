@@ -45,7 +45,7 @@ from . import enumeration, predicates
 from .errors import ConfigurationError, ContractViolation
 from .predicates import FAILS, HOLDS, INCONCLUSIVE, SchauderReport, Verdict3
 from .sets import SetModel
-from .spaces import Record, Vector
+from .spaces import Vector
 
 
 class NodeEvaluation(namedtuple("NodeEvaluation", "verdict domination schauder",
@@ -92,7 +92,8 @@ class WcTree:
     """
 
     def __init__(self, family: SetModel, eps: Fraction, big_m: Fraction,
-                 tol: Fraction = Fraction(0), simplex_memo: dict | None = None):
+                 tol: Fraction = Fraction(0),
+                 simplex_memo: predicates.SimplexMemo | None = None):
         eps, big_m = Fraction(eps), Fraction(big_m)
         if not 0 < eps <= 1:
             raise ConfigurationError("eps must satisfy 0 < eps <= 1", "/eps")
@@ -193,13 +194,16 @@ class StackedTree:
 # the traversal core
 
 
-class SearchBudget(Record):
-    __slots__ = _fields = ("max_nodes", "spent")
+class SearchBudget:
+    """A count of the nodes a search has charged against its `max_nodes`."""
+
+    __slots__ = ("max_nodes", "spent")
 
     def __init__(self, max_nodes: int = 100_000, spent: int = 0):
         if max_nodes < 0:
             raise ConfigurationError("node budget must be nonnegative", "/node-budget")
-        super().__init__(max_nodes, spent)
+        self.max_nodes = max_nodes
+        self.spent = spent
 
     def charge(self) -> bool:
         self.spent += 1

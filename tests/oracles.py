@@ -693,8 +693,8 @@ class RefLpResult:
     x and value are the optimal point and objective value.  duals holds one
     optimal dual value per a_ub row, in order: the rate of change of the
     optimal value in that row's bound.  So value == b_ub . duals when there
-    are no equality rows, and duals <= 0 when minimizing, >= 0 when
-    maximizing.  x and duals are empty and value is None unless optimal.
+    are no equality rows, and duals <= 0.  x and duals are empty and value
+    is None unless optimal.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -728,12 +728,10 @@ def _ref_run_simplex(tableau, basis, ncols) -> str:
         basis[best_row] = col
 
 
-def ref_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> RefLpResult:
-    """min (or max) c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq, x >= 0."""
+def ref_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> RefLpResult:
+    """min c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq, x >= 0."""
     n = len(c)
     cost = [_ref_as_fraction(v) for v in c]
-    if maximize:
-        cost = [-v for v in cost]
 
     rows: list[tuple[list[Fraction], bool, Fraction]] = []
     for row, b in zip(a_ub, b_ub):
@@ -824,9 +822,6 @@ def ref_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> RefLp
     # cost of the slack of a_ub row i is -y_i, whether or not the row was
     # negated for b < 0 (the sign flip hits both the slack and pi_i).
     duals = [-d for d in tableau[-1][n:total]]
-    if maximize:
-        value = -value
-        duals = [-y for y in duals]
     return RefLpResult("optimal", x, value, duals)
 
 

@@ -244,11 +244,23 @@ def test_parser_for_one_command_gives_the_others_no_arguments(capsys):
 
 
 def test_unreadable_set_file_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["predicate", "--space", "l1", "--set", f"@{bad}",
-                 "--node", "0", "--eps", "1", "--bigm", "1"]) == 2
-    capsys.readouterr()
+    """A set file that is not JSON, or whose explicit-list `params` is not an
+    object or whose `points` is not a list, is a usage error at its pointer."""
+    space = {"kind": "lp", "p": "1"}
+    cases = {
+        "{not json": "invalid JSON",
+        json.dumps({"kind": "explicit-list", "space": space, "params": [[0, "1"]]}):
+            "--set: /params: ",
+        json.dumps({"kind": "explicit-list", "space": space, "params": {"points": 3}}):
+            "--set: /params/points: ",
+    }
+    for n, (text, message) in enumerate(cases.items()):
+        bad = tmp_path / f"bad{n}.json"
+        bad.write_text(text)
+        assert main(["predicate", "--space", "l1", "--set", f"@{bad}",
+                     "--node", "0", "--eps", "1", "--bigm", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err, err
 
 
 def test_semantic_errors_exit_1(capsys):

@@ -180,12 +180,7 @@ def test_build_map_validation():
 
 
 def test_verify_nonexpansive_catches_doubling():
-    doubling = NonexpMapHandle(
-        "doubling",
-        lambda v: v.scale(F(2)),
-        lambda arr: 2.0 * arr,
-        "definitely not nonexpansive",
-    )
+    doubling = NonexpMapHandle("doubling", lambda v: v.scale(F(2)), lambda arr: 2.0 * arr)
     bad_pairs = verify_nonexpansive(L2, doubling, unit_ball(L2), pairs=10)
     assert bad_pairs
     for x, y in bad_pairs:

@@ -19,15 +19,14 @@ def frac_list(rng, n, lo=-6, hi=6, den=4):
     return [Fraction(rng.randint(lo, hi), rng.randint(1, den)) for _ in range(n)]
 
 
-def assert_dual_optimal(res, c, a_ub, b_ub, maximize=False):
+def assert_dual_optimal(res, c, a_ub, b_ub):
     """Exact LP duality for inequality-only programs: the returned duals are
     dual feasible and b . y equals the optimal value."""
-    sense = -1 if maximize else 1
     y = res.duals
     assert len(y) == len(b_ub)
-    assert all(sense * yi <= 0 for yi in y)
+    assert all(yi <= 0 for yi in y)
     for j, cj in enumerate(c):
-        assert sense * (cj - sum(row[j] * yi for row, yi in zip(a_ub, y))) >= 0
+        assert cj - sum(row[j] * yi for row, yi in zip(a_ub, y)) >= 0
     assert sum(b * yi for b, yi in zip(b_ub, y)) == res.value
 
 
@@ -114,15 +113,7 @@ def test_random_equality_lps_match_scipy():
     assert checked >= 40
 
 
-def test_maximize_flag():
-    res = solve_lp(c=[Fraction(1), Fraction(2)],
-                   a_ub=[[Fraction(1), Fraction(1)]], b_ub=[Fraction(1)],
-                   maximize=True)
-    assert res.status == "optimal"
-    assert res.value == Fraction(2)
-
-
-def test_duals_of_negated_row_and_maximize():
+def test_duals_of_negated_rows():
     # x + y >= 1 is stored as -x - y <= -1, a row negated for its b < 0
     c = [Fraction(1), Fraction(1)]
     a_ub = [[Fraction(-1), Fraction(-1)], [Fraction(1), Fraction(0)]]
@@ -132,16 +123,7 @@ def test_duals_of_negated_row_and_maximize():
     assert res.pivots == 1  # phase 1 reaches a vertex that is already optimal
     assert_dual_optimal(res, c, a_ub, b_ub)
 
-    # max x + 2y  s.t.  x + y <= 1, y <= 3/4: both bounds are worth 1 at the margin
-    c = [Fraction(1), Fraction(2)]
-    a_ub = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-    b_ub = [Fraction(1), Fraction(3, 4)]
-    res = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, maximize=True)
-    assert res.value == Fraction(7, 4) and res.duals == [Fraction(1), Fraction(1)]
-    assert res.pivots == 2
-    assert_dual_optimal(res, c, a_ub, b_ub, maximize=True)
-
-    # random programs mixing negated rows with both senses
+    # random programs with negated rows
     rng = random.Random(7)
     checked = 0
     for _ in range(100):
@@ -151,10 +133,9 @@ def test_duals_of_negated_row_and_maximize():
         b_ub = frac_list(rng, len(a_ub), lo=-4, hi=8)
         a_ub.append([Fraction(1)] * n)
         b_ub.append(Fraction(5))
-        maximize = rng.random() < 0.5
-        res = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, maximize=maximize)
+        res = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub)
         if res.status == "optimal":
-            assert_dual_optimal(res, c, a_ub, b_ub, maximize)
+            assert_dual_optimal(res, c, a_ub, b_ub)
             checked += 1
     assert checked >= 30
 
@@ -197,7 +178,7 @@ def _seeded_lp(rng):
     if rng.random() < 0.6:  # a cap keeps most programs bounded
         a_ub.append([Fraction(1)] * n)
         b_ub.append(rhs([Fraction(1)] * n, rng.choice([0, 1])))
-    return c, a_ub, b_ub, a_eq, b_eq, rng.random() < 0.3
+    return c, a_ub, b_ub, a_eq, b_eq
 
 
 def _recorded(monkeypatch, owner, attr, solve, args, rhs):
@@ -226,11 +207,11 @@ def test_solve_lp_follows_the_fraction_simplex_pivot_for_pivot(monkeypatch):
     give the basis after every pivot, and the reference's pivot count.
     """
     rng = random.Random(20261018)
-    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "maximize": 0,
-            "dropped row": 0, "zero-ratio tie": 0}
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "dropped row": 0,
+            "zero-ratio tie": 0}
     for _ in range(400):
-        c, a_ub, b_ub, a_eq, b_eq, maximize = _seeded_lp(rng)
-        args = (c, a_ub, b_ub, a_eq, b_eq, maximize)
+        args = _seeded_lp(rng)
+        c, a_ub, b_ub, a_eq, b_eq = args
         res, log = _recorded(monkeypatch, lp, "pivot", solve_lp, args, rhs=-2)
         ref, ref_log = _recorded(monkeypatch, oracles, "ref_pivot", ref_solve_lp, args, rhs=-1)
         assert log == ref_log
@@ -238,7 +219,6 @@ def test_solve_lp_follows_the_fraction_simplex_pivot_for_pivot(monkeypatch):
                                                              ref.duals)
         assert res.pivots == sum(r in rows for r, _, rows, _ in ref_log)
         seen[res.status] += 1
-        seen["maximize"] += maximize and res.status == "optimal"
         # phase 2 prices its cost row, listed after the rows kept, on fewer rows
         m = len(a_ub) + len(a_eq)
         seen["dropped row"] += any(r not in rows and rows[0] < m for r, _, rows, _ in log)

@@ -18,8 +18,8 @@ from oracles import (brute_l2_simplex_min, coordinate, grid_simplex_min, ref_ran
 from wctree import predicates, sets
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, FW_GAP_STOP, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
-                               DualCertificate, is_M_schauder, is_eps_dominating, mazur_combination,
-                               simplex_min_norm)
+                               DualCertificate, SimplexMemo, SimplexMinResult, is_M_schauder,
+                               is_eps_dominating, mazur_combination, simplex_min_norm)
 from wctree.sets import build_set, hilbert_cube
 from wctree.spaces import (C0, L1, L2, Functional, Vector, combine, conjugate_norm, lp_space,
                            norm, pairing)
@@ -83,7 +83,7 @@ def test_memo_hit_returns_weights_in_callers_order(monkeypatch, space, solver, a
     solves = []
     monkeypatch.setattr(predicates, solver,
                         lambda sp, vs, *memo: solves.append(vs) or real(sp, vs, *memo))
-    memo: dict = {}
+    memo = SimplexMemo()
     forward = simplex_min_norm(space, [a, b], memo=memo)
     backward = simplex_min_norm(space, [b, a], memo=memo)
     assert len(solves) == 1  # one memo, one solve for both orders
@@ -100,7 +100,7 @@ def test_memo_hit_returns_weights_in_callers_order(monkeypatch, space, solver, a
 
 
 def test_memo_weights_follow_repeated_vectors():
-    memo: dict = {}
+    memo = SimplexMemo()
     vs = [E(0), E(1), E(0).scale(F(3)) + E(1), E(1)]
     first = simplex_min_norm(L1, vs, memo=memo)
     for order in ([E(1), E(0), E(1), E(0).scale(F(3)) + E(1)],
@@ -129,8 +129,8 @@ def test_one_memo_entry_serves_every_repetition_like_a_direct_solve():
                     for _ in range(rng.randint(1, 4))]
         vs = distinct + [rng.choice(distinct) for _ in range(rng.randint(1, 3))]
         rng.shuffle(vs)
-        oracle = predicates._simplex_min_solve(space, tuple(vs))
-        memo: dict = {}
+        oracle = predicates._simplex_min_solve(space, tuple(vs), SimplexMemo())
+        memo = SimplexMemo()
         start = rng.choice(["none", "other order"]
                            + ["lower end"] * (space.exactness == "bracket"))
         if start == "other order":
@@ -432,7 +432,7 @@ def test_qp_minimum_matches_the_fraction_wolfe(monkeypatch):
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             kinds["step back"] += 1
         assert got == _qp_outcome(ref_simplex_min_qp, vs), vs
-        if isinstance(got, tuple):
+        if not isinstance(got, SimplexMinResult):
             kinds["refused"] += 1
         else:
             kinds["zero" if got.exact_sq == 0 else "positive"] += 1
@@ -514,12 +514,10 @@ def test_polyhedral_minimum_refuses_a_wrong_lp_answer(monkeypatch, corrupt):
         res = solve_lp(*args, **kwargs)
         solves.append(res)
         if corrupt == "value":
-            res.value += 1
-        elif corrupt == "scaled-duals":
-            res.duals = [2 * y for y in res.duals]
-        else:
-            res.duals = [F(0)] * len(res.duals)
-        return res
+            return res._replace(value=res.value + 1)
+        if corrupt == "scaled-duals":
+            return res._replace(duals=[2 * y for y in res.duals])
+        return res._replace(duals=[F(0)] * len(res.duals))
 
     monkeypatch.setattr(predicates.lp, "solve_lp", corrupted)
     with pytest.raises(ContractViolation):
@@ -659,7 +657,7 @@ def upper_ends(monkeypatch):
 
 def test_holding_bracket_node_computes_no_upper_end(upper_ends):
     sp = lp_space(F(3, 2))
-    memo: dict = {}
+    memo = SimplexMemo()
     assert is_eps_dominating(sp, [E(0), E(1)], F(7, 10), F(1, 100), memo).holds
     assert is_eps_dominating(sp, [E(0), E(1)], F(7, 10), F(1, 100)).holds
     assert upper_ends == []
@@ -670,7 +668,7 @@ def test_holding_bracket_node_computes_no_upper_end(upper_ends):
 def test_failing_bracket_node_computes_one_upper_end_for_all_orders(upper_ends):
     # five distinct unit vectors in lp:3/2 have minimum 5^(-1/3) ~ 0.585 < 3/5
     sp = lp_space(F(3, 2))
-    memo: dict = {}
+    memo = SimplexMemo()
     combos = set()
     for order in itertools.permutations(units(5)):
         v = is_eps_dominating(sp, order, F(3, 5), memo=memo)
@@ -727,12 +725,12 @@ def test_lazy_bracket_domination_matches_the_eager_enclosure():
         for eps in (eager.lo - tol - nudge, (eager.lo + eager.hi) / 2, eager.hi + nudge):
             if eps <= 0:
                 continue
-            lazy = is_eps_dominating(space, vs, eps, tol, {})
+            lazy = is_eps_dominating(space, vs, eps, tol, SimplexMemo())
             want = _enclosure_verdict(eager, eps, tol)
             assert (lazy.kind, lazy.margin, lazy.exact_margin, lazy.witness) == want
             kinds[lazy.kind] += 1
         # start the memo entry with its lower end, then fill it from another order
-        memo: dict = {}
+        memo = SimplexMemo()
         is_eps_dominating(space, vs, eager.lo - tol - nudge, tol, memo)
         (_, lo), = memo.values()
         assert lo == eager.lo
@@ -780,7 +778,7 @@ def test_pruned_lower_end_matches_the_unpruned_reference(monkeypatch):
     nodes, below_two = 0, 0
     for space, vs in _seeded_nodes(random.Random(1818), 60):
         want = _outcome(lambda: ref_simplex_min_bracket_lower(space, vs, real))
-        got = _outcome(lambda: predicates._simplex_min_bracket_lower(space, vs))
+        got = _outcome(lambda: predicates._simplex_min_bracket_lower(space, vs, SimplexMemo()))
         assert got == want, (space, vs)
         nodes += 1
         below_two += space.p < 2

@@ -1,11 +1,13 @@
 """Value semantics of the records that memo keys, node caches and sets hold.
 
-The records are `collections.namedtuple` subclasses or `__slots__` classes
-on `spaces.FrozenRecord`; either way they must compare equal by value, hash as
-the tuple of their field values (the value a frozen dataclass had, so memo
-keys and set orders stay the same), and refuse assignment.  The checks run
-in a fresh interpreter, plainly and under `python -O`, and use no `assert`,
-which `-O` would strip.
+The records are `collections.namedtuple` subclasses, except `spaces.Vector`,
+a `__slots__` class that is not a tuple and whose one field is `entries`
+(`trees.SearchBudget`, the one mutable record, is not checked here: no
+memo, cache or set holds it).  Either way they must compare equal by value, hash as the tuple of their
+field values (the value a frozen dataclass had, so memo keys and set orders
+stay the same), and refuse assignment.  The checks run in a fresh
+interpreter, plainly and under `python -O`, and use no `assert`, which `-O`
+would strip.
 """
 
 import os
@@ -22,7 +24,7 @@ import copy, pickle
 from fractions import Fraction as F
 from wctree import predicates, trees
 from wctree.sets import unit_vector_family
-from wctree.spaces import L1, L2, C0, FrozenRecord, Functional, Vector, lp_space
+from wctree.spaces import L1, L2, C0, Functional, Vector, lp_space
 
 failures = []
 
@@ -30,14 +32,17 @@ def check(ok, what):
     if not ok:
         failures.append(what)
 
-def is_record(x):
-    return isinstance(x, FrozenRecord) or (isinstance(x, tuple) and hasattr(x, "_fields"))
+def fields(x):
+    # the field names of a record, None for anything else
+    if isinstance(x, Vector):
+        return ("entries",)
+    return x._fields if isinstance(x, tuple) and hasattr(x, "_fields") else None
 
 def gather(x, into):
     # every record reachable from x through record fields and plain tuples
-    if is_record(x):
+    if fields(x):
         into.setdefault(type(x).__name__, []).append(x)
-        values = [getattr(x, f) for f in x._fields]
+        values = [getattr(x, f) for f in fields(x)]
     elif isinstance(x, (tuple, list, frozenset)):
         values = list(x)
     else:
@@ -50,7 +55,7 @@ half = Vector.from_pairs([(0, F(1, 2)), (1, F(1, 2))])
 lp32 = lp_space(F(3, 2))
 found = {}
 for space in (L1, C0, L2, lp32):
-    memo = {}
+    memo = predicates.SimplexMemo()
     for vs in ((e0, e1), (e1, e0, e1), (e0, half), (e0, e1, e2)):
         gather(predicates.simplex_min_norm(space, vs, memo), found)
         gather(predicates.is_eps_dominating(space, vs, F(1, 2)), found)
@@ -66,13 +71,13 @@ gather(trees.branch_search(tree, 2, 4, 2), found)
 
 for name, records in sorted(found.items()):
     for r in records:
-        values = tuple(getattr(r, f) for f in r._fields)
+        values = tuple(getattr(r, f) for f in fields(r))
         twin = type(r)(*values)
         check(twin == r and not (twin != r) and twin is not r, f"{name}: value equality")
         check(hash(r) == hash(values) == hash(twin), f"{name}: hash of the field tuple")
         check(len({r, twin}) == 1, f"{name}: one slot in a set")
         check(copy.copy(r) == r == pickle.loads(pickle.dumps(r)), f"{name}: copy and pickle")
-        for f in r._fields:
+        for f in fields(r):
             try:
                 setattr(r, f, getattr(r, f))
                 failures.append(f"{name}.{f}: assignment")

@@ -29,14 +29,9 @@ SRC = ROOT / "src" / "wctree"
 
 # function (module:qualname) -> why no run enters it
 ALLOWED = {
-    "spaces:Record.__eq__": "value equality, pinned by tests/test_records.py",
-    "spaces:Record._values": "the field values that the Record dunders here compare, "
-                             "hash and copy",
-    "spaces:Record.__reduce__": "copy and pickle, pinned by tests/test_records.py",
-    "spaces:FrozenRecord.__hash__": "hash of the field values, pinned by tests/test_records.py",
-    "spaces:FrozenRecord.__setattr__": "refuses assignment, pinned by tests/test_records.py",
-    "spaces:FrozenRecord.__delattr__": "refuses deletion, pinned by tests/test_records.py",
-    "spaces:Record.__repr__": "a debugging view; no report prints a record",
+    "spaces:Vector.__setattr__": "refuses assignment, pinned by tests/test_records.py",
+    "spaces:Vector.__delattr__": "refuses deletion, pinned by tests/test_records.py",
+    "spaces:Vector.__reduce__": "copy and pickle, pinned by tests/test_records.py",
     "sets:SetModel.__repr__": "a debugging view; no report prints a set model",
     "trees:WcTree.__repr__": "a debugging view; no report prints a tree",
     "spaces:Vector.__neg__": "the unary minus of the vector algebra",
