@@ -704,37 +704,18 @@ def is_M_schauder(
     big_m = spaces.as_fraction(big_m)
     if big_m.numerator <= 0:
         raise ValueError("the prefix bound must be positive")
-    return _schauder_analyze(space, tuple(vectors), big_m, rng_seed)
-
-
-def _schauder_analyze(
-    space: SpaceModel,
-    vs: tuple[Vector, ...],
-    big_m: Fraction,
-    rng_seed: int,
-) -> SchauderReport:
-    if not all([v.nums for v in vs]):
-        raise ValueError("prefix bounds are undefined for zero vectors")
+    vs = tuple(vectors)
     m = len(vs)
     if m == 0:
         return SchauderReport(Verdict3(HOLDS, None, None, None, "empty sequence"),
                               "exact-structural", _ONE, _ONE)
-    if m == 1:
-        return _unit_constant_report(big_m, "single vector, prefix equals whole")
-    first: dict[Vector, int] = {}
-    for j, v in enumerate(vs):
-        i = first.setdefault(v, j)
-        if i < j:  # x_j = x_i: the kernel vector e_j - e_i needs no elimination
-            z = [_ZERO] * m
-            z[i], z[j] = _MINUS_ONE, _ONE
-            return _dependent_report(z, i + 1)
+    if disjoint_supports(vs):
+        return _unit_constant_report(big_m, "single vector, prefix equals whole" if m == 1
+                                     else "disjoint supports: prefixes only drop terms")
+    if (repeat := first_repeat(vs)) is not None:
+        return repeat_report(m, *repeat)
 
-    rows = _coordinate_rows(vs)
-    # the supports are pairwise disjoint exactly when their sizes add up to the
-    # size of their union, and such nonzero vectors need no elimination
-    if len(rows) == sum([len(v.support) for v in vs]):
-        return _unit_constant_report(big_m, "disjoint supports: prefixes only drop terms")
-    mat, d = _matrix(vs, rows)
+    mat, d = _matrix(vs, _coordinate_rows(vs))
     kernel = linalg.nullspace(mat)  # non-empty exactly when the rank is below m
     if kernel:
         *z, e = kernel[0]
@@ -748,6 +729,32 @@ def _schauder_analyze(
         if report is not None:
             return report
     return _schauder_sampled(space, vs, big_m, rng_seed)
+
+
+def disjoint_supports(vs: tuple[Vector, ...]) -> bool:
+    """Do the nonzero vectors vs have pairwise disjoint supports (sizes that
+    add up to the size of their union), so basis constant 1 in every order?"""
+    if not all([v.nums for v in vs]):
+        raise ValueError("prefix bounds are undefined for zero vectors")
+    return len(set().union(*[v.support for v in vs])) == sum([len(v.support) for v in vs])
+
+
+def first_repeat(items) -> tuple[int, int] | None:
+    """The (i, j), i < j, with items[j] == items[i] and least j; None if none."""
+    first: dict = {}
+    for j, x in enumerate(items):
+        i = first.setdefault(x, j)
+        if i < j:
+            return i, j
+    return None
+
+
+def repeat_report(m: int, i: int, j: int) -> SchauderReport:
+    """Failure of m vectors with x_j = x_i, i < j: the kernel vector e_j - e_i
+    needs no elimination."""
+    z = [_ZERO] * m
+    z[i], z[j] = _MINUS_ONE, _ONE
+    return _dependent_report(z, i + 1)
 
 
 def _dependent_report(z: list[Fraction], k: int) -> SchauderReport:

@@ -256,7 +256,7 @@ def explicit_list(space: SpaceModel, points: list[Vector], ident: str = "explici
     """A finite set given outright; the selector cycles through the list."""
     pts = list(points)
     if not pts:
-        raise ConfigurationError("explicit-list needs at least one point", "/points")
+        raise ConfigurationError("explicit-list needs at least one point", "/params/points")
     return SetModel(
         ident, space, lambda i: pts[i % len(pts)],
         membership=lambda v: v in pts,
@@ -274,11 +274,10 @@ _BUILDERS: dict[str, Callable[..., SetModel]] = {
 
 
 def build_set(kind: str, space: SpaceModel, params: dict | None = None, ident: str | None = None) -> SetModel:
-    params = params or {}
     if kind == "explicit-list":
-        if not isinstance(params, dict):
+        if not isinstance(params, dict | None):
             raise ConfigurationError("set parameters must be an object", "/params")
-        points = params.get("points", [])
+        points = (params or {}).get("points", [])
         if not isinstance(points, list):
             raise ConfigurationError("points must be a list", "/params/points")
         pts = [Vector.from_json(p) for p in points]
@@ -286,6 +285,8 @@ def build_set(kind: str, space: SpaceModel, params: dict | None = None, ident: s
     builder = _BUILDERS.get(kind)
     if builder is None:
         raise ConfigurationError(f"unknown set kind {kind!r}", "/kind")
+    if params not in (None, {}):
+        raise ConfigurationError(f"{kind} takes no parameters", "/params")
     return builder(space, ident or kind)
 
 

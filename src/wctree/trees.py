@@ -24,10 +24,11 @@ is a view, so `analyze-tree` evaluates each node once.
 
 Membership depends on the selected vectors alone, so a tree gives each
 distinct vector one id, memoizes its evaluations by the node's tuple of ids,
-and keeps every domination verdict, failures included, by the set of
-vectors.  It also owns the simplex-minimum memo of its domination tests,
-one entry for every order and repetition of the same vectors, so all a
-command has computed lives as long as its tree; no state outlives it.
+and keeps a record per set of ids: its domination verdict, failures
+included, and the evaluations that do not depend on the node's order.  It
+also owns the simplex-minimum memo of its domination tests, one entry for
+every order and repetition of the same vectors, so all a command has
+computed lives as long as its tree; no state outlives it.
 
 The stacked tree interleaves every parameter scale: its section at first
 index n is the (1/(n+1), n+1)-tree of the same family, so one tree carries
@@ -80,10 +81,15 @@ class WcTree:
 
     Each selector index is read once, and equal vectors share one id, so
     evaluations memoized by the node's tuple of ids serve every node that
-    selects the same vectors, at other indices too.  A domination verdict is
-    asked for once per set of vectors, on them in the order first seen; it
-    serves every order and repetition of them, a failing one with its
-    witness weights moved to the node's order (`predicates.reordered`).
+    selects the same vectors, at other indices too.  The first node of each
+    set of ids makes its record: the distinct vectors in first-seen order,
+    their domination verdict, which serves every order and repetition of
+    them (a failing one with its witness weights moved to the node's order,
+    `predicates.reordered`), and the one evaluation that every order of them
+    shares when their supports are disjoint and the verdict does not fail.
+    A node whose first repeat is x_j = x_i fails on sight: its prefix-bound
+    report and verdict are kept by (length, i, j), with its evaluation for
+    each set of ids.
     `simplex_memo`, the simplex-minimum memo of every domination test, has
     one entry for every order and every repetition of the same vectors (and
     every section of a `StackedTree`, whose verdicts differ in eps), and the
@@ -107,7 +113,8 @@ class WcTree:
         self._interned: dict[Vector, int] = {}  # vector -> its id
         self._by_id: list[Vector] = []
         self._cache: dict[tuple[int, ...], NodeEvaluation] = {}
-        self._dominations: dict[frozenset[Vector], tuple[tuple[Vector, ...], Verdict3]] = {}
+        self._sets: dict[frozenset[int], tuple] = {}  # ids -> the set's record
+        self._repeats: dict[tuple[int, int, int], tuple[Verdict3, SchauderReport, dict]] = {}
         self.simplex_memo = predicates.SimplexMemo() if simplex_memo is None else simplex_memo
 
     def _key(self, node: tuple[int, ...]) -> tuple[int, ...]:
@@ -128,21 +135,36 @@ class WcTree:
         if not key:
             ev = NodeEvaluation(Verdict3(HOLDS, None, None, None, "root"))
         else:
-            by_id = self._by_id
-            vs = tuple([by_id[k] for k in key])
-            distinct = tuple([by_id[k] for k in dict.fromkeys(key)])
-            vset = frozenset(distinct)
-            kept = self._dominations.get(vset)
+            space, by_id, ids = self.family.space, self._by_id, frozenset(key)
+            kept = self._sets.get(ids)
             if kept is None:
-                kept = self._dominations[vset] = (distinct, predicates.is_eps_dominating(
-                    self.family.space, distinct, self.eps, self.tol, self.simplex_memo))
-            solved, dom = kept
+                distinct = tuple([by_id[k] for k in dict.fromkeys(key)])
+                dom = predicates.is_eps_dominating(space, distinct, self.eps, self.tol,
+                                                   self.simplex_memo)
+                shared = None
+                if dom.kind != FAILS and predicates.disjoint_supports(distinct):
+                    sch = predicates.is_M_schauder(space, distinct, self.big_m)
+                    shared = NodeEvaluation(_combine(dom, sch), dom, sch)
+                kept = self._sets[ids] = (distinct, dom, shared)
+            solved, dom, shared = kept
             if dom.kind == FAILS:
+                vs = tuple([by_id[k] for k in key])
                 if solved != vs:  # its witness weights follow the node's order
                     dom = dom._replace(witness=predicates.reordered(dom.witness, solved, vs))
                 ev = NodeEvaluation(_combine(dom, None), dom, None)
+            elif len(key) > len(solved):  # a repeated vector fails on sight
+                at = (len(key), *predicates.first_repeat(key))
+                failed = self._repeats.get(at)
+                if failed is None:
+                    sch = predicates.repeat_report(*at)
+                    failed = self._repeats[at] = (_combine(dom, sch), sch, {})
+                ev = failed[2].get(ids)
+                if ev is None:
+                    ev = failed[2][ids] = NodeEvaluation(failed[0], dom, failed[1])
+            elif shared is not None:
+                ev = shared
             else:
-                sch = predicates.is_M_schauder(self.family.space, vs, self.big_m)
+                sch = predicates.is_M_schauder(space, [by_id[k] for k in key], self.big_m)
                 ev = NodeEvaluation(_combine(dom, sch), dom, sch)
         self._cache[key] = ev
         return ev

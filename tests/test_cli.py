@@ -245,7 +245,8 @@ def test_parser_for_one_command_gives_the_others_no_arguments(capsys):
 
 def test_unreadable_set_file_exits_2(tmp_path, capsys):
     """A set file that is not JSON, or whose explicit-list `params` is not an
-    object or whose `points` is not a list, is a usage error at its pointer."""
+    object or whose `points` is not a list or is empty, is a usage error at
+    its pointer."""
     space = {"kind": "lp", "p": "1"}
     cases = {
         "{not json": "invalid JSON",
@@ -253,6 +254,8 @@ def test_unreadable_set_file_exits_2(tmp_path, capsys):
             "--set: /params: ",
         json.dumps({"kind": "explicit-list", "space": space, "params": {"points": 3}}):
             "--set: /params/points: ",
+        json.dumps({"kind": "explicit-list", "space": space, "params": {"points": []}}):
+            "--set: /params/points: explicit-list needs at least one point",
     }
     for n, (text, message) in enumerate(cases.items()):
         bad = tmp_path / f"bad{n}.json"
@@ -261,6 +264,26 @@ def test_unreadable_set_file_exits_2(tmp_path, capsys):
                      "--node", "0", "--eps", "1", "--bigm", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+
+
+def test_set_file_params_of_a_built_in_kind_must_be_absent_or_empty(tmp_path, capsys):
+    """Only explicit-list reads `params`: a built-in kind takes it absent,
+    null or `{}`, and any other value is a usage error at `/params`."""
+    space = {"kind": "lp", "p": "1"}
+    for n, params in enumerate([[1, 2], {"points": []}, 0, [], "x", None, {}, ...]):
+        data = {"kind": "unit-vector-hull", "space": space}
+        if params is not ...:
+            data["params"] = params
+        path = tmp_path / f"set{n}.json"
+        path.write_text(json.dumps(data))
+        code = main(["predicate", "--space", "l1", "--set", f"@{path}",
+                     "--node", "0", "--eps", "1", "--bigm", "1"])
+        err = capsys.readouterr().err
+        if params in (None, {}, ...):
+            assert code == 0 and err == "", (params, err)
+        else:
+            assert code == 2 and err.startswith(
+                "error: --set: /params: unit-vector-hull takes no parameters"), (params, err)
 
 
 def test_semantic_errors_exit_1(capsys):

@@ -18,7 +18,7 @@ from wctree.predicates import (FAILS, HOLDS, INCONCLUSIVE, SimplexWitness,
                                simplex_min_norm)
 from wctree.sets import (SetModel, dense_space, explicit_list, hilbert_cube,
                          summing_hull, unit_vector_family, unit_vector_hull)
-from wctree.spaces import L1, L2, Vector, combine, lp_space
+from wctree.spaces import C0, L1, L2, Vector, combine, lp_space
 from wctree.trees import (BRANCH_FOUND, WELL_FOUNDED, NodeEvaluation,
                           SearchBudget, StackedTree, WcTree, _combine,
                           bounded_wf_search, branch_search,
@@ -188,11 +188,15 @@ def test_characteristic_charges_the_budget_and_leaves_refused_nodes_open():
 
 def test_evaluations_are_memoized_by_selected_vectors():
     # indices 0 and 2 select the same vector, so their nodes share one evaluation
-    tree = WcTree(explicit_list(L2, [Vector.unit(0), Vector.unit(1), Vector.unit(0)]),
-                  F(1, 2), F(2))
+    e0, e1 = Vector.unit(0), Vector.unit(1)
+    tree = WcTree(explicit_list(L2, [e0, e1, e0, e0 + e1]), F(1, 2), F(2))
     assert tree.member((0, 1)) is tree.member((2, 1))
-    assert tree.member((1, 0)) is not tree.member((0, 1))
-    assert len(tree.simplex_memo) == 1  # (e0, e1) and (e1, e0) share one minimum
+    # disjoint e0, e1 have basis constant 1 in both orders: one shared evaluation
+    assert tree.member((1, 0)) is tree.member((0, 1))
+    # e0 and e0 + e1 overlap, so each order is evaluated on its own
+    assert tree.member((3, 0)) is not tree.member((0, 3))
+    assert tree.member((3, 0)).verdict.holds and tree.member((0, 3)).verdict.holds
+    assert len(tree.simplex_memo) == 2  # each set's orders share one minimum
 
 
 def test_stacked_sections_share_one_simplex_memo():
@@ -245,20 +249,20 @@ def test_exhaustive_scan_fails_repeat_nodes_without_elimination_or_norms(monkeyp
     Schauder test fails it on sight: no `linalg.nullspace` and no norm."""
     eliminations, schauder_norms, inside = [], [], []
     real_nullspace, real_norm = predicates.linalg.nullspace, predicates.spaces.norm
-    real_analyze = predicates._schauder_analyze
+    real_schauder = predicates.is_M_schauder
     monkeypatch.setattr(predicates.linalg, "nullspace",
                         lambda rows: eliminations.append(rows) or real_nullspace(rows))
     monkeypatch.setattr(predicates.spaces, "norm", lambda space, v: (
         inside and schauder_norms.append(v)) or real_norm(space, v))
 
-    def analyze(*args):
+    def schauder(*args):
         inside.append(True)
         try:
-            return real_analyze(*args)
+            return real_schauder(*args)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(predicates, "_schauder_analyze", analyze)
+    monkeypatch.setattr(predicates, "is_M_schauder", schauder)
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 4)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 260
@@ -283,16 +287,21 @@ def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
     the unit vectors without an LP, and no l2 QP is solved.  The one upper
     end, of the failing e0..e4, stops its descent at its first gradient
     evaluation, the uniform point, so it projects nothing.  The tree's memo
-    keeps one Holder factor per support size, so five are computed."""
+    keeps one Holder factor per support size, so five are computed.  The
+    unit vectors have disjoint supports, so `is_M_schauder` runs once for
+    each of the 30 sets that dominate; every other node either fails
+    domination or repeats a vector."""
     calls = _count_calls(monkeypatch, (
-        (predicates, "is_eps_dominating"), (predicates.lp, "solve_lp"),
+        (predicates, "is_eps_dominating"), (predicates, "is_M_schauder"),
+        (predicates.lp, "solve_lp"),
         (predicates, "_simplex_min_qp"), (predicates, "_simplex_min_polyhedral"),
         (predicates, "_simplex_min_bracket_upper"), (predicates, "_project_simplex"),
         (predicates.linalg, "nthroot_brackets")))
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 5)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
-    assert calls == {"is_eps_dominating": 31, "_simplex_min_polyhedral": 36,
+    assert calls == {"is_eps_dominating": 31, "is_M_schauder": 30,
+                     "_simplex_min_polyhedral": 36,
                      "_simplex_min_bracket_upper": 1, "nthroot_brackets": 5}
 
 
@@ -300,13 +309,17 @@ def test_seed5_lp32_scan_selects_each_index_once_and_brackets_few_norms(monkeypa
     """The same scan reads each of its five selector indices once, since the
     tree interns their vectors.  The vertex check of every lower end passes
     each unit vector on its sup norm, 1, so the only norm brackets are the
-    11 of the one upper end, and `Vector.__hash__` runs 9,325 times."""
+    11 of the one upper end.  The tree keys its per-set records by ids, so
+    `Vector.__hash__` runs 1,525 times, and `is_M_schauder` runs at most once
+    per set of distinct vectors."""
     calls = _count_calls(monkeypatch, ((SetModel, "selector"), (spaces, "_bracket_norm"),
-                                       (Vector, "__hash__")))
+                                       (Vector, "__hash__"), (predicates, "is_M_schauder")))
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 5)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
-    assert calls == {"selector": 5, "_bracket_norm": 11, "__hash__": 9325}
+    assert calls["is_M_schauder"] <= 31
+    assert calls == {"selector": 5, "_bracket_norm": 11, "__hash__": 1525,
+                     "is_M_schauder": 30}
 
 
 @pytest.mark.parametrize("space, set_name, eps, index_bound, solver, solves, members", [
@@ -351,7 +364,7 @@ def test_criterion_01_hunt_stops_each_beam_level_early(monkeypatch, capsys):
 
 
 class _NoVerdicts(dict):
-    """A verdict dict that keeps nothing, so every node runs the predicate."""
+    """A record dict that keeps nothing, so every node runs the predicates."""
 
     def __setitem__(self, key, value):
         pass
@@ -362,7 +375,7 @@ class _LoggedTree(WcTree):
         super().__init__(*args)
         self.log: list = []
         if not keep_verdicts:
-            self._dominations = _NoVerdicts()
+            self._sets, self._repeats = _NoVerdicts(), _NoVerdicts()
 
     def member(self, node):
         ev = super().member(node)
@@ -394,6 +407,79 @@ def test_set_verdicts_leave_every_evaluation_unchanged(monkeypatch, family, eps,
     assert runs[True][2] < runs[False][2]
 
 
+def _differential(family, eps, big_m, depth, index_bound, every_node_to=0):
+    """Scan the tree of the family with and without its per-set records, and
+    then evaluate every node of length at most `every_node_to`, below the
+    index bound, so that nodes past a failing prefix are met too.
+
+    Every node must get an equal NodeEvaluation from both trees, and every
+    prefix-bound report must equal `is_M_schauder` on the node's vectors.
+    Returns the scan's (node, evaluation) pairs from the tree with records.
+    """
+    runs = []
+    for keep in (True, False):
+        tree = _LoggedTree(family, eps, big_m, keep_verdicts=keep)
+        scanned = len(_scan(tree, depth, index_bound))
+        for k in range(1, every_node_to + 1):
+            for node in itertools.product(range(index_bound), repeat=k):
+                tree.member(node)
+        runs.append(tree.log)
+    assert runs[0] == runs[1]
+    for node, ev in runs[0]:
+        if ev.schauder is not None:
+            vs = [family.selector(i) for i in node]
+            assert ev.schauder == is_M_schauder(family.space, vs, big_m), node
+    return runs[0][:scanned]
+
+
+def test_per_set_records_leave_the_seed5_lp32_scan_unchanged():
+    """The seed-5 `lp32-family-scan` evaluates every node as a tree that
+    keeps no per-set record does, while its 1,030 nodes share 225
+    evaluations: 30 for the distinct orders of the sets that dominate, 75
+    for repeat nodes, one per (set, length, first repeat), and one for each
+    of the 120 nodes that fail domination."""
+    log = _differential(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2), 5, 5, 4)
+    assert len(log) == 1030 and len({id(ev) for _, ev in log}) == 225
+
+
+@pytest.mark.parametrize("space", [L1, C0, L2, lp_space(F(3, 2)), lp_space(3)],
+                         ids=["l1", "c0", "l2", "lp3/2", "lp3"])
+@pytest.mark.parametrize("make", [dense_space, hilbert_cube], ids=["dense", "cube"])
+def test_per_set_records_leave_overlapping_scans_unchanged(space, make):
+    """Seeded shallow scans over sets whose vectors overlap in support: the
+    per-set records change no evaluation, and two nodes that select other
+    vectors, or the same ones in another order, share one only when they
+    repeat a vector or their distinct vectors have disjoint supports."""
+    rng = random.Random(f"{make.__name__} {space.ident}")
+    eps = F(rng.randint(1, 4), 16)
+    big_m = rng.choice([F(1), F(3, 2), F(2), F(3)])
+    family = make(space)
+    log = _differential(family, eps, big_m, 3, 6, 3)
+    first = {}
+    for node, ev in log:
+        vs = [family.selector(i) for i in node]
+        other = first.setdefault(id(ev), vs)
+        if other != vs and len(set(vs)) == len(vs) and not ev.verdict.fails:
+            assert predicates.disjoint_supports(vs), (node, other)
+    assert any(not predicates.disjoint_supports([family.selector(i) for i in node])
+               for node, ev in log if ev.schauder is not None)
+
+
+def test_overlapping_orders_with_different_reports_never_share_an_evaluation():
+    """In l1, (e0, e0 + e1) has basis constant 1 and (e0 + e1, e0) has 2, so
+    at M = 3/2 the two orders get different reports; no node of the set
+    borrows another order's evaluation."""
+    e0, e1 = Vector.unit(0), Vector.unit(1)
+    tree = WcTree(explicit_list(L1, [e0, e0 + e1]), F(1, 2), F(3, 2))
+    assert tree.member((0, 1)).verdict.holds and tree.member((1, 0)).verdict.fails
+    assert tree._sets[frozenset(tree._key((0, 1)))][2] is None  # nothing to share
+    log = _differential(tree.family, tree.eps, tree.big_m, 3, 2, 4)
+    distinct = [ev for node, ev in log if len(node) == 2 and node[0] != node[1]]
+    assert len(distinct) == 2 and distinct[0] != distinct[1]
+    assert len({id(ev) for node, ev in log if len(set(node)) == len(node)}) == \
+        sum(len(set(node)) == len(node) for node, _ in log)
+
+
 def test_failing_domination_witness_follows_each_nodes_order():
     """Every verdict is kept, one per set, failures included; a failing one
     serves each order and repetition of its vectors with its witness weights
@@ -416,13 +502,16 @@ def test_failing_domination_witness_follows_each_nodes_order():
             weights.add(dom.witness.weights)
         assert len(weights) > 1  # the orders differ in their weights
         sets_asked = {frozenset(map(tree.family.selector, node)) for node in nodes}
-        assert set(tree._dominations) == sets_asked
+        by_vectors = {frozenset(tree._by_id[k] for k in ids): record
+                      for ids, record in tree._sets.items()}
+        assert set(by_vectors) == sets_asked
         for key in sets_asked:
-            solved, kept = tree._dominations[key]
+            solved, kept = by_vectors[key][:2]
             assert kept.fails and set(solved) == key and len(solved) == len(key)
-        single = (tree.family.selector(nodes[0][0]),)
-        assert tree.member(nodes[0][:1]).domination is \
-            tree._dominations[frozenset(single)][1]
+        single = frozenset({tree.family.selector(nodes[0][0])})
+        dom = tree.member(nodes[0][:1]).domination
+        assert dom is next(record[1] for ids, record in tree._sets.items()
+                           if frozenset(tree._by_id[k] for k in ids) == single)
 
 
 def test_indices_that_select_equal_vectors_share_one_evaluation():
