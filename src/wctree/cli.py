@@ -55,6 +55,8 @@ def parse_space(text: str) -> SpaceModel:
         f"--space: unknown space {text!r} (use l1, l2, c0, sup, or lp:P)")
 
 def parse_set(text: str, space: SpaceModel) -> sets.SetModel:
+    """The set model that --set names in `space`; a set file must declare
+    that norm itself (its kind and exponent), since --space alone sets it."""
     if text.startswith("@"):
         try:
             with open(text[1:], encoding="utf-8") as fh:
@@ -64,7 +66,11 @@ def parse_set(text: str, space: SpaceModel) -> sets.SetModel:
         except json.JSONDecodeError as exc:
             raise UsageError(f"--set: invalid JSON in {text[1:]!r}: {exc}") from exc
         try:
-            return sets.set_from_json(data)
+            model = sets.set_from_json(data)
+            if (model.space.kind, model.space.p) != (space.kind, space.p):
+                raise ConfigurationError(
+                    f"the set file's space is not --space {space.ident}", "/space")
+            return model
         except ConfigurationError as exc:
             raise UsageError(f"--set: {exc}") from exc
     try:
@@ -351,8 +357,7 @@ def cmd_export_dot(args) -> dict:
     def name(node: tuple[int, ...]) -> str:
         return ".".join(str(i) for i in node)
 
-    for node, ev in trees.walk(tree, args.depth, args.index_bound, budget,
-                               lambda ev: not ev.verdict.fails):
+    for node, ev in trees.walk(tree, args.depth, args.index_bound, budget):
         color = _DOT_COLORS[ev.verdict.kind]
         margin = ev.verdict.margin
         label = name(node)

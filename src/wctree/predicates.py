@@ -101,23 +101,12 @@ class SimplexMinResult(namedtuple("SimplexMinResult",
     __slots__ = ()
 
 
-class SimplexMemo(dict):
-    """A simplex-minimum memo that also keeps, in `holder`, the upper end of
-    the Holder factor of every (p, support size) its bracket lower ends meet."""
-
-    __slots__ = ("holder",)
-
-    def __init__(self):
-        super().__init__()
-        self.holder: dict[tuple[Fraction, int], Fraction] = {}
-
-
 def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ...],
-                     memo: SimplexMemo | None = None) -> SimplexMinResult:
+                     memo: dict | None = None) -> SimplexMinResult:
     """Certified minimum of ||sum a_n x_n|| over the probability simplex.
 
-    `memo` is a `SimplexMemo` that the caller owns and passes to every call
-    it wants to share results; a `WcTree` keeps one for its lifetime.  The
+    `memo` is a dict that the caller owns and passes to every call it
+    wants to share results; a `WcTree` keeps one for its lifetime.  The
     minimum depends on the set of distinct vectors alone, so one entry
     serves every order and every repetition of them: it solves the distinct
     vectors in the order first seen, and each call gets the witness weights
@@ -129,22 +118,22 @@ def simplex_min_norm(space: SpaceModel, vectors: list[Vector] | tuple[Vector, ..
     vs = tuple(vectors)
     if not vs:
         raise ValueError("simplex minimum needs at least one vector")
-    memo = SimplexMemo() if memo is None else memo
+    memo = {} if memo is None else memo
     return _served(space, vs, memo, *_memo_entry(space, vs, memo, _simplex_min_solve))
 
 
-def _memo_entry(space: SpaceModel, vs: tuple[Vector, ...], memo: SimplexMemo,
+def _memo_entry(space: SpaceModel, vs: tuple[Vector, ...], memo: dict,
                 start) -> tuple:
     """The memo key of vs, its set of distinct vectors, and the entry there:
     those vectors in first-seen order and what `start` solved for them."""
     key = (space.kind, space.p, frozenset(vs))
     if key not in memo:
         distinct = tuple(dict.fromkeys(vs))
-        memo[key] = (distinct, start(space, distinct, memo))
+        memo[key] = (distinct, start(space, distinct))
     return key, *memo[key]
 
 
-def _served(space: SpaceModel, vs: tuple[Vector, ...], memo: SimplexMemo, key: tuple,
+def _served(space: SpaceModel, vs: tuple[Vector, ...], memo: dict, key: tuple,
             solved: tuple[Vector, ...], known) -> SimplexMinResult:
     """The minimum for vs from its memo entry, filling in a lone lower end first."""
     if isinstance(known, Fraction):
@@ -155,13 +144,12 @@ def _served(space: SpaceModel, vs: tuple[Vector, ...], memo: SimplexMemo, key: t
     return known._replace(witness=reordered(known.witness, solved, vs))
 
 
-def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...],
-                       memo: SimplexMemo) -> SimplexMinResult:
+def _simplex_min_solve(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
     if space.exactness == "rational":
         return _simplex_min_polyhedral(space, vs)
     if space.exactness == "square":
         return _simplex_min_qp(space, vs)
-    return _simplex_min_bracket_upper(space, vs, _simplex_min_bracket_lower(space, vs, memo))
+    return _simplex_min_bracket_upper(space, vs, _simplex_min_bracket_lower(space, vs))
 
 
 def reordered(witness: SimplexWitness, solved: tuple[Vector, ...],
@@ -465,8 +453,7 @@ def _project_simplex(a: list[float]) -> list[float]:
     return [max(0.0, v - theta) for v in a]
 
 
-def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...],
-                               memo: SimplexMemo) -> Fraction:
+def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...]) -> Fraction:
     """Certified lower end of a bracket minimum.
 
     The largest exact minimum of a comparison norm that the p-norm
@@ -478,8 +465,6 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...],
     fall below the lower end; that is checked here.  Since the p-norm is at
     least the sup norm, a vertex whose exact sup norm reaches the lower end
     passes by an int comparison, and only the others cost a norm bracket.
-    The Holder factor depends on p and d alone; a `SimplexMemo` keeps its
-    upper end for every lower end it serves.
     """
     p = space.p
     if p is None:
@@ -490,11 +475,8 @@ def _simplex_min_bracket_lower(space: SpaceModel, vs: tuple[Vector, ...],
         l1_min = simplex_min_norm(spaces.L1, vs)
         if l1_min.exact is None:
             raise ContractViolation("the l1 simplex minimum came back inexact")
-        holder_hi = memo.holder.get((p, d))
-        if holder_hi is None:
-            a, b = p.numerator, p.denominator
-            holder_hi = memo.holder[p, d] = linalg.nthroot_brackets(d ** (a - b), a, 64)[1]
-        lo = l1_min.exact / holder_hi
+        a, b = p.numerator, p.denominator
+        lo = l1_min.exact / linalg.nthroot_brackets(d ** (a - b), a, 64)[1]
     u = spaces.combine([Fraction(1, len(vs))] * len(vs), vs)
     if spaces.norm_cmp(spaces.C0, u, lo) == 1:
         sup_min = simplex_min_norm(spaces.C0, vs)
@@ -605,7 +587,7 @@ def is_eps_dominating(
     vectors: list[Vector] | tuple[Vector, ...],
     eps: Fraction,
     tol: Fraction = _ZERO,
-    memo: SimplexMemo | None = None,
+    memo: dict | None = None,
 ) -> Verdict3:
     """Does every simplex combination of the vectors have norm >= eps?
 
@@ -647,14 +629,14 @@ def is_eps_dominating(
 
 
 def _bracket_domination(space: SpaceModel, vs: tuple[Vector, ...], eps: Fraction,
-                        tol: Fraction, memo: SimplexMemo | None) -> Verdict3:
+                        tol: Fraction, memo: dict | None) -> Verdict3:
     """Domination on the bracket path, with the upper end computed lazily.
 
     The exact lower end decides `holds` by itself whenever it clears eps
     plus tol; only otherwise is the upper end computed, into the memo entry
     that the lower end started, for the distinct vectors that entry holds.
     """
-    memo = SimplexMemo() if memo is None else memo  # the upper end reuses the lower
+    memo = {} if memo is None else memo  # the upper end reuses the lower
     key, solved, known = _memo_entry(space, vs, memo, _simplex_min_bracket_lower)
     lo = known if isinstance(known, Fraction) else known.lo
     if lo >= eps + tol:
@@ -710,8 +692,9 @@ def is_M_schauder(
         return SchauderReport(Verdict3(HOLDS, None, None, None, "empty sequence"),
                               "exact-structural", _ONE, _ONE)
     if disjoint_supports(vs):
-        return _unit_constant_report(big_m, "single vector, prefix equals whole" if m == 1
-                                     else "disjoint supports: prefixes only drop terms")
+        return _constant_report(_ONE, _ONE, big_m, "exact-structural",
+                                "single vector, prefix equals whole" if m == 1
+                                else "disjoint supports: prefixes only drop terms")
     if (repeat := first_repeat(vs)) is not None:
         return repeat_report(m, *repeat)
 
@@ -763,14 +746,6 @@ def _dependent_report(z: list[Fraction], k: int) -> SchauderReport:
     verdict = Verdict3(FAILS, math.inf, None, PrefixWitness(k, tuple(z), None, None),
                        "linearly dependent: a cancelling combination has a nonzero prefix")
     return SchauderReport(verdict, "exact-structural", None, None, True)
-
-
-def _unit_constant_report(big_m: Fraction, detail: str) -> SchauderReport:
-    """`_constant_report` for a basis constant of exactly 1, from ints."""
-    n, d = big_m.numerator, big_m.denominator
-    margin = Fraction(n - d, d)
-    verdict = Verdict3(HOLDS if n >= d else FAILS, (n - d) / d, margin, None, detail)
-    return SchauderReport(verdict, "exact-structural", _ONE, _ONE)
 
 
 def _prefix_ratio(

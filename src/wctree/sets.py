@@ -280,7 +280,12 @@ def build_set(kind: str, space: SpaceModel, params: dict | None = None, ident: s
         points = (params or {}).get("points", [])
         if not isinstance(points, list):
             raise ConfigurationError("points must be a list", "/params/points")
-        pts = [Vector.from_json(p) for p in points]
+        pts = []
+        for n, point in enumerate(points):
+            try:
+                pts.append(Vector.from_json(point))
+            except ConfigurationError as exc:
+                raise ConfigurationError(str(exc), f"/params/points/{n}") from exc
         return explicit_list(space, pts, ident or kind)
     builder = _BUILDERS.get(kind)
     if builder is None:

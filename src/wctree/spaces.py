@@ -44,11 +44,10 @@ class Vector:
     in lowest terms (gcd(den, *nums) == 1), so it is unique, and equality
     means identical support and identical coefficients.  Arithmetic reads
     these fields only.  `entries`, the sorted (position, coefficient) pairs,
-    is the public view: the tuple given to `Vector(entries)` is kept as it
-    is, and otherwise the pairs are built, as Fractions, on first use.
+    is the public view, built as Fractions each time it is read.
     """
 
-    __slots__ = ("support", "nums", "den", "_entries", "_hash")
+    __slots__ = ("support", "nums", "den", "_hash")
 
     def __init__(self, entries: tuple[tuple[int, Fraction], ...] = ()):
         prev = -1
@@ -64,15 +63,12 @@ class Vector:
             prev = pos
         den = lcm(*(c.denominator for _, c in entries))
         _init(self, tuple(p for p, _ in entries),
-              tuple(c.numerator * (den // c.denominator) for _, c in entries), den, entries)
+              tuple(c.numerator * (den // c.denominator) for _, c in entries), den)
 
     @property
     def entries(self) -> tuple[tuple[int, Fraction], ...]:
-        if self._entries is None:
-            den = self.den
-            object.__setattr__(self, "_entries", tuple(
-                (p, Fraction(n, den)) for p, n in zip(self.support, self.nums)))
-        return self._entries
+        den = self.den
+        return tuple((p, Fraction(n, den)) for p, n in zip(self.support, self.nums))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -81,11 +77,11 @@ class Vector:
                 and self.support == other.support)
 
     def __hash__(self):
-        # hash((entries,)), computed on first use and kept on the instance
+        # hash of the fields, computed on first use and kept on the instance
         try:
             return self._hash
         except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.entries,)))
+            object.__setattr__(self, "_hash", hash((self.support, self.nums, self.den)))
             return self._hash
 
     def __setattr__(self, name, value):
@@ -107,11 +103,7 @@ class Vector:
             if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
                 raise ValueError(f"coefficient {coeff!r} is neither an int nor a Fraction")
             acc[pos] = acc[pos] + coeff if pos in acc else coeff
-        entries = tuple((p, c) for p, c in sorted(acc.items()) if c != 0)
-        v = Vector(entries)
-        if all(isinstance(c, Fraction) for _, c in entries):
-            return v
-        return _of(v.support, v.nums, v.den)  # its view is built of Fractions
+        return Vector(tuple((p, c) for p, c in sorted(acc.items()) if c != 0))
 
     @staticmethod
     def from_ints(support: Iterable[int], nums: Iterable[int], den: int = 1) -> "Vector":
@@ -176,8 +168,14 @@ class Vector:
 
     @staticmethod
     def from_json(data) -> "Vector":
+        """The vector of [position, coefficient] pairs; a position must be a
+        JSON integer (not a boolean), a coefficient a rational or its string."""
         try:
-            return Vector.from_pairs((int(p), Fraction(str(c))) for p, c in data)
+            pairs = [(p, Fraction(str(c))) for p, c in data]
+            for p, _ in pairs:
+                if p.__class__ is not int:
+                    raise ValueError(f"position {p!r} is not an integer")
+            return Vector.from_pairs(pairs)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigurationError(f"bad vector payload: {exc}") from exc
 
@@ -188,17 +186,16 @@ class Vector:
         return f"Vector({body})"
 
 
-def _init(v: Vector, support: tuple, nums: tuple, den: int, entries) -> None:
+def _init(v: Vector, support: tuple, nums: tuple, den: int) -> None:
     object.__setattr__(v, "support", support)
     object.__setattr__(v, "nums", nums)
     object.__setattr__(v, "den", den)
-    object.__setattr__(v, "_entries", entries)
 
 
 def _of(support: tuple, nums: tuple, den: int) -> Vector:
     """A Vector of fields already in lowest terms, without checks."""
     v = object.__new__(Vector)
-    _init(v, support, nums, den, None)
+    _init(v, support, nums, den)
     return v
 
 

@@ -92,14 +92,13 @@ class WcTree:
     each set of ids.
     `simplex_memo`, the simplex-minimum memo of every domination test, has
     one entry for every order and every repetition of the same vectors (and
-    every section of a `StackedTree`, whose verdicts differ in eps), and the
-    Holder factor of each (p, support size) of its bracket lower ends.  All
-    of them live as long as the tree.
+    every section of a `StackedTree`, whose verdicts differ in eps).  All of
+    them live as long as the tree.
     """
 
     def __init__(self, family: SetModel, eps: Fraction, big_m: Fraction,
                  tol: Fraction = Fraction(0),
-                 simplex_memo: predicates.SimplexMemo | None = None):
+                 simplex_memo: dict | None = None):
         eps, big_m = Fraction(eps), Fraction(big_m)
         if not 0 < eps <= 1:
             raise ConfigurationError("eps must satisfy 0 < eps <= 1", "/eps")
@@ -115,7 +114,7 @@ class WcTree:
         self._cache: dict[tuple[int, ...], NodeEvaluation] = {}
         self._sets: dict[frozenset[int], tuple] = {}  # ids -> the set's record
         self._repeats: dict[tuple[int, int, int], tuple[Verdict3, SchauderReport, dict]] = {}
-        self.simplex_memo = predicates.SimplexMemo() if simplex_memo is None else simplex_memo
+        self.simplex_memo = {} if simplex_memo is None else simplex_memo
 
     def _key(self, node: tuple[int, ...]) -> tuple[int, ...]:
         ids = self._ids
@@ -190,7 +189,7 @@ class StackedTree:
         self.family = family
         self.tol = Fraction(tol)
         self._sections: dict[int, WcTree] = {}
-        self.simplex_memo = predicates.SimplexMemo()
+        self.simplex_memo: dict = {}
 
     def section(self, n: int) -> WcTree:
         if n < 0:
@@ -221,11 +220,11 @@ class SearchBudget:
 
     __slots__ = ("max_nodes", "spent")
 
-    def __init__(self, max_nodes: int = 100_000, spent: int = 0):
+    def __init__(self, max_nodes: int = 100_000):
         if max_nodes < 0:
             raise ConfigurationError("node budget must be nonnegative", "/node-budget")
         self.max_nodes = max_nodes
-        self.spent = spent
+        self.spent = 0
 
     def charge(self) -> bool:
         self.spent += 1
@@ -257,12 +256,11 @@ def expand(tree, node: tuple[int, ...], index_bound: int, budget: SearchBudget):
         yield child, tree.member(child)
 
 
-def walk(tree, depth: int, index_bound: int, budget: SearchBudget, descend):
+def walk(tree, depth: int, index_bound: int, budget: SearchBudget):
     """Depth-first pre-order over `expand`, down to `depth`.
 
     Every evaluated (node, evaluation) is yielded before its children; a
-    node is expanded when `descend(evaluation)` is true.  A stack holds the
-    open expansions.
+    node is expanded unless it fails.  A stack holds the open expansions.
     """
     _check_bounds(depth, index_bound)
 
@@ -271,7 +269,7 @@ def walk(tree, depth: int, index_bound: int, budget: SearchBudget, descend):
         while stack:
             for child, ev in stack[-1]:
                 yield child, ev
-                if len(child) < depth and descend(ev):
+                if len(child) < depth and ev.verdict.kind != FAILS:
                     stack.append(expand(tree, child, index_bound, budget))
                     break
             else:
@@ -363,8 +361,7 @@ def bounded_wf_search(
     counts = {HOLDS: 0, FAILS: 0, INCONCLUSIVE: 0}
     tainted: set[tuple[int, ...]] = set()
     branch = unknown_at_depth = None
-    for node, ev in walk(tree, depth, index_bound, budget,
-                         lambda ev: ev.verdict.kind != FAILS):
+    for node, ev in walk(tree, depth, index_bound, budget):
         kind = ev.verdict.kind
         counts[kind] += 1
         if kind == FAILS:

@@ -15,7 +15,7 @@ import pytest
 
 import wctree
 from wctree import trees
-from wctree.cli import build_parser, main
+from wctree.cli import build_parser, main, parse_space
 
 
 def run(capsys, *argv):
@@ -245,8 +245,9 @@ def test_parser_for_one_command_gives_the_others_no_arguments(capsys):
 
 def test_unreadable_set_file_exits_2(tmp_path, capsys):
     """A set file that is not JSON, or whose explicit-list `params` is not an
-    object or whose `points` is not a list or is empty, is a usage error at
-    its pointer."""
+    object or whose `points` is not a list or is empty, or has a point whose
+    position is not a JSON integer at least 0 (a float, a boolean, a string),
+    is a usage error at its pointer."""
     space = {"kind": "lp", "p": "1"}
     cases = {
         "{not json": "invalid JSON",
@@ -256,6 +257,13 @@ def test_unreadable_set_file_exits_2(tmp_path, capsys):
             "--set: /params/points: ",
         json.dumps({"kind": "explicit-list", "space": space, "params": {"points": []}}):
             "--set: /params/points: explicit-list needs at least one point",
+        **{json.dumps({"kind": "explicit-list", "space": space,
+                       "params": {"points": [[[0, "1"]], [[at, "1"]]]}}):
+           f"--set: /params/points/1: bad vector payload: position {at!r} is not an integer"
+           for at in (1.7, 1.0, True, False, "1")},
+        json.dumps({"kind": "explicit-list", "space": space,
+                    "params": {"points": [[[-1, "1"]]]}}):
+            "--set: /params/points/0: bad vector payload: positions are naturals",
     }
     for n, (text, message) in enumerate(cases.items()):
         bad = tmp_path / f"bad{n}.json"
@@ -284,6 +292,39 @@ def test_set_file_params_of_a_built_in_kind_must_be_absent_or_empty(tmp_path, ca
         else:
             assert code == 2 and err.startswith(
                 "error: --set: /params: unit-vector-hull takes no parameters"), (params, err)
+
+
+def test_set_file_space_must_be_the_space_option(tmp_path, capsys):
+    """--space alone sets a command's norm: a set file that declares another
+    (kind and exponent compared, not its id) is a usage error at `/space`,
+    for the tree commands, `predicate` and the domain of `fixed-point`."""
+    def set_file(name, space):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "explicit-list", "space": space,
+                                    "params": {"points": [[[0, "1"]], [[1, "1"]]]}}))
+        return f"@{path}"
+
+    l2_file = set_file("l2", {"kind": "lp", "p": "2"})
+    c0_file = set_file("c0", {"kind": "c0"})
+
+    def commands(space, path):
+        model = ["--space", space, "--set", path, "--eps", "4/5", "--bigm", "2"]
+        return [["predicate", *model, "--node", "0,1"],
+                ["wf-scan", *model, "--depth", "2", "--index-bound", "2"],
+                ["fixed-point", "--space", space, "--set", path, "--map", "shift",
+                 "--steps", "3"]]
+
+    for space, path in (("l1", l2_file), ("lp:3", l2_file), ("c0", l2_file),
+                        ("l2", c0_file)):
+        for argv in commands(space, path):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == f"error: --set: /space: the set file's space is not --space " \
+                          f"{parse_space(space).ident}\n", (argv, err)
+    for space, path in (("l2", l2_file), ("lp:2", l2_file), ("sup", c0_file)):
+        for argv in commands(space, path):
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().err == "", argv
 
 
 def test_semantic_errors_exit_1(capsys):

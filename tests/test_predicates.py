@@ -18,7 +18,7 @@ from oracles import (brute_l2_simplex_min, coordinate, grid_simplex_min, ref_ran
 from wctree import predicates, sets
 from wctree.errors import ConfigurationError, ContractViolation
 from wctree.predicates import (FAILS, FW_GAP_STOP, HOLDS, INCONCLUSIVE, MARGIN_GRID_BITS,
-                               DualCertificate, SimplexMemo, SimplexMinResult, is_M_schauder,
+                               DualCertificate, SimplexMinResult, is_M_schauder,
                                is_eps_dominating, mazur_combination, simplex_min_norm)
 from wctree.sets import build_set, hilbert_cube
 from wctree.spaces import (C0, L1, L2, Functional, Vector, combine, conjugate_norm, lp_space,
@@ -82,8 +82,8 @@ def test_memo_hit_returns_weights_in_callers_order(monkeypatch, space, solver, a
     real = getattr(predicates, solver)
     solves = []
     monkeypatch.setattr(predicates, solver,
-                        lambda sp, vs, *memo: solves.append(vs) or real(sp, vs, *memo))
-    memo = SimplexMemo()
+                        lambda sp, vs: solves.append(vs) or real(sp, vs))
+    memo = {}
     forward = simplex_min_norm(space, [a, b], memo=memo)
     backward = simplex_min_norm(space, [b, a], memo=memo)
     assert len(solves) == 1  # one memo, one solve for both orders
@@ -100,7 +100,7 @@ def test_memo_hit_returns_weights_in_callers_order(monkeypatch, space, solver, a
 
 
 def test_memo_weights_follow_repeated_vectors():
-    memo = SimplexMemo()
+    memo = {}
     vs = [E(0), E(1), E(0).scale(F(3)) + E(1), E(1)]
     first = simplex_min_norm(L1, vs, memo=memo)
     for order in ([E(1), E(0), E(1), E(0).scale(F(3)) + E(1)],
@@ -129,8 +129,8 @@ def test_one_memo_entry_serves_every_repetition_like_a_direct_solve():
                     for _ in range(rng.randint(1, 4))]
         vs = distinct + [rng.choice(distinct) for _ in range(rng.randint(1, 3))]
         rng.shuffle(vs)
-        oracle = predicates._simplex_min_solve(space, tuple(vs), SimplexMemo())
-        memo = SimplexMemo()
+        oracle = predicates._simplex_min_solve(space, tuple(vs))
+        memo = {}
         start = rng.choice(["none", "other order"]
                            + ["lower end"] * (space.exactness == "bracket"))
         if start == "other order":
@@ -657,7 +657,7 @@ def upper_ends(monkeypatch):
 
 def test_holding_bracket_node_computes_no_upper_end(upper_ends):
     sp = lp_space(F(3, 2))
-    memo = SimplexMemo()
+    memo = {}
     assert is_eps_dominating(sp, [E(0), E(1)], F(7, 10), F(1, 100), memo).holds
     assert is_eps_dominating(sp, [E(0), E(1)], F(7, 10), F(1, 100)).holds
     assert upper_ends == []
@@ -668,7 +668,7 @@ def test_holding_bracket_node_computes_no_upper_end(upper_ends):
 def test_failing_bracket_node_computes_one_upper_end_for_all_orders(upper_ends):
     # five distinct unit vectors in lp:3/2 have minimum 5^(-1/3) ~ 0.585 < 3/5
     sp = lp_space(F(3, 2))
-    memo = SimplexMemo()
+    memo = {}
     combos = set()
     for order in itertools.permutations(units(5)):
         v = is_eps_dominating(sp, order, F(3, 5), memo=memo)
@@ -725,12 +725,12 @@ def test_lazy_bracket_domination_matches_the_eager_enclosure():
         for eps in (eager.lo - tol - nudge, (eager.lo + eager.hi) / 2, eager.hi + nudge):
             if eps <= 0:
                 continue
-            lazy = is_eps_dominating(space, vs, eps, tol, SimplexMemo())
+            lazy = is_eps_dominating(space, vs, eps, tol, {})
             want = _enclosure_verdict(eager, eps, tol)
             assert (lazy.kind, lazy.margin, lazy.exact_margin, lazy.witness) == want
             kinds[lazy.kind] += 1
         # start the memo entry with its lower end, then fill it from another order
-        memo = SimplexMemo()
+        memo = {}
         is_eps_dominating(space, vs, eager.lo - tol - nudge, tol, memo)
         (_, lo), = memo.values()
         assert lo == eager.lo
@@ -778,7 +778,7 @@ def test_pruned_lower_end_matches_the_unpruned_reference(monkeypatch):
     nodes, below_two = 0, 0
     for space, vs in _seeded_nodes(random.Random(1818), 60):
         want = _outcome(lambda: ref_simplex_min_bracket_lower(space, vs, real))
-        got = _outcome(lambda: predicates._simplex_min_bracket_lower(space, vs, SimplexMemo()))
+        got = _outcome(lambda: predicates._simplex_min_bracket_lower(space, vs))
         assert got == want, (space, vs)
         nodes += 1
         below_two += space.p < 2

@@ -1,11 +1,12 @@
 """Value semantics of the records that memo keys, node caches and sets hold.
 
 The records are `collections.namedtuple` subclasses, except `spaces.Vector`,
-a `__slots__` class that is not a tuple and whose one field is `entries`
+a `__slots__` class that is not a tuple, is rebuilt from its one public field
+`entries` and hashes as the tuple of its int fields `(support, nums, den)`
 (`trees.SearchBudget`, the one mutable record, is not checked here: no
-memo, cache or set holds it).  Either way they must compare equal by value, hash as the tuple of their
-field values (the value a frozen dataclass had, so memo keys and set orders
-stay the same), and refuse assignment.  The checks run in a fresh
+memo, cache or set holds it).  Every other record hashes as the tuple of its
+field values, the value a frozen dataclass had.  All must compare equal by
+value, hash alike when equal, and refuse assignment.  The checks run in a fresh
 interpreter, plainly and under `python -O`, and use no `assert`, which `-O`
 would strip.
 """
@@ -55,7 +56,7 @@ half = Vector.from_pairs([(0, F(1, 2)), (1, F(1, 2))])
 lp32 = lp_space(F(3, 2))
 found = {}
 for space in (L1, C0, L2, lp32):
-    memo = predicates.SimplexMemo()
+    memo = {}
     for vs in ((e0, e1), (e1, e0, e1), (e0, half), (e0, e1, e2)):
         gather(predicates.simplex_min_norm(space, vs, memo), found)
         gather(predicates.is_eps_dominating(space, vs, F(1, 2)), found)
@@ -72,9 +73,10 @@ gather(trees.branch_search(tree, 2, 4, 2), found)
 for name, records in sorted(found.items()):
     for r in records:
         values = tuple(getattr(r, f) for f in fields(r))
+        hashed = (r.support, r.nums, r.den) if isinstance(r, Vector) else values
         twin = type(r)(*values)
         check(twin == r and not (twin != r) and twin is not r, f"{name}: value equality")
-        check(hash(r) == hash(values) == hash(twin), f"{name}: hash of the field tuple")
+        check(hash(r) == hash(hashed) == hash(twin), f"{name}: hash of the field tuple")
         check(len({r, twin}) == 1, f"{name}: one slot in a set")
         check(copy.copy(r) == r == pickle.loads(pickle.dumps(r)), f"{name}: copy and pickle")
         for f in fields(r):
@@ -88,7 +90,8 @@ for name, records in sorted(found.items()):
                 failures.append(f"{name}.{f}: deletion")
             except AttributeError:
                 pass
-check(hash(half) == hash((half.entries,)), "Vector: hash((entries,))")
+check(hash(half) == hash((half.support, half.nums, half.den)),
+      "Vector: hash((support, nums, den))")
 check(Vector(half.entries) != half.entries and Vector() != (), "Vector: not a tuple")
 check(L2 == lp_space(2) and L2 != L1 and hash(L2) == hash(("l2", "lp", F(2))),
       "SpaceModel: value equality and hash")

@@ -234,7 +234,7 @@ def test_exhaustive_scan_solves_each_set_of_distinct_vectors_once(monkeypatch):
     lower_ends = []
     real = predicates._simplex_min_bracket_lower
     monkeypatch.setattr(predicates, "_simplex_min_bracket_lower",
-                        lambda space, vs, memo: lower_ends.append(vs) or real(space, vs, memo))
+                        lambda space, vs: lower_ends.append(vs) or real(space, vs))
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 4)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 260
@@ -286,8 +286,8 @@ def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
     minimum a lower end solves, l1 and sup alike, is certified at a vertex of
     the unit vectors without an LP, and no l2 QP is solved.  The one upper
     end, of the failing e0..e4, stops its descent at its first gradient
-    evaluation, the uniform point, so it projects nothing.  The tree's memo
-    keeps one Holder factor per support size, so five are computed.  The
+    evaluation, the uniform point, so it projects nothing.  Each of the 31
+    lower ends computes its own Holder factor, one root bracket.  The
     unit vectors have disjoint supports, so `is_M_schauder` runs once for
     each of the 30 sets that dominate; every other node either fails
     domination or repeats a vector."""
@@ -302,7 +302,7 @@ def test_seed5_lp32_scan_decides_each_set_once_and_solves_no_qp(monkeypatch):
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
     assert calls == {"is_eps_dominating": 31, "is_M_schauder": 30,
                      "_simplex_min_polyhedral": 36,
-                     "_simplex_min_bracket_upper": 1, "nthroot_brackets": 5}
+                     "_simplex_min_bracket_upper": 1, "nthroot_brackets": 31}
 
 
 def test_seed5_lp32_scan_selects_each_index_once_and_brackets_few_norms(monkeypatch):
@@ -526,8 +526,7 @@ def test_indices_that_select_equal_vectors_share_one_evaluation():
 
 
 def _scan(tree, depth, index_bound):
-    return list(walk(tree, depth, index_bound, SearchBudget(),
-                     lambda ev: not ev.verdict.fails))
+    return list(walk(tree, depth, index_bound, SearchBudget()))
 
 
 def _section(tree, node):
@@ -583,7 +582,7 @@ TRAVERSALS = {
     "branch_search": lambda tree, d, ib: branch_search(tree, d, ib),
     "rank_within": lambda tree, d, ib: rank_within(tree, d, ib),
     "levels": lambda tree, d, ib: levels(tree, d, ib, SearchBudget()),
-    "walk": lambda tree, d, ib: walk(tree, d, ib, SearchBudget(), bool),
+    "walk": lambda tree, d, ib: walk(tree, d, ib, SearchBudget()),
 }
 
 
@@ -721,7 +720,7 @@ def test_traversal_core_matches_reference_loops():
 
         def walk_and_flag(t, b):
             order = [(node, ev.verdict.kind) for node, ev in
-                     walk(t, depth, index_bound, b, lambda ev: not ev.verdict.fails)]
+                     walk(t, depth, index_bound, b)]
             return order, b.exhausted
 
         got, want = run(walk_and_flag,

@@ -40,9 +40,10 @@ Then `fixed-point`, averaged and saturating, with every registered map, and
 record of `fixedpoint` reaches some payload; the averaged shift also runs
 with `--set unit-vector-hull`, `summing-hull`, `hilbert-cube` and
 `unit-vector-family`, so that each of their membership tests is reached.
-Last, three paths that the lists above miss: a failing exact-gram report at
+Last, four paths that the lists above miss: a failing exact-gram report at
 M >= 1, a set read from `tools/digest_set.json` (points with non-unit
-denominators), and one report rendered with `--format text`.
+denominators), the same file under a `--space` other than its own, which is
+refused, and one report rendered with `--format text`.
 """
 
 from __future__ import annotations
@@ -193,6 +194,9 @@ OTHER_PATHS = [
     "predicate --space l2 --set summing-hull --node 0,4 --eps 1/2 --bigm 1",
     # the path is relative to the directory the commands run in
     "analyze-tree --space l1 --set @tools/digest_set.json --eps 1/4 --bigm 2 --depth 3"
+    " --index-bound 4",
+    # a set file is refused in any space but its own
+    "analyze-tree --space l2 --set @tools/digest_set.json --eps 1/4 --bigm 2 --depth 3"
     " --index-bound 4",
     "predicate --space l2 --set summing-hull --node 0,4,8 --eps 1/2 --bigm 2 --format text",
 ]
