@@ -286,21 +286,17 @@ def _lp_minimum(space: SpaceModel, vs: tuple[Vector, ...]) -> tuple:
     return tuple(primal.x[:m]), primal.value, g
 
 
-def _int_gram(vs: tuple[Vector, ...]) -> tuple[list[list[int]], int]:
-    """The Gram matrix G of the vectors as (Q, D): Q = D^2 G is an int matrix.
-
-    D is the lcm of the denominators of every coefficient, so D x_n is an
-    integer vector and Q holds the int inner products over common supports.
-    """
-    d = math.lcm(*(v.den for v in vs))
-    ints = [{p: n * (d // v.den) for p, n in zip(v.support, v.nums)} for v in vs]
-    m = len(vs)
+def _gram(mat: list[list[int]], m: int) -> list[list[int]]:
+    """Q = (D A)^T (D A) = D^2 G, the int Gram matrix of the m vectors whose
+    image (D A, D) `_matrix` built, summed over each row's nonzero entries."""
     q = [[0] * m for _ in range(m)]
-    for i, u in enumerate(ints):
-        for j in range(i, m):
-            v = ints[j]
-            q[i][j] = q[j][i] = sum(c * v[p] for p, c in u.items() if p in v)
-    return q, d
+    for row in mat:
+        nz = [(j, x) for j, x in enumerate(row) if x]
+        for i, x in nz:
+            qi = q[i]
+            for j, y in nz:
+                qi[j] += x * y
+    return q
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
@@ -313,12 +309,13 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _simplex_min_qp(space: SpaceModel, vs: tuple[Vector, ...]) -> SimplexMinResult:
-    """Exact l2 minimum on the integer Gram matrix Q = D^2 G of `_int_gram`:
+    """Exact l2 minimum on the integer Gram matrix Q = D^2 G of `_gram`:
     weights 1/Q_nn scaled to sum 1, of squared norm 1 / sum(D^2 / Q_nn), when
     Q is diagonal and positive (orthogonal nonzero vectors), else `_wolfe`.
     The witness norm and `_dual_certificate_l2` check either answer."""
-    q, d = _int_gram(vs)
     m = len(vs)
+    mat, d = _matrix(vs, _coordinate_rows(vs))
+    q = _gram(mat, m)
     if all(q[i][i] > 0 and not any(q[i][:i]) for i in range(m)):
         # 1/Q_nn = shares[n] / big, so the weights are shares[n] / sum(shares)
         big = math.lcm(*(q[i][i] for i in range(m)))
@@ -356,7 +353,7 @@ def _wolfe(q: list[list[int]], d: int) -> tuple[tuple[Fraction, ...], Fraction]:
     leaves it.  ||z||^2 strictly falls with every major cycle, so no corral
     recurs and the method ends; ties go to the lowest index throughout.
 
-    The method runs on the integer Gram matrix Q = D^2 G of `_int_gram`,
+    The method runs on the integer Gram matrix Q = D^2 G of `_gram`,
     with the weights held as int numerators W over one positive denominator
     delta.  A major cycle's pairings QW and its D^2 delta^2 ||z||^2 are int
     dot products, and every test compares both sides at the same positive
@@ -505,16 +502,16 @@ def _simplex_min_bracket_upper(space: SpaceModel, vs: tuple[Vector, ...],
     skips whenever `lo` alone decides.
     """
     m = len(vs)
-    at = {r: j for j, r in enumerate(_coordinate_rows(vs))}
-    # the nonzero coefficients, (row, c) per vector and (vector, c) per row, in
+    mat, d = _matrix(vs, _coordinate_rows(vs))
+    # the nonzero coefficients, (vector, c) per row and (row, c) per vector, in
     # the order of the dense sums: a skipped product is an exact +-0.0, and a
     # sum that starts at 0 and adds one changes by nothing, not even its sign
-    # (n / den is correctly rounded, so it is the float of the coefficient)
-    cols = [[(at[r], c / v.den) for r, c in zip(v.support, v.nums)] for v in vs]
-    by_row: list[list[tuple[int, float]]] = [[] for _ in at]
-    for n, col in enumerate(cols):
-        for j, c in col:
-            by_row[j].append((n, c))
+    # (x / d is correctly rounded, so it is the float of the coefficient)
+    by_row = [[(n, x / d) for n, x in enumerate(row) if x] for row in mat]
+    cols: list[list[tuple[int, float]]] = [[] for _ in vs]
+    for j, row in enumerate(by_row):
+        for n, c in row:
+            cols[n].append((j, c))
     pf = float(space.p)
 
     def fval_grad(a: list[float]) -> tuple[float, list[float]]:
@@ -706,7 +703,7 @@ def is_M_schauder(
         return _dependent_report([Fraction(x, e) for x in z], k)
 
     if space.exactness == "square":
-        return _schauder_gram(vs, big_m)
+        return _schauder_gram(vs, mat, d, big_m)
     if space.exactness == "rational":
         report = _schauder_polyhedral(space, vs, mat, d, big_m)
         if report is not None:
@@ -776,38 +773,34 @@ def _prefix_ratio(
     return best, witness
 
 
-def _constant_report(
-    c_lo: Fraction,
-    c_hi: Fraction,
-    big_m: Fraction,
-    method: str,
-    detail: str = "",
-    witness: PrefixWitness | None = None,
-) -> SchauderReport:
-    if c_hi <= big_m:
-        margin = big_m - c_hi
-        verdict = Verdict3(HOLDS, float(margin), margin, witness, detail)
-        return SchauderReport(verdict, method, c_lo, c_hi)
-    if c_lo > big_m:
-        margin = big_m - c_lo  # negative slack: how far past the bound
-        verdict = Verdict3(FAILS, float(margin), margin, witness, detail)
-        return SchauderReport(verdict, method, c_lo, c_hi)
-    verdict = Verdict3(INCONCLUSIVE, None, None, witness,
-                       detail or "constant bracket straddles the bound")
+def _constant_report(c_lo: Fraction, c_hi: Fraction | None, big_m: Fraction, method: str,
+                     detail: str = "", witness: PrefixWitness | None = None) -> SchauderReport:
+    """The verdict on M of a basis constant in [c_lo, c_hi], c_hi None when
+    no upper end is known: holds when c_hi <= M, fails when c_lo > M."""
+    if c_hi is not None and c_hi <= big_m:
+        kind, margin = HOLDS, big_m - c_hi
+    elif c_lo > big_m:
+        kind, margin = FAILS, big_m - c_lo  # negative slack: how far past the bound
+    else:
+        kind, margin = INCONCLUSIVE, None
+    verdict = Verdict3(kind, None if margin is None else float(margin), margin, witness, detail)
     return SchauderReport(verdict, method, c_lo, c_hi)
 
 
-def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction) -> SchauderReport:
+def _schauder_gram(vs: tuple[Vector, ...], mat: list[list[int]], d: int,
+                   big_m: Fraction) -> SchauderReport:
     """Exact l2 decision: prefix bounds are PSD conditions on the Gram matrix.
 
     Since G is PSD, t^2 G - G_k only gains the PSD matrix (t'^2 - t^2) G as
     t grows to t', so the set of t where every condition holds is a ray: a
     failure at M is a failure at every grid point up to M.  With t = a/b and
-    the integer Gram matrix Q = D^2 G, each t^2 G - G_k goes to `psd_check`
-    as the integer rows a^2 Q - b^2 Q_k over b^2 D^2, the same rationals.
+    the integer Gram matrix Q = D^2 G of the image (`mat`, `d`) of `_matrix`,
+    each t^2 G - G_k goes to `psd_check` as the integer rows a^2 Q - b^2 Q_k
+    over b^2 D^2, the same rationals.  A pass at M proves the constant is at
+    most M, so the upper end is the grid point above it or M, the smaller.
     """
     m = len(vs)
-    q, d = _int_gram(vs)
+    q = _gram(mat, m)
     grid = 1 << MARGIN_GRID_BITS
 
     def psd_all(t: Fraction) -> tuple[bool, int | None, list[Fraction] | None]:
@@ -835,11 +828,8 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction) -> SchauderReport:
         bits = MARGIN_GRID_BITS
         while (c_lo := linalg.sqrt_lower(ratio_sq, bits)) <= big_m:
             bits *= 2
-        c_lo = max(c_lo, _ONE)
-        margin = big_m - c_lo
-        verdict = Verdict3(FAILS, float(margin), margin, witness,
-                           detail=f"prefix {bad_k} escapes the bound (PSD witness)")
-        return SchauderReport(verdict, "exact-gram", constant_lo=c_lo)
+        return _constant_report(max(c_lo, _ONE), None, big_m, "exact-gram",
+                                f"prefix {bad_k} escapes the bound (PSD witness)", witness)
 
     # doubling phase: find a grid point where every prefix condition holds
     hi_units = grid  # t = 1
@@ -854,7 +844,7 @@ def _schauder_gram(vs: tuple[Vector, ...], big_m: Fraction) -> SchauderReport:
             hi_units = mid
         else:
             lo_units = mid
-    c_lo, c_hi = Fraction(lo_units, grid), Fraction(hi_units, grid)
+    c_lo, c_hi = Fraction(lo_units, grid), min(Fraction(hi_units, grid), big_m)
     return _constant_report(c_lo, c_hi, big_m, "exact-gram",
                             detail="constant bracketed on the dyadic grid")
 
@@ -933,11 +923,6 @@ def _schauder_sampled(
     for _ in range(64):
         patterns.append([Fraction(round(rng.gauss(0, 1) * grid), grid) for _ in range(m)])
     c_lo, witness = _prefix_ratio(space, vs, patterns)
-    if c_lo > big_m:
-        verdict = Verdict3(FAILS, float(big_m - c_lo), big_m - c_lo, witness,
-                           detail="sampled coefficients certify a violating prefix")
-        return SchauderReport(verdict, "sampled", constant_lo=c_lo)
-    verdict = Verdict3(INCONCLUSIVE, None, None, witness,
-                       detail="sampling cannot certify prefix bounds, only refute")
-    return SchauderReport(verdict, "sampled", constant_lo=c_lo)
-
+    detail = ("sampled coefficients certify a violating prefix" if c_lo > big_m
+              else "sampling cannot certify prefix bounds, only refute")
+    return _constant_report(c_lo, None, big_m, "sampled", detail, witness)

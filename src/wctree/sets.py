@@ -298,7 +298,11 @@ def build_set(kind: str, space: SpaceModel, params: dict | None = None, ident: s
 def set_from_json(data) -> SetModel:
     if not isinstance(data, dict):
         raise ConfigurationError("set model must be an object", "/")
-    space = SpaceModel.from_json(data.get("space", {}))
+    try:
+        space = SpaceModel.from_json(data.get("space", {}))
+    except ConfigurationError as exc:  # its pointer is relative to the space object
+        raise ConfigurationError(str(exc).removeprefix(f"{exc.pointer}: "),
+                                 "/space" + exc.pointer.rstrip("/")) from exc
     kind = str(data.get("kind"))
     return build_set(kind, space, data.get("params"), data.get("id"))
 

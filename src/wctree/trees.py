@@ -91,9 +91,10 @@ class WcTree:
     report and verdict are kept by (length, i, j), with its evaluation for
     each set of ids.
     `simplex_memo`, the simplex-minimum memo of every domination test, has
-    one entry for every order and every repetition of the same vectors (and
-    every section of a `StackedTree`, whose verdicts differ in eps).  All of
-    them live as long as the tree.
+    one entry per set of vectors.  A tree asks it once per set of ids, so
+    only the sections of a `StackedTree`, whose verdicts differ in eps and
+    which share one memo, read an entry again.  All of them live as long as
+    the tree.
     """
 
     def __init__(self, family: SetModel, eps: Fraction, big_m: Fraction,

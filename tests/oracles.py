@@ -526,8 +526,7 @@ def _ref_constant_report(c_lo, c_hi, big_m, method, detail="", witness=None):
     if c_lo > big_m:
         margin = big_m - c_lo
         return ("fails", float(margin), margin, detail, witness, method, c_lo, c_hi, False)
-    return ("inconclusive", None, None, detail or "constant bracket straddles the bound",
-            witness, method, c_lo, c_hi, False)
+    return ("inconclusive", None, None, detail, witness, method, c_lo, c_hi, False)
 
 
 def _ref_schauder_gram(vs, big_m):
@@ -576,7 +575,8 @@ def _ref_schauder_gram(vs, big_m):
             else:
                 lo_units = mid
         c_lo, c_hi = Fraction(lo_units, REF_GRID), Fraction(hi_units, REF_GRID)
-    return _ref_constant_report(c_lo, c_hi, big_m, "exact-gram",
+    # the PSD test passed at M, so the constant is at most M too
+    return _ref_constant_report(c_lo, min(c_hi, big_m), big_m, "exact-gram",
                                 "constant bracketed on the dyadic grid")
 
 

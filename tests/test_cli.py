@@ -247,7 +247,8 @@ def test_unreadable_set_file_exits_2(tmp_path, capsys):
     """A set file that is not JSON, or whose explicit-list `params` is not an
     object or whose `points` is not a list or is empty, or has a point whose
     position is not a JSON integer at least 0 (a float, a boolean, a string),
-    is a usage error at its pointer."""
+    or whose `space` is not a space, is a usage error at its pointer in the
+    file."""
     space = {"kind": "lp", "p": "1"}
     cases = {
         "{not json": "invalid JSON",
@@ -264,6 +265,12 @@ def test_unreadable_set_file_exits_2(tmp_path, capsys):
         json.dumps({"kind": "explicit-list", "space": space,
                     "params": {"points": [[[-1, "1"]]]}}):
             "--set: /params/points/0: bad vector payload: positions are naturals",
+        **{json.dumps({"kind": "explicit-list", "space": bad_space,
+                       "params": {"points": [[[0, "1"]]]}}): f"--set: {message}"
+           for bad_space, message in (
+               ({"kind": "lp", "p": "1/2"}, "/space/p: lp spaces need rational p >= 1"),
+               ({"kind": "lq"}, "/space/kind: unknown space kind 'lq'"),
+               (["lp", "1"], "/space: space must be an object"))},
     }
     for n, (text, message) in enumerate(cases.items()):
         bad = tmp_path / f"bad{n}.json"

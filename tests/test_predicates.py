@@ -74,6 +74,17 @@ def test_min_of_zero_vectors_is_certified_by_the_zero_functional(space):
     assert res.certificate == DualCertificate(Functional(space, Vector.zero()), F(0), F(0))
 
 
+@pytest.mark.parametrize("space, method", [(L2, "exact-qp"), (lp_space(F(3, 2)), "bracket")],
+                         ids=["l2", "lp3/2"])
+def test_min_of_zero_vectors_off_the_lp(space, method):
+    """With no coordinate rows the integer image is empty: Wolfe's method on
+    the zero Gram matrix and the descent over no rows answer 0, with no
+    certificate, at the one distinct vector."""
+    res = simplex_min_norm(space, [Vector.zero()] * 3)
+    assert (res.lo, res.hi, res.method, res.certificate) == (0, 0, method, None)
+    assert res.witness.weights == (1, 0, 0) and res.witness.combo.is_zero
+
+
 @pytest.mark.parametrize("space, solver, a, b", [
     (L1, "_simplex_min_polyhedral", E(0), E(0).scale(F(3)) + E(1)),
     (lp_space(F(3, 2)), "_simplex_min_bracket_lower", E(0), E(1).scale(F(2))),
@@ -262,7 +273,8 @@ def test_orthogonal_l2_minimum_matches_wolfe(monkeypatch):
         wolfe.clear()
         res = predicates._simplex_min_qp(L2, vs)
         assert res == ref_simplex_min_qp(L2, vs), vs
-        q, d = predicates._int_gram(vs)
+        mat, d = predicates._matrix(vs, predicates._coordinate_rows(vs))
+        q = predicates._gram(mat, len(vs))
         orthogonal = all(q[i][j] == 0 for i in range(len(vs)) for j in range(i))
         if not wolfe:
             taken["closed form"] += 1
@@ -387,25 +399,27 @@ def test_l2_minimum_of_sixteen_random_vectors_is_certified():
 def test_qp_minimum_refuses_a_wrong_answer(monkeypatch, corrupt):
     """The Gram value must equal the witness norm; a wrong Gram matrix is refused.
 
-    The integer Gram matrix Q = D^2 G is corrupted by 1/2 on the scale of G:
-    doubling D makes that 2 D^2 on the scale of the returned Q.  A corrupted
-    diagonal leaves Q diagonal, so the closed form answers and is refused; a
-    corrupted off-diagonal entry sends the node to Wolfe's method."""
-    int_gram = predicates._int_gram
+    The vectors 2e_0, 2e_1, 2e_2 have D = 1 and Q = D^2 G = 4I, and Q is
+    corrupted by 2, which is 1/2 on the scale of the unit vectors' Gram
+    matrix.  A corrupted diagonal leaves Q diagonal, so the closed form
+    answers and is refused; a corrupted off-diagonal entry sends the node to
+    Wolfe's method."""
+    vs = tuple(E(i).scale(F(2)) for i in range(3))
+    predicates._simplex_min_qp(L2, vs)  # the true Q passes
+    gram = predicates._gram
 
-    def perturbed(vs):
-        q, d = int_gram(vs)
-        q = [[4 * x for x in row] for row in q]
+    def perturbed(mat, m):
+        q = gram(mat, m)
         if corrupt == "diagonal":
-            q[0][0] -= 2 * d * d
+            q[0][0] -= 2
         else:
-            q[0][1] += 2 * d * d
-            q[1][0] += 2 * d * d
-        return q, 2 * d
+            q[0][1] += 2
+            q[1][0] += 2
+        return q
 
-    monkeypatch.setattr(predicates, "_int_gram", perturbed)
+    monkeypatch.setattr(predicates, "_gram", perturbed)
     with pytest.raises(ContractViolation):
-        predicates._simplex_min_qp(L2, tuple(units(3)))
+        predicates._simplex_min_qp(L2, vs)
 
 
 def _qp_outcome(solve, vs):
@@ -897,11 +911,14 @@ def test_schauder_known_constants():
     assert float(rep.constant_lo) <= root2 <= float(rep.constant_hi)
     assert rep.constant_hi - rep.constant_lo <= F(1, 2**(MARGIN_GRID_BITS - 1))
     assert is_M_schauder(L2, pair, F(7, 5)).verdict.fails  # 7/5 < sqrt 2
-    # sqrt 2 < M below the grid point above it: the bracket straddles M
-    straddled = F(14143, 10000)
-    rep = is_M_schauder(L2, pair, straddled)
-    assert rep.verdict.inconclusive and rep.constant_lo < straddled < rep.constant_hi
-    _assert_matches_reference(rep, pair, ref_schauder_analyze(L2, pair, straddled, 0))
+    # sqrt 2 < M below the grid point above it: the PSD test passes at M,
+    # so M itself is the upper end and the bound holds with no room left
+    near = F(14143, 10000)
+    rep = is_M_schauder(L2, pair, near)
+    assert rep.verdict.holds and rep.constant_lo < near == rep.constant_hi
+    assert rep.verdict.exact_margin == 0
+    assert rep.constant_lo + F(1, 1 << MARGIN_GRID_BITS) > near
+    _assert_matches_reference(rep, pair, ref_schauder_analyze(L2, pair, near, 0))
 
 
 def _assert_kernel_witness(vs, w):
@@ -1063,9 +1080,8 @@ def test_schauder_reports_match_the_reference_engine():
     `oracles`, for every method and verdict it can give; a structural failure's
     witness is checked as `_assert_matches_reference` says.  Structural and
     polyhedral constants are exact (c_lo = c_hi), so they never straddle M,
-    sampling never certifies a bound, and a straddling Gram bracket needs an
-    M closer to the constant than these nodes meet (see
-    `test_schauder_known_constants`)."""
+    sampling never certifies a bound, and a Gram bracket ends at M or below
+    once the PSD test at M passes (see `test_gram_decides_at_off_grid_bounds`)."""
     rng = random.Random(1701)
     seen = Counter()
     for trial in range(1500):
@@ -1086,6 +1102,32 @@ def test_schauder_reports_match_the_reference_engine():
                                           ("exact-gram", INCONCLUSIVE),
                                           ("sampled", HOLDS)}
     assert set(seen) == possible, seen
+
+
+def test_gram_decides_at_off_grid_bounds():
+    """On seeded l2 nodes that reach the Gram test, at bounds M off the
+    2^-12 grid inside the node's grid bracket, where the constant may lie on
+    either side of M: no report is inconclusive, each equals the reference
+    engine's, and a holding one ends at M itself with margin 0."""
+    rng = random.Random(3217)
+    seen = Counter()
+    while sum(seen.values()) < 120:
+        vs = _schauder_node(rng, L2)
+        bracket = is_M_schauder(L2, vs, ABOVE_EVERY_CONSTANT)
+        c_lo, c_hi = bracket.constant_lo, bracket.constant_hi
+        if bracket.method != "exact-gram" or c_lo == c_hi:
+            continue
+        for _ in range(3):
+            big_m = c_lo + (c_hi - c_lo) * F(rng.randint(1, 999), 1000)
+            rep = is_M_schauder(L2, vs, big_m)
+            assert not rep.verdict.inconclusive, (vs, big_m)
+            _assert_matches_reference(rep, vs, ref_schauder_analyze(L2, vs, big_m, 0))
+            if rep.verdict.holds:
+                assert rep.constant_hi == big_m and rep.verdict.exact_margin == 0
+            else:
+                assert rep.constant_lo > big_m
+            seen[rep.verdict.kind] += 1
+    assert min(seen[HOLDS], seen[FAILS]) >= 20, seen
 
 
 def test_polyhedral_reports_match_the_reference_engine_on_dense_nodes():

@@ -40,8 +40,9 @@ Then `fixed-point`, averaged and saturating, with every registered map, and
 record of `fixedpoint` reaches some payload; the averaged shift also runs
 with `--set unit-vector-hull`, `summing-hull`, `hilbert-cube` and
 `unit-vector-family`, so that each of their membership tests is reached.
-Last, four paths that the lists above miss: a failing exact-gram report at
-M >= 1, a set read from `tools/digest_set.json` (points with non-unit
+Last, five paths that the lists above miss: a failing exact-gram report at
+M >= 1, a holding one at an M off the 2^-12 grid within one grid step above
+the constant, a set read from `tools/digest_set.json` (points with non-unit
 denominators), the same file under a `--space` other than its own, which is
 refused, and one report rendered with `--format text`.
 """
@@ -192,6 +193,8 @@ FIXED_POINT = [
 OTHER_PATHS = [
     # the PSD witness fails the bound M = 1: its margin comes from its prefix ratio
     "predicate --space l2 --set summing-hull --node 0,4 --eps 1/2 --bigm 1",
+    # sqrt 2 < M below the grid point above it: the PSD test at M decides
+    "predicate --space l2 --set summing-hull --node 0,4 --eps 1/2 --bigm 14143/10000",
     # the path is relative to the directory the commands run in
     "analyze-tree --space l1 --set @tools/digest_set.json --eps 1/4 --bigm 2 --depth 3"
     " --index-bound 4",
