@@ -50,7 +50,10 @@ def parse_space(text: str) -> SpaceModel:
     if name in spaces.BUILTIN_SPACES:
         return spaces.BUILTIN_SPACES[name]
     if name.startswith("lp:"):
-        return spaces.lp_space(_fraction(name[3:], "--space"))
+        try:
+            return spaces.lp_space(_fraction(name[3:], "--space"))
+        except ConfigurationError as exc:  # its pointer is to no document's field
+            raise UsageError(f"--space: {str(exc).removeprefix(exc.pointer + ': ')}") from exc
     raise UsageError(
         f"--space: unknown space {text!r} (use l1, l2, c0, sup, or lp:P)")
 
@@ -107,7 +110,10 @@ def parse_point(text: str) -> Vector:
         except ValueError as exc:
             raise UsageError(f"--start/--point: bad position {pos_s!r}") from exc
         pairs.append((pos, _fraction(coeff_s, "--start/--point")))
-    return Vector.from_pairs(pairs)
+    try:
+        return Vector.from_pairs(pairs)
+    except ValueError as exc:
+        raise UsageError(f"--start/--point: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,8 @@ def invariant_set_saturate(
     Breadth-first orbit closure: the result is the least invariant superset
     of the seeds when `exhausted` is False.
     """
+    if max_points < 0:
+        raise ConfigurationError("point budget must be nonnegative", "/max-points")
     seen: dict[Vector, None] = {}
     frontier: list[Vector] = []
     for v in seeds:

@@ -682,7 +682,7 @@ def is_M_schauder(
     """Is every prefix combination bounded by M times the full combination?"""
     big_m = spaces.as_fraction(big_m)
     if big_m.numerator <= 0:
-        raise ValueError("the prefix bound must be positive")
+        raise ConfigurationError("the prefix bound must be positive", "/M")
     vs = tuple(vectors)
     m = len(vs)
     if m == 0:

@@ -7,13 +7,14 @@ fixes the norm used to measure it.  Three norms have fully exact evaluation
 paths: l1 and the sup norm produce rational values, and l2 exposes the exact
 squared norm so comparisons can be routed through squares.  Any other
 rational exponent p >= 1 is supported in bracket mode: the norm is returned
-as a float together with a guaranteed error bound derived from dyadic root
-brackets.  Norms, pairings, combinations and norm comparisons are int
-arithmetic; a ``Fraction`` is built only for a result, such as a norm value
-or a coefficient read through ``Vector.entries``.  ``SpaceModel``,
-``Functional`` and ``NormValue`` are namedtuples, the first two checked in
-``__new__``; ``Vector`` is a ``__slots__`` class, not a tuple, that refuses
-assignment and is copied and pickled as ``Vector(entries)``.
+as a certified enclosure between two dyadic root brackets.  Norms, pairings,
+combinations and norm comparisons are int arithmetic; a ``Fraction`` is
+built only for a result, such as a norm's endpoints or a coefficient read
+through ``Vector.entries``.  ``SpaceModel``, ``Functional`` and
+``NormValue`` are namedtuples, the first two checked in ``__new__``; a
+``NormValue`` stores the exact endpoints alone, and the floats of a report
+are read from them.  ``Vector`` is a ``__slots__`` class, not a tuple, that
+refuses assignment and is copied and pickled as ``Vector(entries)``.
 """
 
 from __future__ import annotations
@@ -293,48 +294,49 @@ C0 = sup_space()
 BUILTIN_SPACES = {"l1": L1, "l2": L2, "c0": C0, "sup": C0}
 
 
-class NormValue(namedtuple("NormValue", "value error lo hi exact exact_sq",
-                           defaults=(None, None))):
-    """A norm evaluation with a certified enclosure.
+class NormValue(namedtuple("NormValue", "lo hi exact exact_sq", defaults=(None, None))):
+    """A norm evaluation with a certified enclosure lo <= true norm <= hi.
 
-    value/error are floats for reporting; lo <= true norm <= hi always holds
-    with exact rational endpoints.  When the norm itself is rational, `exact`
-    is set; for l2 the exact square is set instead (both Fraction | None).
+    The endpoints are exact rationals.  When the norm itself is rational,
+    `exact` is set; for l2 the exact square is set instead (both Fraction |
+    None).  The report floats `value` and `error`, the enclosure's midpoint
+    and half-width, are read from lo and hi (error 0.0 for a bracket zero).
     """
 
     __slots__ = ()
+
+    @property
+    def value(self) -> float:
+        return _enclose(self.lo, self.hi)[0]
+
+    @property
+    def error(self) -> float:
+        if not self.hi and self.exact is None and self.exact_sq is None:
+            return 0.0
+        return _enclose(self.lo, self.hi)[1]
 
 
 def _enclose(lo: Fraction, hi: Fraction) -> tuple[float, float]:
     """The midpoint and half-width of [lo, hi] as floats, from int arithmetic:
     an int quotient is correctly rounded, as float() of the Fraction is."""
-    if lo == hi:
-        value = float(lo)
-        return value, abs(value) * 1e-15 + 1e-300
     a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     value = (a * d + c * b) / (2 * b * d)
     slack = abs(value) * 1e-15 + 1e-300
     return value, (c * b - a * d) / (b * d) / 2 + slack
 
 
-def _exact(value: Fraction) -> NormValue:
-    val, err = _enclose(value, value)
-    return NormValue(val, err, value, value, exact=value)
-
-
 def norm(space: SpaceModel, v: Vector) -> NormValue:
     """Norm of v in the given space, with a certified error bound."""
-    if space.kind == "c0":
-        return _exact(Fraction(max(map(abs, v.nums), default=0), v.den))
     p = space.p
-    if p == 1:
-        return _exact(Fraction(sum(map(abs, v.nums)), v.den))
+    if space.kind == "c0" or p == 1:
+        s = max(map(abs, v.nums), default=0) if space.kind == "c0" else sum(map(abs, v.nums))
+        exact = Fraction(s, v.den)
+        return NormValue(exact, exact, exact=exact)
     if p == 2:
         sq = Fraction(_square(v), v.den * v.den)
         lo = linalg.sqrt_lower(sq, BRACKET_BITS)
         hi = linalg.sqrt_upper(sq, BRACKET_BITS)
-        val, err = _enclose(lo, hi)
-        return NormValue(val, err, lo, hi, exact_sq=sq)
+        return NormValue(lo, hi, exact_sq=sq)
     return _bracket_norm(v, p)
 
 
@@ -350,7 +352,7 @@ def _bracket_norm(v: Vector, p: Fraction) -> NormValue:
     bracketed on the 2^-BRACKET_BITS grid, and the brackets are summed.
     """
     if not v.nums:
-        return NormValue(0.0, 0.0, _ZERO, _ZERO)
+        return NormValue(_ZERO, _ZERO)
     a, b = p.numerator, p.denominator
     scale = 1 << BRACKET_BITS
     if b == 1:
@@ -362,8 +364,7 @@ def _bracket_norm(v: Vector, p: Fraction) -> NormValue:
         slo, shi = (lo_sum, scale), (lo_sum + 2 * len(v.nums), scale)
     lo = Fraction(_root_floor(*slo, b, a), scale)
     hi = Fraction(_root_floor(*shi, b, a) + 2, scale)
-    val, err = _enclose(lo, hi)
-    return NormValue(val, err, lo, hi)
+    return NormValue(lo, hi)
 
 
 def _root_floor(num: int, den: int, b: int, a: int) -> int:
@@ -421,7 +422,8 @@ class Functional(namedtuple("Functional", "space vec bound")):
     __slots__ = ()
 
     def __new__(cls, space: SpaceModel, vec: Vector, bound: Fraction = _ONE):
-        cmp = _dual_norm_cmp(space, vec, as_fraction(bound))
+        kind, q = space.conjugate_kind()
+        cmp = _norm_cmp(kind, q, vec, as_fraction(bound))
         if cmp == 1:
             raise ConfigurationError("functional exceeds its claimed dual-norm bound")
         if cmp is None:
@@ -430,11 +432,6 @@ class Functional(namedtuple("Functional", "space vec bound")):
 
     def to_json(self) -> dict:
         return {"vector": self.vec.to_json(), "bound": str(self.bound)}
-
-
-def _dual_norm_cmp(space: SpaceModel, vec: Vector, bound: Fraction) -> int | None:
-    kind, q = space.conjugate_kind()
-    return _norm_cmp(kind, q, vec, bound)
 
 
 def combine(coeffs: Iterable[Fraction], vectors: Iterable[Vector]) -> Vector:

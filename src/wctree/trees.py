@@ -51,21 +51,20 @@ from .spaces import Vector
 
 class NodeEvaluation(namedtuple("NodeEvaluation", "verdict domination schauder",
                                 defaults=(None, None))):
-    """Joint verdict of the two node predicates, with per-predicate detail."""
+    """Joint verdict of the two node predicates, with per-predicate detail;
+    a failing node's verdict is the failing predicate's own."""
 
     __slots__ = ()
 
 
 def _combine(domination: Verdict3, schauder: SchauderReport | None) -> Verdict3:
     if domination.kind == FAILS:
-        return Verdict3(FAILS, domination.margin, domination.exact_margin,
-                        domination.witness, "domination: " + domination.detail)
+        return domination
     if schauder is None:
         raise ContractViolation("a node that passes domination needs a prefix-bound report")
     sv = schauder.verdict
     if sv.kind == FAILS:
-        return Verdict3(FAILS, sv.margin, sv.exact_margin, sv.witness,
-                        "prefix bound: " + sv.detail)
+        return sv
     if domination.kind == INCONCLUSIVE or sv.kind == INCONCLUSIVE:
         which = "domination" if domination.kind == INCONCLUSIVE else "prefix bound"
         return Verdict3(INCONCLUSIVE, None, None, None, f"{which} undecided")
@@ -88,8 +87,7 @@ class WcTree:
     `predicates.reordered`), and the one evaluation that every order of them
     shares when their supports are disjoint and the verdict does not fail.
     A node whose first repeat is x_j = x_i fails on sight: its prefix-bound
-    report and verdict are kept by (length, i, j), with its evaluation for
-    each set of ids.
+    report is kept by (length, i, j), with its evaluation for each set of ids.
     `simplex_memo`, the simplex-minimum memo of every domination test, has
     one entry per set of vectors.  A tree asks it once per set of ids, so
     only the sections of a `StackedTree`, whose verdicts differ in eps and
@@ -114,7 +112,7 @@ class WcTree:
         self._by_id: list[Vector] = []
         self._cache: dict[tuple[int, ...], NodeEvaluation] = {}
         self._sets: dict[frozenset[int], tuple] = {}  # ids -> the set's record
-        self._repeats: dict[tuple[int, int, int], tuple[Verdict3, SchauderReport, dict]] = {}
+        self._repeats: dict[tuple[int, int, int], tuple[SchauderReport, dict]] = {}
         self.simplex_memo = {} if simplex_memo is None else simplex_memo
 
     def _key(self, node: tuple[int, ...]) -> tuple[int, ...]:
@@ -156,11 +154,11 @@ class WcTree:
                 at = (len(key), *predicates.first_repeat(key))
                 failed = self._repeats.get(at)
                 if failed is None:
-                    sch = predicates.repeat_report(*at)
-                    failed = self._repeats[at] = (_combine(dom, sch), sch, {})
-                ev = failed[2].get(ids)
+                    failed = self._repeats[at] = (predicates.repeat_report(*at), {})
+                sch, evs = failed
+                ev = evs.get(ids)
                 if ev is None:
-                    ev = failed[2][ids] = NodeEvaluation(failed[0], dom, failed[1])
+                    ev = evs[ids] = NodeEvaluation(_combine(dom, sch), dom, sch)
             elif shared is not None:
                 ev = shared
             else:
@@ -203,10 +201,8 @@ class StackedTree:
         return tree
 
     def member(self, node: tuple[int, ...]) -> NodeEvaluation:
-        node = tuple(node)
-        if not node:
-            return NodeEvaluation(Verdict3(HOLDS, None, None, None, "root"))
-        return self.section(node[0]).member(node[1:])
+        node = tuple(node)  # the root belongs to every section
+        return self.section(node[0] if node else 0).member(node[1:])
 
     def params(self) -> dict:
         return {"stacked": True}
@@ -397,25 +393,34 @@ class PrefixRecord(namedtuple("PrefixRecord", "node kind margin")):
     __slots__ = ()
 
 
-class BranchCertificate(namedtuple(
-        "BranchCertificate", "branch depth index_bound prefixes generator min_margin")):
-    """A depth-long all-holds path with per-prefix margins.
+class BranchCertificate(namedtuple("BranchCertificate", "branch index_bound prefixes")):
+    """An all-holds path with the record of each of its prefixes.
 
-    `generator` describes the index pattern when one is recognized, e.g.
-    ("affine", step, offset) for u_n = step*n + offset (0-based positions).
+    `depth` is the branch's length and `min_margin` the least margin of its
+    prefixes (None when none has one).  `generator` describes the index
+    pattern when one is recognized, e.g. ("affine", step, offset) for
+    u_n = step*n + offset (0-based positions).
     """
 
     __slots__ = ()
 
+    @property
+    def depth(self) -> int:
+        return len(self.branch)
 
-def _detect_generator(branch: tuple[int, ...]) -> tuple | None:
-    if len(branch) < 2:
+    @property
+    def generator(self) -> tuple | None:
+        branch = self.branch
+        if len(branch) < 2:
+            return None
+        step, offset = branch[1] - branch[0], branch[0]
+        if all(u == step * n + offset for n, u in enumerate(branch)):
+            return ("affine", step, offset)
         return None
-    step = branch[1] - branch[0]
-    offset = branch[0]
-    if all(branch[n] == step * n + offset for n in range(len(branch))):
-        return ("affine", step, offset)
-    return None
+
+    @property
+    def min_margin(self) -> float | None:
+        return min((p.margin for p in self.prefixes if p.margin is not None), default=None)
 
 
 def branch_search(
@@ -468,16 +473,9 @@ def branch_search(
             return None
         beam = [(node, -key) for key, node in kept]
     branch = min(node for node, _ in beam)
-    records = []
-    worst: float | None = None
-    for k in range(1, depth + 1):
-        ev = tree.member(branch[:k])
-        m = ev.verdict.margin
-        records.append(PrefixRecord(branch[:k], ev.verdict.kind, m))
-        if m is not None:
-            worst = m if worst is None else min(worst, m)
-    return BranchCertificate(branch, depth, index_bound, tuple(records),
-                             _detect_generator(branch), worst)
+    verdicts = [tree.member(branch[:k]).verdict for k in range(1, depth + 1)]
+    return BranchCertificate(branch, index_bound, tuple(
+        PrefixRecord(branch[:k], v.kind, v.margin) for k, v in enumerate(verdicts, 1)))
 
 
 def validate_certificate(tree, cert: BranchCertificate) -> bool:
@@ -486,12 +484,7 @@ def validate_certificate(tree, cert: BranchCertificate) -> bool:
     The check is independent only on a tree that did not produce the claim:
     the tree that found the branch answers every prefix from its cache.
     """
-    if len(cert.branch) != cert.depth:
-        return False
-    return all(
-        tree.member(cert.branch[:k]).verdict.holds
-        for k in range(1, cert.depth + 1)
-    )
+    return all(tree.member(cert.branch[:k]).verdict.holds for k in range(1, cert.depth + 1))
 
 
 def rank_within(tree, depth: int, index_bound: int,

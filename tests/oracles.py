@@ -1111,7 +1111,13 @@ def ref_combine(coeffs, vectors) -> RefVector:
     return RefVector.from_pairs(pairs)
 
 
-def _ref_enclose(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+def ref_enclose(nv: spaces.NormValue) -> tuple[float, float]:
+    """The report floats (value, error) of a norm: the midpoint and half-width
+    of [lo, hi] plus a rounding slack, and (0.0, 0.0) for the bracket norm
+    of the zero vector, which has no exact field."""
+    lo, hi = nv.lo, nv.hi
+    if nv == (0, 0, None, None):
+        return 0.0, 0.0
     if lo == hi:
         value = float(lo)
         return value, abs(value) * 1e-15 + 1e-300
@@ -1125,15 +1131,15 @@ def ref_norm(space: SpaceModel, v: RefVector) -> spaces.NormValue:
     bits = spaces.BRACKET_BITS
     if space.kind == "c0":
         m = max((abs(c) for _, c in v.entries), default=Fraction(0))
-        return spaces.NormValue(*_ref_enclose(m, m), m, m, exact=m)
+        return spaces.NormValue(m, m, exact=m)
     p = space.p
     if p == 1:
         s = sum((abs(c) for _, c in v.entries), Fraction(0))
-        return spaces.NormValue(*_ref_enclose(s, s), s, s, exact=s)
+        return spaces.NormValue(s, s, exact=s)
     if p == 2:
         sq = sum((c * c for _, c in v.entries), Fraction(0))
         lo, hi = linalg.sqrt_lower(sq, bits), linalg.sqrt_upper(sq, bits)
-        return spaces.NormValue(*_ref_enclose(lo, hi), lo, hi, exact_sq=sq)
+        return spaces.NormValue(lo, hi, exact_sq=sq)
     a, b = p.numerator, p.denominator
     slo = shi = Fraction(0)
     for _, c in v.entries:
@@ -1146,7 +1152,7 @@ def ref_norm(space: SpaceModel, v: RefVector) -> spaces.NormValue:
             slo += tlo
             shi += thi
     if shi == 0:
-        return spaces.NormValue(0.0, 0.0, Fraction(0), Fraction(0))
+        return spaces.NormValue(Fraction(0), Fraction(0))
     lo, _ = linalg.nthroot_brackets(slo**b, a, bits)
     _, hi = linalg.nthroot_brackets(shi**b, a, bits)
-    return spaces.NormValue(*_ref_enclose(lo, hi), lo, hi)
+    return spaces.NormValue(lo, hi)

@@ -212,6 +212,14 @@ def test_usage_errors_exit_2(capsys):
     assert main(["predicate", "--space", "l1", "--set", "no-such-model",
                  "--node", "0", "--eps", "1", "--bigm", "1"]) == 2
     capsys.readouterr()
+    # a negative position, and an exponent below 1, which no document holds
+    for point in ("--start=-1:1", "--point=-2:1"):
+        assert main(["fixed-point", "--space", "l2", "--map", "shift", "--steps", "3",
+                     point]) == 2
+        assert capsys.readouterr().err == "error: --start/--point: positions are naturals\n"
+    assert main(["predicate", "--space", "lp:1/2", "--set", "unit-vector-hull",
+                 "--node", "0", "--eps", "1", "--bigm", "1"]) == 2
+    assert capsys.readouterr().err == "error: --space: lp spaces need rational p >= 1\n"
 
 
 COMMANDS = ["predicate", "wf-scan", "branch-hunt", "analyze-tree", "fixed-point",
@@ -340,6 +348,13 @@ def test_semantic_errors_exit_1(capsys):
                  "--index-bound", "4"]) == 1
     assert main(["poset-demo", "--elements", "a,b", "--covers", "a<c"]) == 1
     capsys.readouterr()
+    for bigm in ("0", "-1"):
+        assert main(["predicate", "--space", "l1", "--set", "unit-vector-family",
+                     "--node", "0,1", "--bigm", bigm]) == 1
+        assert capsys.readouterr().err == "error: /M: the prefix bound must be positive\n"
+    assert main(["fixed-point", "--space", "l2", "--map", "shift", "--saturate",
+                 "--start", "0:1", "--max-points", "-1"]) == 1
+    assert capsys.readouterr().err == "error: /max-points: point budget must be nonnegative\n"
 
 
 def test_report_to_a_closed_pipe_exits_1_without_a_traceback():

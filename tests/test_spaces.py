@@ -137,7 +137,7 @@ def test_from_ints_reduces_to_lowest_terms():
 DIFFERENTIAL_CHECK = """
 import random
 from fractions import Fraction as F
-from oracles import RefVector, ref_combine, ref_norm
+from oracles import RefVector, ref_combine, ref_enclose, ref_norm
 from wctree.spaces import C0, L1, L2, Vector, combine, lp_space, norm, norm_cmp
 
 rng = random.Random(21)
@@ -177,7 +177,9 @@ for i in range(1000):
     twin = Vector(r.entries)
     check(twin == v and hash(twin) == hash(v) and twin.entries == r.entries, ("rebuild", i))
     for space in SPACES:
-        check(norm(space, v) == ref_norm(space, r), ("norm", space.ident, i))
+        nv = norm(space, v)
+        check(nv == ref_norm(space, r) and (nv.value, nv.error) == ref_enclose(nv),
+              ("norm", space.ident, i))
         for t in (rational(6, 5), ref_norm(space, r).hi):
             check(norm_cmp(space, v, t) == ref_cmp(space, r, t), ("norm_cmp", space.ident, i))
     t = rational(9, 9)

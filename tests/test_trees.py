@@ -56,6 +56,7 @@ def test_node_evaluation_combines_predicates():
     ev = tree.member((0, 1, 2))
     assert ev.verdict.fails
     assert ev.domination.fails
+    assert ev.verdict is ev.domination  # the failing predicate's own verdict
 
 
 def test_repeated_index_fails_prefix_boundedness():
@@ -311,9 +312,11 @@ def test_seed5_lp32_scan_selects_each_index_once_and_brackets_few_norms(monkeypa
     each unit vector on its sup norm, 1, so the only norm brackets are the
     11 of the one upper end.  The tree keys its per-set records by ids, so
     `Vector.__hash__` runs 1,525 times, and `is_M_schauder` runs at most once
-    per set of distinct vectors."""
+    per set of distinct vectors.  No norm's report floats are read, so
+    `_enclose` never runs."""
     calls = _count_calls(monkeypatch, ((SetModel, "selector"), (spaces, "_bracket_norm"),
-                                       (Vector, "__hash__"), (predicates, "is_M_schauder")))
+                                       (Vector, "__hash__"), (predicates, "is_M_schauder"),
+                                       (spaces, "_enclose")))
     tree = WcTree(unit_vector_family(lp_space(F(3, 2))), F(3, 5), F(2))
     verdict = bounded_wf_search(tree, 5, 5)
     assert verdict.kind == WELL_FOUNDED and verdict.stats.evaluated == 1030
@@ -334,10 +337,11 @@ def test_seed5_branch_hunts_certify_every_minimum_without_a_solver(
     vectors, with no `linalg.solve` of a Wolfe corral.  Every beam level
     stops once no unevaluated child can enter the beam, so `member` runs
     363 and 109 times, prefix reads and the fresh tree's revalidation
-    included."""
+    included.  The payload renders no norm, so `_enclose` never runs."""
     calls = _count_calls(monkeypatch, ((predicates.lp, "solve_lp"),
                                        (predicates.linalg, "solve"),
-                                       (predicates, solver), (WcTree, "member")))
+                                       (predicates, solver), (WcTree, "member"),
+                                       (spaces, "_enclose")))
     assert cli.main(["branch-hunt", "--space", space, "--set", set_name, "--eps", eps,
                      "--bigm", "1", "--depth", "8", "--index-bound", index_bound,
                      "--beam-width", "4", "--seed", "5"]) == 0
